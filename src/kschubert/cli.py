@@ -6,18 +6,12 @@ output with stable key ordering (elements sorted by (length, string)), so
 fixed inputs produce byte-identical output.  Exit codes: 0 success (and all
 identities matched for verify/conjecture), 1 any mismatch, 2 usage error.
 Errors are emitted as a structured JSON object on stderr.
-
-Computation is sequential and purely functional over immutable values, so
-results do not depend on a thread count; --threads and the environment
-variable KSCHUBERT_THREADS are accepted and validated for interface
-stability but do not change the (already deterministic) output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from kschubert.constants import (
@@ -29,7 +23,7 @@ from kschubert.constants import (
     pontryagin_constants,
     verify_embedded_tables,
 )
-from kschubert.nilhecke import coefficient_table, k_class, l_class
+from kschubert.nilhecke import b_cosets, e_cosets, e_row, k_class, l_class, y_in_loc
 from kschubert.ring import (
     format_gae,
     format_rf,
@@ -52,7 +46,6 @@ from kschubert.weyl import (
     parse_element,
     reduced_word,
     translation,
-    weyl_group,
 )
 
 SCHEMA_VERSION = 1
@@ -153,19 +146,19 @@ def _cmd_element(args) -> int:
 def _cmd_bcoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
-    table = coefficient_table(x)
+    row = y_in_loc(x).terms
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "bcoeff",
         "element": format_element(x),
-        "b_row": _row_json(table.b_row, rf_to_json),
+        "b_row": _row_json(row, rf_to_json),
         "coset_b": {
             "t[" + ",".join(map(str, key)) + "]": rf_to_json(v)
-            for key, v in sorted(table.coset_b.items())
+            for key, v in sorted(b_cosets(x).items())
         },
     }
     lines = [f"b-coefficients of {format_element(x)}:"]
-    for v, c in sorted(table.b_row.items(), key=lambda t: element_sort_key(t[0])):
+    for v, c in sorted(row.items(), key=lambda t: element_sort_key(t[0])):
         lines.append(f"  {format_element(v)}: {format_rf(c, args.root_exponents)}")
     _emit(payload, args, "\n".join(lines))
     return 0
@@ -174,16 +167,17 @@ def _cmd_bcoeff(args) -> int:
 def _cmd_ecoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
-    table = coefficient_table(x)
+    row = e_row(x)
+    coset_e = {coset_min(translation(datum, key)): v for key, v in e_cosets(x).items()}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "ecoeff",
         "element": format_element(x),
-        "e_row": _row_json(table.e_row, gae_to_json),
-        "coset_e": _row_json(table.coset_e, gae_to_json),
+        "e_row": _row_json(row, gae_to_json),
+        "coset_e": _row_json(coset_e, gae_to_json),
     }
     lines = [f"e-coefficients of {format_element(x)}:"]
-    for v, c in sorted(table.e_row.items(), key=lambda t: element_sort_key(t[0])):
+    for v, c in sorted(row.items(), key=lambda t: element_sort_key(t[0])):
         lines.append(f"  {format_element(v)}: {format_gae(c, datum, args.root_exponents)}")
     _emit(payload, args, "\n".join(lines))
     return 0
@@ -284,13 +278,14 @@ def _conjecture_inputs(datum, bound: int):
 
 
 def _cmd_conjecture(args) -> int:
+    if args.max_translation < 0:
+        raise UsageError(f"--max-translation must be >= 0, got {args.max_translation}")
     datum = _datum(args)
     guard = _guard(args, datum)
     data = list(load_quantum_data()) if datum.label == "A1" else []
     data = [d for d in data if d.u.datum == datum]
     reps = _conjecture_inputs(datum, args.max_translation)
     reps = [x for x in reps if length(x) <= guard]
-    group = weyl_group(datum)
     finite_pairs = {
         (finite_element(datum, x.wmat), finite_element(datum, y.wmat))
         for x in reps
@@ -344,13 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kschubert",
         description="Exact Schubert structure constants for the Pontryagin "
         "product on the K-homology of affine Grassmannians.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for interface stability; evaluation is sequential and "
-        "deterministic (env: KSCHUBERT_THREADS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -432,17 +420,6 @@ _DISPATCH = {
 }
 
 
-def _resolve_threads(args) -> int:
-    raw = args.threads if args.threads is not None else os.environ.get("KSCHUBERT_THREADS", "1")
-    try:
-        threads = int(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"thread count {raw!r} is not an integer")
-    if threads < 1:
-        raise UsageError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -450,7 +427,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _resolve_threads(args)
         return _DISPATCH[args.command](args)
     except (
         UsageError,

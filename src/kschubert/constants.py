@@ -29,18 +29,17 @@ from kschubert.ring import (
     GroupAlgebraElement,
     RationalFunction,
     format_gae,
-    gae_to_json,
 )
 from kschubert.rootsys import (
     CartanDatum,
     Coroot,
     build_root_system,
-    pair,
     root_lattice_weight,
 )
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
+    bruhat_leq,
     coset_min,
     coset_translation,
     finite_element,
@@ -55,7 +54,7 @@ from kschubert.weyl import (
     translation,
     weyl_group,
 )
-from kschubert.nilhecke import b_cosets, e_cosets, e_row, y_in_loc
+from kschubert.nilhecke import b_cosets, e_cosets, e_row
 
 
 class SingularSystemError(ArithmeticError):
@@ -81,11 +80,6 @@ class StructureConstantTable:
 
     def sorted_entries(self):
         return sorted(self.entries.items(), key=lambda t: element_sort_key(t[0]))
-
-    def as_strings(self) -> dict[str, list]:
-        return {
-            format_element(z): gae_to_json(c) for z, c in self.sorted_entries()
-        }
 
 
 def _translation_convolution(x: AffineWeylElement, y: AffineWeylElement) -> dict:
@@ -142,6 +136,25 @@ def _inverse_leading_b(z: AffineWeylElement) -> GroupAlgebraElement:
     return out
 
 
+def _triangular_solve(residual: dict, order, pivot, inverse_diag, row) -> dict:
+    """Peel a triangular system one unknown at a time, in ``order``: the
+    coefficient of z is the residual at ``pivot(z)`` times ``inverse_diag(z)``,
+    and that coefficient times ``row(z)`` is subtracted from ``residual`` in
+    place.  Returns the coefficients found; the caller checks that nothing is
+    left in ``residual``."""
+    solved = {}
+    for z in order:
+        value = residual.get(pivot(z))
+        if not value:
+            continue
+        coeff = value * inverse_diag(z)
+        solved[z] = coeff
+        for key, entry in row(z).items():
+            dec = coeff * entry
+            residual[key] = residual[key] - dec if key in residual else -dec
+    return solved
+
+
 def pontryagin_constants_linear(x: AffineWeylElement, y: AffineWeylElement) -> StructureConstantTable:
     """Independent route: write the product in the translation localization
     coordinates and solve c against the coset-b rows of Grassmannian
@@ -157,17 +170,13 @@ def pontryagin_constants_linear(x: AffineWeylElement, y: AffineWeylElement) -> S
         candidates.update(v for v in lower_interval(top) if is_grassmannian(v))
 
     residual = dict(target)
-    solved: dict[AffineWeylElement, RationalFunction] = {}
-    for z in sorted(candidates, key=element_sort_key, reverse=True):
-        sigma_z = coset_translation(z)
-        value = residual.get(sigma_z)
-        if value is None or not value:
-            continue
-        coeff = value * _inverse_leading_b(z)
-        solved[z] = coeff
-        for key, b in b_cosets(z).items():
-            dec = coeff * b
-            residual[key] = residual[key] - dec if key in residual else -dec
+    solved = _triangular_solve(
+        residual,
+        sorted(candidates, key=element_sort_key, reverse=True),
+        coset_translation,
+        _inverse_leading_b,
+        b_cosets,
+    )
     for key, leftover in residual.items():
         if leftover:
             raise SingularSystemError(
@@ -216,17 +225,11 @@ def _finite_localization_row(w: AffineWeylElement) -> dict:
     for v in _finite_elements(datum):
         total = GroupAlgebraElement.zero(datum.rank)
         for u, e in e_row(v).items():
-            if bruhat_geq_finite(u, w):
+            if bruhat_leq(w, u):
                 total = total + e
         if total:
             out[v] = total
     return out
-
-
-def bruhat_geq_finite(u: AffineWeylElement, w: AffineWeylElement) -> bool:
-    from kschubert.weyl import bruhat_leq
-
-    return bruhat_leq(w, u)
 
 
 def _inverse_diag_e(v: AffineWeylElement) -> RationalFunction:
@@ -253,16 +256,13 @@ def classical_k_constants(u: AffineWeylElement, v: AffineWeylElement) -> dict:
     residual: dict[AffineWeylElement, RationalFunction] = {
         x: RationalFunction.from_gae(datum, g) for x, g in product.items()
     }
-    solved: dict[AffineWeylElement, RationalFunction] = {}
-    for w in sorted(elements, key=element_sort_key):
-        value = residual.get(w)
-        if value is None or not value:
-            continue
-        coeff = value * _inverse_diag_e(w)
-        solved[w] = coeff
-        for xx, loc in _finite_localization_row(w).items():
-            dec = coeff * loc
-            residual[xx] = residual[xx] - dec if xx in residual else -dec
+    solved = _triangular_solve(
+        residual,
+        sorted(elements, key=element_sort_key),
+        lambda w: w,
+        _inverse_diag_e,
+        _finite_localization_row,
+    )
     for xx, leftover in residual.items():
         if leftover:
             raise SingularSystemError(
@@ -331,8 +331,6 @@ def conjecture_check(
 
     index: dict[tuple, QuantumDatum] = {}
     for d in quantum_data:
-        if any(deg < 0 for deg in d.degree):
-            raise MalformedDatumError(f"negative degree entry in {d.degree}")
         index[(d.u, d.v, d.w, d.degree)] = d
 
     entries = []

@@ -32,13 +32,10 @@ from kschubert.weyl import (
     ReducedWord,
     aff_multiply,
     affine_simple,
-    coset_min,
     coset_translation,
     demazure_extend,
-    demazure_product,
     identity,
     is_grassmannian,
-    left_descents,
     length,
     lower_interval,
     reduced_word,
@@ -253,7 +250,7 @@ def e_row_subword(x: AffineWeylElement, word: ReducedWord | None = None) -> dict
     return {v: c for v, c in out.items() if c}
 
 
-# Coset sums and the coefficient table ----------------------------------------
+# Coset sums -------------------------------------------------------------------
 
 
 def _group_by_coset(datum: CartanDatum, row: dict) -> dict:
@@ -274,45 +271,6 @@ def b_cosets(x: AffineWeylElement) -> dict:
 @lru_cache(maxsize=None)
 def e_cosets(x: AffineWeylElement) -> dict:
     return _group_by_coset(x.datum, e_row(x))
-
-
-@dataclass
-class BECoefficientTable:
-    """b and e rows of one element together with their coset sums.
-
-    ``coset_b`` is keyed by the coroot of the translation representing each
-    coset; ``coset_e`` is keyed by the minimal (Grassmannian) coset element.
-    """
-
-    element: AffineWeylElement
-    b_row: dict
-    e_row: dict
-    coset_b: dict
-    coset_e: dict
-
-
-@lru_cache(maxsize=None)
-def coefficient_table(x: AffineWeylElement) -> BECoefficientTable:
-    datum = x.datum
-    coset_e = {
-        coset_min(translation(datum, key)): value
-        for key, value in e_cosets(x).items()
-    }
-    return BECoefficientTable(
-        element=x,
-        b_row=dict(y_in_loc(x).terms),
-        e_row=dict(e_row(x)),
-        coset_b=dict(b_cosets(x)),
-        coset_e=coset_e,
-    )
-
-
-def b_coefficients(x: AffineWeylElement) -> BECoefficientTable:
-    return coefficient_table(x)
-
-
-def e_coefficients(x: AffineWeylElement) -> BECoefficientTable:
-    return coefficient_table(x)
 
 
 # Basis conversion -------------------------------------------------------------

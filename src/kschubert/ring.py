@@ -375,46 +375,6 @@ def _den_complement(datum, target: dict, have: dict) -> GroupAlgebraElement:
     return out
 
 
-# Function-style aliases for the operator methods.
-
-def gae_add(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    return a + b
-
-
-def gae_mul(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    return a * b
-
-
-def gae_neg(a: GroupAlgebraElement) -> GroupAlgebraElement:
-    return -a
-
-
-def rf_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a + b
-
-
-def rf_mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a * b
-
-
-def rf_reduce(a: RationalFunction) -> RationalFunction:
-    return RationalFunction(a.datum, a.num, a.den)
-
-
-def rf_to_polynomial(a: RationalFunction) -> GroupAlgebraElement:
-    return a.to_polynomial()
-
-
-def augmentation(a: GroupAlgebraElement) -> int:
-    return a.augmentation()
-
-
-def weyl_act_matrix(matrix: Matrix, f):
-    """Level-zero action of a finite Weyl element (as a weight-lattice
-    matrix) on a ring value; translations act trivially by definition."""
-    return f.act(matrix)
-
-
 # Printing ------------------------------------------------------------------
 
 def _format_monomial(weight: Weight, datum: CartanDatum | None, root_coords: bool) -> str:

@@ -236,7 +236,13 @@ def build_root_system(spec: str | list | tuple, label: str | None = None) -> Car
                 f"unsupported type label {spec!r}; built-ins: {sorted(_BUILTIN)}"
             )
         return _build_from_matrix(_BUILTIN[key], key)
-    matrix = tuple(tuple(int(entry) for entry in row) for row in spec)
+    if not isinstance(spec, (list, tuple)) or not all(
+        isinstance(row, (list, tuple))
+        and all(isinstance(entry, int) and not isinstance(entry, bool) for entry in row)
+        for row in spec
+    ):
+        raise InvalidCartanMatrixError("Cartan matrix must be a sequence of rows of integers")
+    matrix = tuple(tuple(row) for row in spec)
     return _build_from_matrix(matrix, label or f"custom-rank{len(matrix)}")
 
 
@@ -245,25 +251,6 @@ def pair(coroot: Coroot, weight: Weight) -> int:
     if len(coroot) != len(weight):
         raise ValueError(f"rank mismatch: {len(coroot)} vs {len(weight)}")
     return sum(c * w for c, w in zip(coroot, weight))
-
-
-def simple_reflection_on_weight(datum: CartanDatum, i: int, weight: Weight) -> Weight:
-    """Apply s_i (1-based i) to a weight: lambda - <a_i^vee, lambda> a_i."""
-    if not 1 <= i <= datum.rank:
-        raise ValueError(f"simple reflection index {i} out of range 1..{datum.rank}")
-    c = weight[i - 1]
-    alpha = datum.simple_roots[i - 1]
-    return tuple(w - c * a for w, a in zip(weight, alpha))
-
-
-def simple_reflection_on_coroot(datum: CartanDatum, i: int, coroot: Coroot) -> Coroot:
-    """Apply s_i (1-based i) to a coroot: mu - <mu, a_i> a_i^vee."""
-    if not 1 <= i <= datum.rank:
-        raise ValueError(f"simple reflection index {i} out of range 1..{datum.rank}")
-    p = pair(coroot, datum.simple_roots[i - 1])
-    out = list(coroot)
-    out[i - 1] -= p
-    return tuple(out)
 
 
 def level_zero_root(datum: CartanDatum, i: int) -> Weight:

@@ -130,10 +130,6 @@ class AffineWeylElement:
         return self.wmat == identity_matrix(self.datum.rank) and not any(self.trans)
 
     @property
-    def is_translation(self) -> bool:
-        return self.wmat == identity_matrix(self.datum.rank)
-
-    @property
     def is_finite(self) -> bool:
         return not any(self.trans)
 
@@ -198,15 +194,6 @@ def aff_inverse(x: AffineWeylElement) -> AffineWeylElement:
     )
 
 
-def apply_affine_simple(i: int, x: AffineWeylElement, side: str = "left") -> AffineWeylElement:
-    s = affine_simple(x.datum, i)
-    if side == "left":
-        return aff_multiply(s, x)
-    if side == "right":
-        return aff_multiply(x, s)
-    raise ValueError("side must be 'left' or 'right'")
-
-
 @lru_cache(maxsize=None)
 def length(x: AffineWeylElement) -> int:
     """Iwahori-Matsumoto length of w t_lam via the closed formula over
@@ -230,15 +217,6 @@ def left_descents(x: AffineWeylElement) -> list[int]:
     ]
 
 
-def right_descents(x: AffineWeylElement) -> list[int]:
-    lx = length(x)
-    return [
-        i
-        for i in range(x.datum.rank + 1)
-        if length(aff_multiply(x, affine_simple(x.datum, i))) < lx
-    ]
-
-
 @lru_cache(maxsize=None)
 def reduced_word(x: AffineWeylElement) -> ReducedWord:
     """Greedy left-descent peeling with smallest-index tie break; the result
@@ -247,18 +225,6 @@ def reduced_word(x: AffineWeylElement) -> ReducedWord:
     current = x
     while not current.is_identity:
         i = min(left_descents(current))
-        word.append(i)
-        current = aff_multiply(affine_simple(current.datum, i), current)
-    return tuple(word)
-
-
-def reduced_word_max_tiebreak(x: AffineWeylElement) -> ReducedWord:
-    """Second deterministic reduced word (largest-index tie break), used to
-    check that word-dependent computations are in fact word-independent."""
-    word: list[int] = []
-    current = x
-    while not current.is_identity:
-        i = max(left_descents(current))
         word.append(i)
         current = aff_multiply(affine_simple(current.datum, i), current)
     return tuple(word)
@@ -353,28 +319,31 @@ def coset_translation(x: AffineWeylElement) -> Coroot:
     return matvec(group.cmat[x.wmat], x.trans)
 
 
-def finite_coset(x: AffineWeylElement) -> list[AffineWeylElement]:
-    """The coset x W as explicit elements."""
-    group = weyl_group(x.datum)
-    return [aff_multiply(x, finite_element(x.datum, m)) for m in group.elements]
+def _word_layers(datum: CartanDatum, max_length: int):
+    """Breadth-first walk from the identity by right multiplication with the
+    affine simple generators: layer d holds the elements first reached by a
+    d-letter word, so its index measures length without the closed formula."""
+    layer = [identity(datum)]
+    seen = set(layer)
+    yield layer
+    for _ in range(max_length):
+        nxt = []
+        for x in layer:
+            for i in range(datum.rank + 1):
+                y = aff_multiply(x, affine_simple(datum, i))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        layer = nxt
+        yield layer
 
 
 @lru_cache(maxsize=None)
 def affine_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylElement, ...]:
     """All affine elements of length <= max_length, by breadth-first search;
     deterministic order (length, reduced word)."""
-    seen = {identity(datum)}
-    frontier = [identity(datum)]
-    for _ in range(max_length):
-        nxt = []
-        for x in frontier:
-            for i in range(datum.rank + 1):
-                y = aff_multiply(x, affine_simple(datum, i))
-                if y not in seen and length(y) == length(x) + 1:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda x: (length(x), reduced_word(x))))
+    ball = [x for layer in _word_layers(datum, max_length) for x in layer]
+    return tuple(sorted(ball, key=lambda x: (length(x), reduced_word(x))))
 
 
 def grassmannian_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylElement, ...]:
@@ -384,21 +353,9 @@ def grassmannian_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylEl
 def validate_length_convention(datum: CartanDatum, max_length: int) -> None:
     """Cross-check the closed length formula against BFS word enumeration.
     Raises AssertionError on any disagreement."""
-    lengths = {identity(datum): 0}
-    frontier = [identity(datum)]
-    dist = 0
-    while frontier and dist < max_length:
-        dist += 1
-        nxt = []
-        for x in frontier:
-            for i in range(datum.rank + 1):
-                y = aff_multiply(x, affine_simple(datum, i))
-                if y not in lengths:
-                    lengths[y] = dist
-                    nxt.append(y)
-        frontier = nxt
-    for x, l in lengths.items():
-        assert length(x) == l, f"length formula disagrees with BFS at {x!r}"
+    for dist, layer in enumerate(_word_layers(datum, max_length)):
+        for x in layer:
+            assert length(x) == dist, f"length formula disagrees with BFS at {x!r}"
 
 
 def weyl_act(x: AffineWeylElement, f):

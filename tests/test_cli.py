@@ -24,6 +24,10 @@ def test_roots_custom_cartan(capsys):
     code, out, _ = run(capsys, "roots", "--cartan", "[[2,-1],[-1,2]]", "--json")
     assert code == 0
     assert json.loads(out)["positive_roots"] == [[-1, 2], [2, -1], [1, 1]]
+    for bad in ["5", "null", "[2]", "[[2, -1.5], [-1, 2]]", '[["2"]]', "[[2.9]]"]:
+        code, out, err = run(capsys, "roots", "--cartan", bad, "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InvalidCartanMatrixError"
 
 
 def test_element_roundtrip(capsys):
@@ -80,6 +84,18 @@ def test_bcoeff_and_ecoeff(capsys):
     code, out, _ = run(capsys, "ecoeff", "--type", "A1", "--x", "s1 t[-1]", "--json")
     payload = json.loads(out)
     assert payload["e_row"]["id"] == [{"weight": [-2], "coeff": "1"}]
+    # both inputs lie in the coset (s1 t[-1]) W
+    inv = {"num": [{"weight": [0], "coeff": "1"}], "den": [{"root": [2], "mult": 1}]}
+    neg = {"num": [{"weight": [2], "coeff": "-1"}], "den": [{"root": [2], "mult": 1}]}
+    e_id = [{"weight": [-2], "coeff": "1"}]
+    e_s0 = [{"weight": [-2], "coeff": "-1"}, {"weight": [0], "coeff": "1"}]
+    for x in ("s1 t[-1]", "t[1]"):
+        code, out, _ = run(capsys, "bcoeff", "--type", "A1", "--x", x, "--json")
+        assert code == 0
+        assert json.loads(out)["coset_b"] == {"t[0]": inv, "t[1]": neg}
+        code, out, _ = run(capsys, "ecoeff", "--type", "A1", "--x", x, "--json")
+        assert code == 0
+        assert json.loads(out)["coset_e"] == {"id": e_id, "s1 t[-1]": e_s0}
 
 
 def test_kclass_lclass(capsys):
@@ -107,6 +123,9 @@ def test_conjecture_command(capsys):
     payload = json.loads(out)
     assert payload["mismatches"] == 0
     assert payload["matches"] > 0
+    code, out, err = run(capsys, "conjecture", "--type", "A1", "--max-translation", "-1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
 
 
 def test_parse_error_exit_2(capsys):
@@ -130,20 +149,6 @@ def test_guard_rejects_long_elements(capsys):
     assert code == 0
 
 
-def test_bad_thread_count(capsys):
-    code, _, err = run(capsys, "--threads", "0", "roots", "--type", "A1")
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "UsageError"
-
-
-def test_thread_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("KSCHUBERT_THREADS", "4")
-    code, out, _ = run(capsys, "roots", "--type", "A1", "--json")
-    assert code == 0
-    monkeypatch.setenv("KSCHUBERT_THREADS", "zero")
-    code, _, err = run(capsys, "roots", "--type", "A1", "--json")
-    assert code == 2
-
-
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+    assert main(["--threads", "2", "roots"]) == 2

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reduced_word_max_tiebreak
 from kschubert.ring import GroupAlgebraElement, RationalFunction
 from kschubert.rootsys import level_zero_root
 from kschubert.nilhecke import (
@@ -12,11 +13,10 @@ from kschubert.nilhecke import (
     YBASIS,
     KElement,
     ShapeViolationError,
-    b_coefficients,
+    b_cosets,
     b_row_subword,
     basis_convert,
-    coefficient_table,
-    e_coefficients,
+    e_cosets,
     e_row,
     e_row_subword,
     k_class,
@@ -42,7 +42,6 @@ from kschubert.weyl import (
     length,
     lower_interval,
     parse_element,
-    reduced_word_max_tiebreak,
     translation,
 )
 
@@ -121,17 +120,17 @@ def test_translations_multiply_in_loc(a2):
 
 def test_b_row_s0(a1):
     alpha = a1.positive_roots[0]
-    table = b_coefficients(affine_simple(a1, 0))
+    s0 = affine_simple(a1, 0)
+    row = y_in_loc(s0).terms
     inv = RationalFunction.inverse_one_minus_exp(a1, alpha)
-    assert table.b_row[identity(a1)] == inv
-    assert table.b_row[affine_simple(a1, 0)] == inv * G.monomial(alpha, -1)
+    assert row[identity(a1)] == inv
+    assert row[s0] == inv * G.monomial(alpha, -1)
     # coset sum at t_{alpha_vee}
-    assert table.coset_b[(1,)] == inv * G.monomial(alpha, -1)
+    assert b_cosets(s0)[(1,)] == inv * G.monomial(alpha, -1)
 
 
 def test_b_row_identity(a1):
-    table = b_coefficients(identity(a1))
-    assert table.b_row == {identity(a1): RationalFunction.one(a1)}
+    assert y_in_loc(identity(a1)).terms == {identity(a1): RationalFunction.one(a1)}
 
 
 def test_e_row_identity_and_s0(a1):
@@ -143,11 +142,10 @@ def test_e_row_identity_and_s0(a1):
 
 def test_e_row_coset_value_from_square(a1):
     # e_{t_{2 alpha_vee}, [t_{-alpha_vee}]} = e^{-a} (1 - e^{-a})^2
-    table = e_coefficients(translation(a1, (2,)))
-    z = translation(a1, (-1,))
+    cosets = e_cosets(translation(a1, (2,)))
     ema = G.monomial((-2,))
     expect = ema * (G.one(1) - ema) * (G.one(1) - ema)
-    assert table.coset_e[z] == expect
+    assert cosets[(-1,)] == expect
 
 
 def test_b_row_supported_on_lower_interval(a2):

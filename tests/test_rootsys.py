@@ -7,10 +7,13 @@ from kschubert.rootsys import (
     level_zero_root,
     matvec,
     pair,
-    simple_reflection_on_coroot,
-    simple_reflection_on_weight,
     weight_in_root_coords,
 )
+from kschubert.weyl import affine_simple, weyl_group
+
+
+def reflect(datum, i, weight):
+    return matvec(affine_simple(datum, i).wmat, weight)
 
 
 def test_a1_table(a1):
@@ -46,6 +49,13 @@ def test_custom_matrix_matches_builtin(a2):
         [[2, -1], [0, 2]],  # asymmetric zero pattern
         [[1]],  # bad diagonal
         [[2, 1], [1, 2]],  # positive off-diagonal
+        5,  # not a sequence
+        None,
+        [2],  # rows are not sequences
+        [[2, -1.5], [-1, 2]],  # non-integer entries are not truncated
+        [["2"]],
+        [[2.9]],
+        [[True]],
     ],
 )
 def test_invalid_matrices_rejected(matrix):
@@ -68,13 +78,13 @@ def test_pairing_values(a1, a2):
 
 def test_simple_reflections(a1, a2):
     alpha = a1.simple_roots[0]
-    assert simple_reflection_on_weight(a1, 1, alpha) == (-2,)
+    assert reflect(a1, 1, alpha) == (-2,)
     # s_1(alpha_2) = alpha_1 + alpha_2
-    assert simple_reflection_on_weight(a2, 1, a2.simple_roots[1]) == (1, 1)
+    assert reflect(a2, 1, a2.simple_roots[1]) == (1, 1)
     # s_1(omega_1) = omega_1 - alpha_1
-    assert simple_reflection_on_weight(a2, 1, (1, 0)) == (-1, 1)
+    assert reflect(a2, 1, (1, 0)) == (-1, 1)
     with pytest.raises(ValueError):
-        simple_reflection_on_weight(a2, 3, (1, 0))
+        reflect(a2, 3, (1, 0))
 
 
 def test_level_zero_roots(a1, a2):
@@ -88,7 +98,7 @@ def test_level_zero_roots(a1, a2):
 def test_reflections_permute_positive_roots(a2):
     for i in range(1, a2.rank + 1):
         for beta in a2.positive_roots:
-            image = simple_reflection_on_weight(a2, i, beta)
+            image = reflect(a2, i, beta)
             neg = tuple(-x for x in image)
             assert image in a2.positive_root_set or neg in a2.positive_root_set
             if neg in a2.positive_root_set:
@@ -98,25 +108,18 @@ def test_reflections_permute_positive_roots(a2):
 def test_reflections_are_involutions(a2):
     for i in range(1, a2.rank + 1):
         for lam in [(1, 0), (0, 1), (2, -1), (-3, 5)]:
-            once = simple_reflection_on_weight(a2, i, lam)
-            assert simple_reflection_on_weight(a2, i, once) == lam
+            once = reflect(a2, i, lam)
+            assert reflect(a2, i, once) == lam
 
 
 def test_pairing_weyl_invariance_short_elements(a2):
-    # all words of length <= 4 over the finite alphabet
-    words = [()]
-    for _ in range(4):
-        words = [w + (i,) for w in words for i in (1, 2)]
+    group = weyl_group(a2)
     weights = [(1, 0), (0, 1), (2, -1)]
     coroots = [(1, 0), (0, 1), (1, 1)]
-    for word in words:
+    for m in group.elements:
         for mu in coroots:
             for lam in weights:
-                wl, wm = lam, mu
-                for i in word:
-                    wl = simple_reflection_on_weight(a2, i, wl)
-                    wm = simple_reflection_on_coroot(a2, i, wm)
-                assert pair(wm, wl) == pair(mu, lam)
+                assert pair(matvec(group.cmat[m], mu), matvec(m, lam)) == pair(mu, lam)
 
 
 def test_weight_in_root_coords(a2):

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import finite_coset, reduced_word_max_tiebreak
+from kschubert.rootsys import build_root_system
 from kschubert.weyl import (
     ParseError,
     ValidationError,
@@ -7,13 +9,11 @@ from kschubert.weyl import (
     aff_multiply,
     affine_ball,
     affine_simple,
-    apply_affine_simple,
     bruhat_leq,
     coset_min,
     coset_translation,
     demazure_product,
     evaluate_word,
-    finite_coset,
     format_element,
     grassmannian_ball,
     identity,
@@ -22,7 +22,6 @@ from kschubert.weyl import (
     lower_interval,
     parse_element,
     reduced_word,
-    reduced_word_max_tiebreak,
     reflection_roots,
     translation,
     validate_length_convention,
@@ -60,12 +59,12 @@ def test_translations_multiply_additively(a2):
 
 def test_apply_affine_simple(a1):
     s0 = affine_simple(a1, 0)
-    assert apply_affine_simple(0, identity(a1), "left") == s0
+    assert aff_multiply(s0, identity(a1)) == s0
     g3 = evaluate_word(a1, [0, 1, 0])
     assert format_element(g3) == "s1 t[-2]"
     assert length(g3) == 3
     x = parse_element("s1 t[-2]", a1)
-    assert apply_affine_simple(0, apply_affine_simple(0, x, "left"), "left") == x
+    assert aff_multiply(s0, aff_multiply(s0, x)) == x
 
 
 # -- length ---------------------------------------------------------------------
@@ -81,6 +80,9 @@ def test_length_fixtures(a1):
 def test_length_formula_vs_bfs(a1, a2):
     validate_length_convention(a1, 8)
     validate_length_convention(a2, 8)
+    # B2, C2 and G2, the other rank-two types the root-system layer accepts
+    for cartan in ([[2, -2], [-1, 2]], [[2, -1], [-2, 2]], [[2, -1], [-3, 2]]):
+        validate_length_convention(build_root_system(cartan), 8)
 
 
 def test_length_changes_by_one(a2):
