@@ -4,8 +4,11 @@ Commands: roots, element, bcoeff, ecoeff, kclass, lclass, product, constant,
 verify, conjecture.  Every command supports --json for machine-readable
 output with stable key ordering (elements sorted by (length, string)), so
 fixed inputs produce byte-identical output.  Exit codes: 0 success (and all
-identities matched for verify/conjecture), 1 any mismatch, 2 usage error.
-Errors are emitted as a structured JSON object on stderr.
+identities matched for verify/conjecture), 1 any mismatch, 2 usage error,
+3 internal error (an engine invariant failed: a surviving denominator, a
+singular triangular solve or a class of the wrong shape).  Errors are
+emitted as a structured JSON object on stderr; internal errors carry
+"kind": "internal".
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 
 from kschubert.constants import (
     ConjectureReport,
+    SingularSystemError,
     classical_quantum_data,
     conjecture_check,
     element_sort_key,
@@ -23,8 +27,17 @@ from kschubert.constants import (
     pontryagin_constants,
     verify_embedded_tables,
 )
-from kschubert.nilhecke import b_cosets, e_cosets, e_row, k_class, l_class, y_in_loc
+from kschubert.nilhecke import (
+    ShapeViolationError,
+    b_cosets,
+    e_cosets,
+    e_row,
+    k_class,
+    l_class,
+    y_in_loc,
+)
 from kschubert.ring import (
+    NonPolynomialError,
     format_gae,
     format_rf,
     gae_to_json,
@@ -420,6 +433,11 @@ _DISPATCH = {
 }
 
 
+def _report_error(exc: Exception, **extra) -> None:
+    error = {"type": type(exc).__name__, "message": str(exc), **extra}
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "error": error}), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -436,16 +454,13 @@ def main(argv=None) -> int:
         InvalidCartanMatrixError,
         ValueError,
     ) as exc:
-        print(
-            json.dumps(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                }
-            ),
-            file=sys.stderr,
-        )
+        _report_error(exc)
         return 2
+    except (NonPolynomialError, SingularSystemError, ShapeViolationError) as exc:
+        # A broken invariant inside the engine, not a mismatch and not the
+        # caller's mistake.
+        _report_error(exc, kind="internal")
+        return 3
 
 
 if __name__ == "__main__":

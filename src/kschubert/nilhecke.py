@@ -14,16 +14,23 @@ The change-of-basis data are the b and e coefficient matrices
     y_w = sum_u b_{w,u} u,        w = sum_u e_{w,u} y_u,
 
 mutually inverse.  b rows are computed by incremental y-products (with the
-closed subword sum kept as an independent oracle) and e rows by a left
-recursion peeling one letter at a time (with the closed subword sum over
-Demazure products as the oracle).  e entries are genuinely polynomial and
-are stored as group-algebra elements.
+closed subword sum kept as an independent oracle).  e rows come from one
+kernel, ``y_expansion(x, start)``, the y-expansion of x . y_start by a left
+recursion peeling one letter at a time: started at the identity it gives the
+full e row (with the closed subword sum over Demazure products as the
+oracle).  The product formula needs only the coset sums of e rows of
+translations, and it reads them from x . y_{w0}, whose row has one entry
+per coset; full rows are built only for ``ecoeff``, the class layer and the
+oracles.  e entries are genuinely polynomial and are stored as
+group-algebra elements.  Rows and coset sums are returned read-only, since
+they are the memoized values themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from kschubert.ring import GroupAlgebraElement, RationalFunction
 from kschubert.rootsys import CartanDatum, Coroot, level_zero_root
@@ -34,6 +41,7 @@ from kschubert.weyl import (
     affine_simple,
     coset_translation,
     demazure_extend,
+    finite_element,
     identity,
     is_grassmannian,
     length,
@@ -42,6 +50,7 @@ from kschubert.weyl import (
     reflection_roots,
     translation,
     weyl_act,
+    weyl_group,
 )
 
 LOC = "localization"
@@ -158,20 +167,25 @@ def t_in_loc(x: AffineWeylElement) -> KElement:
 
 
 @lru_cache(maxsize=None)
-def e_row(x: AffineWeylElement) -> dict:
-    """The e-row of x: coefficients of x in the y-basis, as group-algebra
-    elements.  Computed by peeling a left descent i off x = s_i u:
+def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyType:
+    """The y-basis coefficients of x . y_start, as group-algebra elements.
+    Computed by peeling a left descent i off x = s_i u, from the base row
+    {start: 1} at x = id: since s_i = e^{alpha_i} + (1 - e^{alpha_i}) y_i and
+    y_i y_v = y_{s_i * v} (Demazure product),
 
-        e_{s_i u, v} = s_i(e_{u,v}) + (1 - e^{alpha_i}) s_i(e_{u, s_i v})
+        c_{s_i u, v} = s_i(c_{u,v}) + (1 - e^{alpha_i}) s_i(c_{u, s_i v})
                                                       if s_i v < v,
-        e_{s_i u, v} = e^{alpha_i} s_i(e_{u,v})       if s_i v > v.
-    """
+        c_{s_i u, v} = e^{alpha_i} s_i(c_{u,v})       if s_i v > v.
+
+    Started at the identity this is the e-row of x; started at the longest
+    finite element w0 every row lives on coset maxima, because
+    y_v y_{w0} = y_{max vW}."""
     datum = x.datum
     if x.is_identity:
-        return {x: GroupAlgebraElement.one(datum.rank)}
+        return MappingProxyType({start: GroupAlgebraElement.one(datum.rank)})
     i = reduced_word(x)[0]
     s = affine_simple(datum, i)
-    row_u = e_row(aff_multiply(s, x))
+    row_u = y_expansion(aff_multiply(s, x), start)
     alpha = level_zero_root(datum, i)
     e_alpha = GroupAlgebraElement.monomial(alpha)
     one_minus = GroupAlgebraElement.one(datum.rank) - e_alpha
@@ -191,7 +205,13 @@ def e_row(x: AffineWeylElement) -> dict:
             val = e_alpha * row_u[v].act(s.wmat)
         if val:
             out[v] = val
-    return out
+    return MappingProxyType(out)
+
+
+@lru_cache(maxsize=None)
+def e_row(x: AffineWeylElement) -> MappingProxyType:
+    """The e-row of x: coefficients of x in the y-basis, read-only."""
+    return y_expansion(x, identity(x.datum))
 
 
 # Closed subword-sum oracles --------------------------------------------------
@@ -264,13 +284,18 @@ def _group_by_coset(datum: CartanDatum, row: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def b_cosets(x: AffineWeylElement) -> dict:
-    return _group_by_coset(x.datum, y_in_loc(x).terms)
+def b_cosets(x: AffineWeylElement) -> MappingProxyType:
+    return MappingProxyType(_group_by_coset(x.datum, y_in_loc(x).terms))
 
 
 @lru_cache(maxsize=None)
-def e_cosets(x: AffineWeylElement) -> dict:
-    return _group_by_coset(x.datum, e_row(x))
+def e_cosets(x: AffineWeylElement) -> MappingProxyType:
+    """Coset sums E[rho] = sum over z in rho W of e_{x,z}, read from the
+    y-expansion of x . y_{w0}: its row holds one entry per coset, at the
+    coset maximum, so no full e-row is built."""
+    datum = x.datum
+    w0 = finite_element(datum, weyl_group(datum).longest)
+    return MappingProxyType(_group_by_coset(datum, y_expansion(x, w0)))
 
 
 # Basis conversion -------------------------------------------------------------

@@ -1,7 +1,14 @@
-"""Second computations of Weyl-group data, kept out of the library because
-only the tests compare against them."""
+"""Second computations of Weyl-group data and of row coset sums, kept out of
+the library because only the tests compare against them."""
 
-from kschubert.weyl import aff_multiply, affine_simple, finite_element, left_descents, weyl_group
+from kschubert.weyl import (
+    aff_multiply,
+    affine_simple,
+    coset_translation,
+    finite_element,
+    left_descents,
+    weyl_group,
+)
 
 
 def finite_coset(x):
@@ -20,3 +27,13 @@ def reduced_word_max_tiebreak(x):
         word.append(i)
         current = aff_multiply(affine_simple(current.datum, i), current)
     return tuple(word)
+
+
+def coset_sums(row):
+    """Sum the entries of a full row over the cosets v W, keyed by the
+    translation in each coset: the reference for ``nilhecke.e_cosets``."""
+    out = {}
+    for v, c in row.items():
+        key = coset_translation(v)
+        out[key] = out[key] + c if key in out else c
+    return {k: c for k, c in out.items() if c}

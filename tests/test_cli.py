@@ -3,6 +3,9 @@ import json
 import pytest
 
 from kschubert.cli import main
+from kschubert.constants import SingularSystemError
+from kschubert.nilhecke import ShapeViolationError
+from kschubert.ring import NonPolynomialError
 
 
 def run(capsys, *argv):
@@ -152,3 +155,19 @@ def test_guard_rejects_long_elements(capsys):
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["--threads", "2", "roots"]) == 2
+
+
+@pytest.mark.parametrize("error", [NonPolynomialError, SingularSystemError, ShapeViolationError])
+def test_internal_error_exit_3(capsys, monkeypatch, error):
+    def broken(x, y):
+        raise error("injected")
+
+    monkeypatch.setattr("kschubert.cli.pontryagin_constants", broken)
+    code, out, err = run(
+        capsys, "constant", "--type", "A1", "--x", "t[-1]", "--y", "t[-1]", "--json"
+    )
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "schema_version": 1,
+        "error": {"type": error.__name__, "message": "injected", "kind": "internal"},
+    }

@@ -1,6 +1,7 @@
 import pytest
 
 from kschubert.ring import GroupAlgebraElement
+from kschubert.rootsys import build_root_system
 from kschubert.constants import (
     MalformedDatumError,
     QuantumDatum,
@@ -107,6 +108,24 @@ def test_augmentation_sums_to_one(a1, a2):
     for datum, xs, ys in pairs:
         table = pontryagin_constants(el(datum, xs), el(datum, ys))
         assert sum(c.augmentation() for c in table.entries.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [[[2, -2], [-1, 2]], [[2, -1], [-2, 2]], [[2, -1], [-3, 2]]],
+    ids=["B2", "C2", "G2"],
+)
+def test_product_routes_non_simply_laced(cartan):
+    # Whole Grassmannian ball; no reference numbers exist here, so the
+    # invariants are the check: route agreement, commutativity, augmentation.
+    datum = build_root_system(cartan)
+    reps = grassmannian_ball(datum, 4)
+    for i, x in enumerate(reps):
+        for y in reps[i:]:
+            entries = pontryagin_constants(x, y).entries
+            assert entries == pontryagin_constants_linear(x, y).entries
+            assert entries == pontryagin_constants(y, x).entries
+            assert sum(c.augmentation() for c in entries.values()) == 1
 
 
 def test_translation_product_check(a1, a2):

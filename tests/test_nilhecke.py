@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reduced_word_max_tiebreak
+from oracles import coset_sums, reduced_word_max_tiebreak
 from kschubert.ring import GroupAlgebraElement, RationalFunction
-from kschubert.rootsys import level_zero_root
+from kschubert.rootsys import build_root_system, level_zero_root
 from kschubert.nilhecke import (
     LOC,
     TBASIS,
@@ -29,20 +29,25 @@ from kschubert.nilhecke import (
     t_element,
     t_in_loc,
     y_element,
+    y_expansion,
     y_in_loc,
 )
 from kschubert.weyl import (
     affine_ball,
     affine_simple,
     aff_multiply,
+    demazure_product,
     evaluate_word,
+    finite_element,
     grassmannian_ball,
     identity,
     is_grassmannian,
     length,
     lower_interval,
     parse_element,
+    reduced_word,
     translation,
+    weyl_group,
 )
 
 G = GroupAlgebraElement
@@ -190,6 +195,74 @@ def test_matrix_inverse_identity_small(a1):
                     total = total + b * e
             expected = RationalFunction.one(a1) if x == z else RationalFunction.zero(a1)
             assert total == expected
+
+
+# Rank-two types without a built-in label, given by their Cartan matrices.
+B2 = [[2, -2], [-1, 2]]
+C2 = [[2, -1], [-2, 2]]
+G2 = [[2, -1], [-3, 2]]
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 8), ("A2", 6), ("A3", 4), (B2, 6), (C2, 6), (G2, 6)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_e_cosets_match_full_rows(spec, max_len):
+    # e_cosets reads x . y_{w0}; the reference groups the full e row.  Since
+    # s_j y_{w0} = y_{w0}, right multiplication by W leaves the sums alone,
+    # and the row of x . y_{w0} holds one entry per coset, at its maximum.
+    datum = build_root_system(spec)
+    group = weyl_group(datum)
+    finite = [finite_element(datum, m) for m in group.elements]
+    w0 = finite_element(datum, group.longest)
+    simples = [affine_simple(datum, j) for j in range(1, datum.rank + 1)]
+    for x in affine_ball(datum, max_len):
+        sums = e_cosets(x)
+        assert sums == coset_sums(e_row(x))
+        row = y_expansion(x, w0)
+        assert len(row) == len(sums)
+        for v in row:
+            assert all(length(aff_multiply(v, s)) < length(v) for s in simples)
+        for w in finite:
+            assert e_cosets(aff_multiply(x, w)) == sums
+
+
+def test_demazure_convolution_of_translations(a1, a2):
+    # e_{t_lam t_mu, z} = sum over u * v = z of e_{t_lam, u} e_{t_mu, v}:
+    # translations act trivially on small-torus scalars, and y_u y_v = y_{u*v}.
+    a2_box = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    cases = [
+        (a1, [(k,) for k in range(-3, 4)], [(k,) for k in range(-3, 4)]),
+        (a2, a2_box, [(-1, -1), (1, 0), (0, 1)]),
+    ]
+    for datum, lams, mus in cases:
+        for lam in lams:
+            for mu in mus:
+                t_lam, t_mu = translation(datum, lam), translation(datum, mu)
+                expected = {}
+                for u, eu in e_row(t_lam).items():
+                    for v, ev in e_row(t_mu).items():
+                        z = demazure_product(datum, reduced_word(u) + reduced_word(v))
+                        expected[z] = expected[z] + eu * ev if z in expected else eu * ev
+                expected = {z: c for z, c in expected.items() if c}
+                assert e_row(aff_multiply(t_lam, t_mu)) == expected
+
+
+def test_memoized_rows_are_read_only(a1):
+    x = translation(a1, (2,))
+    reads = [
+        (e_row, identity(a1)),
+        (lambda x: y_expansion(x, identity(a1)), identity(a1)),
+        (e_cosets, (-1,)),
+        (b_cosets, (1,)),
+    ]
+    for read, key in reads:
+        row = read(x)
+        before = dict(row)
+        with pytest.raises(TypeError):
+            row[key] = row[key] + row[key]
+        assert read(x) == before
 
 
 # -- basis conversion --------------------------------------------------------------
