@@ -181,7 +181,7 @@ def _cmd_ecoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
     row = e_row(x)
-    coset_e = {coset_min(translation(datum, key)): v for key, v in e_cosets(x).items()}
+    coset_e = e_cosets(x)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "ecoeff",
@@ -355,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_type=True):
+    def command(name, help, with_type=True, guarded=False, formatted=False):
+        p = sub.add_parser(name, help=help)
         if with_type:
             p.add_argument("--type", default="A1", help="type label A1/A2/A3")
             p.add_argument(
@@ -364,57 +365,54 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="explicit Cartan matrix as a JSON array of arrays",
             )
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--max-length",
-            type=int,
-            default=None,
-            help="guard on input element length (default 8 for A1, 6 otherwise)",
-        )
-        p.add_argument(
-            "--root-exponents",
-            action="store_true",
-            help="print monomial exponents in simple-root coordinates",
-        )
+        if guarded:
+            p.add_argument(
+                "--max-length",
+                type=int,
+                default=None,
+                help="guard on input element length (default 8 for A1, 6 otherwise)",
+            )
+        if formatted:
+            p.add_argument(
+                "--root-exponents",
+                action="store_true",
+                help="print monomial exponents in simple-root coordinates",
+            )
+        return p
 
-    p = sub.add_parser("roots", help="root-system data")
-    common(p)
+    command("roots", "root-system data")
 
-    p = sub.add_parser("element", help="parse and canonicalize an element")
-    common(p)
+    p = command("element", "parse and canonicalize an element")
     p.add_argument("element", help="element string, e.g. 's1*s2 t[-1,-1]'")
 
-    p = sub.add_parser("bcoeff", help="b-coefficient row of an element")
-    common(p)
+    p = command("bcoeff", "b-coefficient row of an element", guarded=True, formatted=True)
     p.add_argument("--x", required=True)
 
-    p = sub.add_parser("ecoeff", help="e-coefficient row of an element")
-    common(p)
+    p = command("ecoeff", "e-coefficient row of an element", guarded=True, formatted=True)
     p.add_argument("--x", required=True)
 
-    p = sub.add_parser("kclass", help="projected ideal-sheaf class in the T-basis")
-    common(p)
+    p = command(
+        "kclass", "projected ideal-sheaf class in the T-basis", guarded=True, formatted=True
+    )
     p.add_argument("--w", required=True)
 
-    p = sub.add_parser("lclass", help="projected structure-sheaf class in the T-basis")
-    common(p)
+    p = command(
+        "lclass", "projected structure-sheaf class in the T-basis", guarded=True, formatted=True
+    )
     p.add_argument("--w", required=True)
 
-    p = sub.add_parser("product", help="Pontryagin product, human-readable")
-    common(p)
+    p = command("product", "Pontryagin product, human-readable", guarded=True, formatted=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = sub.add_parser("constant", help="structure-constant table as JSON")
-    common(p)
+    p = command("constant", "structure-constant table as JSON", guarded=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = sub.add_parser("verify", help="recompute the embedded reference tables")
-    common(p, with_type=False)
+    p = command("verify", "recompute the embedded reference tables", with_type=False)
     p.add_argument("--suite", choices=["sl2", "sl3", "all"], default="all")
 
-    p = sub.add_parser("conjecture", help="compare affine constants with quantum data")
-    common(p)
+    p = command("conjecture", "compare affine constants with quantum data", guarded=True)
     p.add_argument("--max-translation", type=int, default=2)
     return parser
 

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from kschubert.ring import (
     GroupAlgebraElement,
@@ -117,8 +118,7 @@ def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> Structur
     convolution = _translation_convolution(x, y)
     raw: dict[AffineWeylElement, RationalFunction] = {}
     for sigma, p in convolution.items():
-        for key, egae in e_cosets(translation(datum, sigma)).items():
-            z = coset_min(translation(datum, key))
+        for z, egae in e_cosets(translation(datum, sigma)).items():
             val = p * egae
             raw[z] = raw[z] + val if z in raw else val
     entries = {z: c.to_polynomial() for z, c in raw.items() if c}
@@ -219,7 +219,7 @@ def _finite_elements(datum: CartanDatum) -> list[AffineWeylElement]:
 
 
 @lru_cache(maxsize=None)
-def _finite_localization_row(w: AffineWeylElement) -> dict:
+def _finite_localization_row(w: AffineWeylElement) -> MappingProxyType:
     datum = w.datum
     out: dict[AffineWeylElement, GroupAlgebraElement] = {}
     for v in _finite_elements(datum):
@@ -229,7 +229,7 @@ def _finite_localization_row(w: AffineWeylElement) -> dict:
                 total = total + e
         if total:
             out[v] = total
-    return out
+    return MappingProxyType(out)
 
 
 def _inverse_diag_e(v: AffineWeylElement) -> RationalFunction:

@@ -16,18 +16,20 @@ The change-of-basis data are the b and e coefficient matrices
 mutually inverse.  b rows are computed by incremental y-products (with the
 closed subword sum kept as an independent oracle).  e rows come from one
 kernel, ``y_expansion(x, start)``, the y-expansion of x . y_start by a left
-recursion peeling one letter at a time: started at the identity it gives the
-full e row (with the closed subword sum over Demazure products as the
-oracle).  The product formula needs only the coset sums of e rows of
-translations, and it reads them from x . y_{w0}, whose row has one entry
-per coset; full rows are built only for ``ecoeff``, the class layer and the
-oracles.  e entries are genuinely polynomial and are stored as
+recursion peeling the smallest left descent at each step: started at the
+identity it gives the full e row (with the closed subword sum over Demazure
+products as the oracle).  The product formula needs only the coset sums of e
+rows of translations, and it reads them from x . y_{w0}, whose row has one
+entry per coset, at the coset maximum v; the sum is keyed by the coset
+minimum v w0.  Full rows are built only for ``ecoeff``, the class layer and
+the oracles.  e entries are genuinely polynomial and are stored as
 group-algebra elements.  Rows and coset sums are returned read-only, since
 they are the memoized values themselves.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -44,6 +46,7 @@ from kschubert.weyl import (
     finite_element,
     identity,
     is_grassmannian,
+    left_descent,
     length,
     lower_interval,
     reduced_word,
@@ -62,25 +65,19 @@ class ShapeViolationError(AssertionError):
     """A projected ideal-sheaf class fails its characterizing shape."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class KElement:
     """Basis-tagged finite sum over affine Weyl elements; zero coefficients
-    are dropped on construction.  Treat instances as immutable."""
+    are dropped on construction.  Instances are immutable, terms included,
+    because the memos hand the same instance to every caller."""
 
     datum: CartanDatum
     basis: str
-    terms: dict[AffineWeylElement, RationalFunction] = field(default_factory=dict)
+    terms: Mapping[AffineWeylElement, RationalFunction] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.terms = {x: c for x, c in self.terms.items() if c}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KElement)
-            and self.datum == other.datum
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
+        terms = {x: c for x, c in self.terms.items() if c}
+        object.__setattr__(self, "terms", MappingProxyType(terms))
 
     def coefficient(self, x: AffineWeylElement) -> RationalFunction:
         return self.terms.get(x, RationalFunction.zero(self.datum))
@@ -151,7 +148,7 @@ def y_in_loc(x: AffineWeylElement) -> KElement:
     braid relations, so the word does not matter)."""
     if x.is_identity:
         return kel_scalar(x.datum, 1)
-    i = reduced_word(x)[0]
+    i = left_descent(x)
     rest = aff_multiply(affine_simple(x.datum, i), x)
     return k_mul(y_element(x.datum, i), y_in_loc(rest))
 
@@ -161,7 +158,7 @@ def t_in_loc(x: AffineWeylElement) -> KElement:
     """T_x in the localization basis, along a reduced word of x."""
     if x.is_identity:
         return kel_scalar(x.datum, 1)
-    i = reduced_word(x)[0]
+    i = left_descent(x)
     rest = aff_multiply(affine_simple(x.datum, i), x)
     return k_mul(t_element(x.datum, i), t_in_loc(rest))
 
@@ -169,9 +166,9 @@ def t_in_loc(x: AffineWeylElement) -> KElement:
 @lru_cache(maxsize=None)
 def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyType:
     """The y-basis coefficients of x . y_start, as group-algebra elements.
-    Computed by peeling a left descent i off x = s_i u, from the base row
-    {start: 1} at x = id: since s_i = e^{alpha_i} + (1 - e^{alpha_i}) y_i and
-    y_i y_v = y_{s_i * v} (Demazure product),
+    Computed by peeling the smallest left descent i off x = s_i u, from the
+    base row {start: 1} at x = id: since s_i = e^{alpha_i} + (1 - e^{alpha_i})
+    y_i and y_i y_v = y_{s_i * v} (Demazure product),
 
         c_{s_i u, v} = s_i(c_{u,v}) + (1 - e^{alpha_i}) s_i(c_{u, s_i v})
                                                       if s_i v < v,
@@ -183,29 +180,22 @@ def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyT
     datum = x.datum
     if x.is_identity:
         return MappingProxyType({start: GroupAlgebraElement.one(datum.rank)})
-    i = reduced_word(x)[0]
+    i = left_descent(x)
     s = affine_simple(datum, i)
-    row_u = y_expansion(aff_multiply(s, x), start)
-    alpha = level_zero_root(datum, i)
-    e_alpha = GroupAlgebraElement.monomial(alpha)
+    e_alpha = GroupAlgebraElement.monomial(level_zero_root(datum, i))
     one_minus = GroupAlgebraElement.one(datum.rank) - e_alpha
-    candidates = set(row_u) | {aff_multiply(s, v) for v in row_u}
     out: dict[AffineWeylElement, GroupAlgebraElement] = {}
-    for v in candidates:
+    # One pass over the row of u, scattering c_{u,v} to the entries that read it.
+    for v, c in y_expansion(aff_multiply(s, x), start).items():
+        sc = c.act(s.wmat)
         sv = aff_multiply(s, v)
         if length(sv) < length(v):
-            val = GroupAlgebraElement.zero(datum.rank)
-            if v in row_u:
-                val = val + row_u[v].act(s.wmat)
-            if sv in row_u:
-                val = val + one_minus * row_u[sv].act(s.wmat)
+            out[v] = out[v] + sc if v in out else sc
         else:
-            if v not in row_u:
-                continue
-            val = e_alpha * row_u[v].act(s.wmat)
-        if val:
-            out[v] = val
-    return MappingProxyType(out)
+            out[v] = e_alpha * sc  # no other entry writes to v when s_i v > v
+            val = one_minus * sc
+            out[sv] = out[sv] + val if sv in out else val
+    return MappingProxyType({v: c for v, c in out.items() if c})
 
 
 @lru_cache(maxsize=None)
@@ -273,29 +263,25 @@ def e_row_subword(x: AffineWeylElement, word: ReducedWord | None = None) -> dict
 # Coset sums -------------------------------------------------------------------
 
 
-def _group_by_coset(datum: CartanDatum, row: dict) -> dict:
-    """Sum row entries over cosets x W, keyed by the coroot coordinate of the
-    unique translation in each coset."""
-    out: dict[Coroot, object] = {}
-    for v, c in row.items():
-        key = coset_translation(v)
-        out[key] = out[key] + c if key in out else c
-    return {k: c for k, c in out.items() if c}
-
-
 @lru_cache(maxsize=None)
 def b_cosets(x: AffineWeylElement) -> MappingProxyType:
-    return MappingProxyType(_group_by_coset(x.datum, y_in_loc(x).terms))
+    """Sums of the b-row of x over cosets v W, keyed by the coroot coordinate
+    of the unique translation in each coset (the convolution adds them)."""
+    out: dict[Coroot, RationalFunction] = {}
+    for v, c in y_in_loc(x).terms.items():
+        key = coset_translation(v)
+        out[key] = out[key] + c if key in out else c
+    return MappingProxyType({k: c for k, c in out.items() if c})
 
 
 @lru_cache(maxsize=None)
 def e_cosets(x: AffineWeylElement) -> MappingProxyType:
-    """Coset sums E[rho] = sum over z in rho W of e_{x,z}, read from the
-    y-expansion of x . y_{w0}: its row holds one entry per coset, at the
-    coset maximum, so no full e-row is built."""
-    datum = x.datum
-    w0 = finite_element(datum, weyl_group(datum).longest)
-    return MappingProxyType(_group_by_coset(datum, y_expansion(x, w0)))
+    """Coset sums e_{x,[z]} = sum over v in z W of e_{x,v}, keyed by the
+    Grassmannian element z.  Read from the y-expansion of x . y_{w0}: its row
+    holds one entry per coset, at the coset maximum v, whose coset minimum is
+    v w0, so no full e-row is built."""
+    w0 = finite_element(x.datum, weyl_group(x.datum).longest)
+    return MappingProxyType({aff_multiply(v, w0): c for v, c in y_expansion(x, w0).items()})
 
 
 # Basis conversion -------------------------------------------------------------

@@ -208,13 +208,14 @@ def length(x: AffineWeylElement) -> int:
     return total
 
 
-def left_descents(x: AffineWeylElement) -> list[int]:
+def left_descent(x: AffineWeylElement) -> int:
+    """The smallest i with l(s_i x) < l(x); x must not be the identity."""
     lx = length(x)
-    return [
+    return next(
         i
         for i in range(x.datum.rank + 1)
         if length(aff_multiply(affine_simple(x.datum, i), x)) < lx
-    ]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +225,7 @@ def reduced_word(x: AffineWeylElement) -> ReducedWord:
     word: list[int] = []
     current = x
     while not current.is_identity:
-        i = min(left_descents(current))
+        i = left_descent(current)
         word.append(i)
         current = aff_multiply(affine_simple(current.datum, i), current)
     return tuple(word)
@@ -244,7 +245,7 @@ def bruhat_leq(u: AffineWeylElement, v: AffineWeylElement) -> bool:
         return True
     if length(u) >= length(v):
         return False
-    i = min(left_descents(v))
+    i = left_descent(v)
     s = affine_simple(u.datum, i)
     sv = aff_multiply(s, v)
     su = aff_multiply(s, u)

@@ -4,9 +4,9 @@ the library because only the tests compare against them."""
 from kschubert.weyl import (
     aff_multiply,
     affine_simple,
-    coset_translation,
+    coset_min,
     finite_element,
-    left_descents,
+    length,
     weyl_group,
 )
 
@@ -23,7 +23,11 @@ def reduced_word_max_tiebreak(x):
     word = []
     current = x
     while not current.is_identity:
-        i = max(left_descents(current))
+        i = max(
+            j
+            for j in range(x.datum.rank + 1)
+            if length(aff_multiply(affine_simple(x.datum, j), current)) < length(current)
+        )
         word.append(i)
         current = aff_multiply(affine_simple(current.datum, i), current)
     return tuple(word)
@@ -31,9 +35,10 @@ def reduced_word_max_tiebreak(x):
 
 def coset_sums(row):
     """Sum the entries of a full row over the cosets v W, keyed by the
-    translation in each coset: the reference for ``nilhecke.e_cosets``."""
+    minimal element of each coset found by descent (``weyl.coset_min``): the
+    reference for ``nilhecke.e_cosets``."""
     out = {}
     for v, c in row.items():
-        key = coset_translation(v)
+        key = coset_min(v)
         out[key] = out[key] + c if key in out else c
     return {k: c for k, c in out.items() if c}

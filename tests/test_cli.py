@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -152,6 +153,33 @@ def test_guard_rejects_long_elements(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--max-length", "2"],
+        ["element", "--type", "A1", "--max-length", "2", "t[5]"],
+        ["verify", "--max-length", "2"],
+        ["roots", "--root-exponents"],
+        ["element", "--type", "A1", "--root-exponents", "s1"],
+        ["constant", "--type", "A1", "--x", "t[-1]", "--y", "t[-1]", "--root-exponents"],
+        ["verify", "--root-exponents"],
+        ["conjecture", "--type", "A1", "--max-translation", "0", "--root-exponents"],
+    ],
+    ids=[
+        "roots-max-length",
+        "element-max-length",
+        "verify-max-length",
+        "roots-root-exponents",
+        "element-root-exponents",
+        "constant-root-exponents",
+        "verify-root-exponents",
+        "conjecture-root-exponents",
+    ],
+)
+def test_flags_accepted_only_where_read(capsys, argv):
+    assert main(argv) == 2
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["--threads", "2", "roots"]) == 2
@@ -171,3 +199,45 @@ def test_internal_error_exit_3(capsys, monkeypatch, error):
         "schema_version": 1,
         "error": {"type": error.__name__, "message": "injected", "kind": "internal"},
     }
+
+
+# sha256 of the --json stdout of fixed commands.  How the engine computes may
+# change; these bytes change only with a deliberate change of results or format.
+PINNED_JSON = {
+    "ecoeff": (
+        ["ecoeff", "--type", "A2", "--x", "t[-1,-1]"],
+        "63cdf623534377b7a8ec36d53fff5b643574e480911a43426aa10bf3c26e05aa",
+    ),
+    "bcoeff": (
+        ["bcoeff", "--type", "A2", "--x", "t[-1,-1]"],
+        "19b45b5d56d8a2470556596b23db4e79daca77041819ce61383cf79e6ff5cf66",
+    ),
+    "kclass": (
+        ["kclass", "--type", "A2", "--w", "s2*s1 t[-1,-1]"],
+        "2487c249bc83db2b2105115038974026923305485cd510129ca5aa57cebdbc7b",
+    ),
+    "lclass": (
+        ["lclass", "--type", "A2", "--w", "s1*s2 t[-1,-1]"],
+        "9226f25ee830f0c9110bc2b0bef609515ea0ade05c14ddd200dd206198a3fc68",
+    ),
+    "constant": (
+        ["constant", "--type", "A2", "--x", "s1 t[-1,-1]", "--y", "s2*s1 t[-1,-1]"],
+        "800d71e3a1af337b66d4734bdcd0728dcc155adec8a0bc1bb044689443675983",
+    ),
+    "conjecture": (
+        ["conjecture", "--type", "A2", "--max-translation", "1"],
+        "47a4f57197c185bdc495fc021c0d2a0e76e429f74511bf913830b9926d56040e",
+    ),
+    "verify": (
+        ["verify", "--suite", "all"],
+        "0e549ccecbafc6a3af1344b16218e9943d605860fab64011f30ac4d60af45f54",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_JSON))
+def test_json_output_pinned(capsys, name):
+    argv, digest = PINNED_JSON[name]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

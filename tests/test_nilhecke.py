@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coset_sums, reduced_word_max_tiebreak
+from kschubert.constants import _finite_localization_row
 from kschubert.ring import GroupAlgebraElement, RationalFunction
 from kschubert.rootsys import build_root_system, level_zero_root
 from kschubert.nilhecke import (
@@ -36,6 +37,7 @@ from kschubert.weyl import (
     affine_ball,
     affine_simple,
     aff_multiply,
+    coset_min,
     demazure_product,
     evaluate_word,
     finite_element,
@@ -150,7 +152,7 @@ def test_e_row_coset_value_from_square(a1):
     cosets = e_cosets(translation(a1, (2,)))
     ema = G.monomial((-2,))
     expect = ema * (G.one(1) - ema) * (G.one(1) - ema)
-    assert cosets[(-1,)] == expect
+    assert cosets[coset_min(translation(a1, (-1,)))] == expect
 
 
 def test_b_row_supported_on_lower_interval(a2):
@@ -166,10 +168,19 @@ def test_e_rows_are_polynomial_by_type(a2):
             assert isinstance(value, G)
 
 
-@pytest.mark.parametrize("fixture_name,max_len", [("a1", 5), ("a2", 4)])
-def test_subword_oracles_agree(request, fixture_name, max_len):
-    datum = request.getfixturevalue(fixture_name)
-    for x in affine_ball(datum, max_len):
+# Rank-two types without a built-in label, given by their Cartan matrices.
+B2 = [[2, -2], [-1, 2]]
+C2 = [[2, -1], [-2, 2]]
+G2 = [[2, -1], [-3, 2]]
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 5), ("A2", 4), ("A3", 4), (B2, 6), (C2, 6), (G2, 6)],
+    ids=["a1-5", "a2-4", "a3-4", "B2-6", "C2-6", "G2-6"],
+)
+def test_subword_oracles_agree(spec, max_len):
+    for x in affine_ball(build_root_system(spec), max_len):
         assert b_row_subword(x) == y_in_loc(x).terms
         assert e_row_subword(x) == e_row(x)
 
@@ -197,12 +208,6 @@ def test_matrix_inverse_identity_small(a1):
             assert total == expected
 
 
-# Rank-two types without a built-in label, given by their Cartan matrices.
-B2 = [[2, -2], [-1, 2]]
-C2 = [[2, -1], [-2, 2]]
-G2 = [[2, -1], [-3, 2]]
-
-
 @pytest.mark.parametrize(
     "spec,max_len",
     [("A1", 8), ("A2", 6), ("A3", 4), (B2, 6), (C2, 6), (G2, 6)],
@@ -220,6 +225,7 @@ def test_e_cosets_match_full_rows(spec, max_len):
     for x in affine_ball(datum, max_len):
         sums = e_cosets(x)
         assert sums == coset_sums(e_row(x))
+        assert all(is_grassmannian(z) for z in sums)
         row = y_expansion(x, w0)
         assert len(row) == len(sums)
         for v in row:
@@ -251,18 +257,26 @@ def test_demazure_convolution_of_translations(a1, a2):
 
 def test_memoized_rows_are_read_only(a1):
     x = translation(a1, (2,))
+    g = translation(a1, (-1,))
+    s1 = affine_simple(a1, 1)
+    one = identity(a1)
     reads = [
-        (e_row, identity(a1)),
-        (lambda x: y_expansion(x, identity(a1)), identity(a1)),
-        (e_cosets, (-1,)),
-        (b_cosets, (1,)),
+        (e_row, x, one),
+        (lambda u: y_expansion(u, one), x, one),
+        (e_cosets, x, coset_min(g)),
+        (b_cosets, x, (1,)),
+        (lambda u: y_in_loc(u).terms, x, one),
+        (lambda u: t_in_loc(u).terms, x, one),
+        (lambda w: k_class(w).terms, g, g),
+        (lambda w: l_class(w).terms, g, g),
+        (_finite_localization_row, s1, s1),
     ]
-    for read, key in reads:
-        row = read(x)
+    for read, arg, key in reads:
+        row = read(arg)
         before = dict(row)
         with pytest.raises(TypeError):
             row[key] = row[key] + row[key]
-        assert read(x) == before
+        assert read(arg) == before
 
 
 # -- basis conversion --------------------------------------------------------------
