@@ -8,8 +8,12 @@ The main engine computes, for Grassmannian x and y,
                 b_{x,[t1]} * b_{y,[t2]} * e_{t1 t2, [z]},
 
 where [t] denotes a coset sum over t W.  The sum is finite because the coset
-b-sums vanish outside the Bruhat lower intervals of x and y.  Every constant
-must land in the group algebra; a surviving denominator signals a bug.
+b-sums vanish outside the Bruhat lower intervals of x and y.  Only the b
+coset sums carry denominators, products of (1 - e^beta), so the engine
+writes those of x and of y over one common denominator each, forms the whole
+sum in the group algebra, and makes one exact division per output entry.
+Every constant must land in the group algebra; a surviving denominator
+signals a bug.
 
 The independent route expands the same product in the translation
 localization coordinates and solves the triangular system against the
@@ -29,6 +33,7 @@ from types import MappingProxyType
 from kschubert.ring import (
     GroupAlgebraElement,
     RationalFunction,
+    common_denominator,
     format_gae,
 )
 from kschubert.rootsys import (
@@ -111,17 +116,34 @@ def _support_warnings(x, y, entries) -> list[str]:
 
 
 def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> StructureConstantTable:
-    """Structure constants of O_x . O_y via the closed coset formula."""
+    """Structure constants of O_x . O_y via the closed coset formula, over
+    one common denominator: the b coset sums of x and of y become numerators
+    over their lcm denominators D_x and D_y, the convolution and the e stage
+    run in the group algebra, and each entry is divided once by D_x D_y."""
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise ValueError("both factors must be affine Grassmannian elements")
     datum = x.datum
-    convolution = _translation_convolution(x, y)
-    raw: dict[AffineWeylElement, RationalFunction] = {}
+    bx, by = b_cosets(x), b_cosets(y)
+    den_x, nums_x = common_denominator(datum, bx.values())
+    den_y, nums_y = common_denominator(datum, by.values())
+    convolution: dict[Coroot, GroupAlgebraElement] = {}
+    for mu, p in zip(bx, nums_x):
+        for nu, q in zip(by, nums_y):
+            sigma = tuple(a + b for a, b in zip(mu, nu))
+            val = p * q
+            convolution[sigma] = convolution[sigma] + val if sigma in convolution else val
+    raw: dict[AffineWeylElement, GroupAlgebraElement] = {}
     for sigma, p in convolution.items():
+        if not p:
+            continue
         for z, egae in e_cosets(translation(datum, sigma)).items():
             val = p * egae
             raw[z] = raw[z] + val if z in raw else val
-    entries = {z: c.to_polynomial() for z, c in raw.items() if c}
+    # The one exactness gate: each entry over D_x D_y must divide out fully.
+    den = (*den_x.items(), *den_y.items())
+    entries = {
+        z: RationalFunction(datum, c, den).to_polynomial() for z, c in raw.items() if c
+    }
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
 
 

@@ -8,11 +8,15 @@ entry standing for one denominator factor (1 - e^beta).  Every denominator
 that arises in this package has that shape, which keeps reduction to exact
 division along a single lattice direction and avoids multivariate gcd.
 
-Values are immutable by convention: operations always build new objects, so
-everything here is safe to share between threads.
+Values are read-only: a group-algebra element's terms are a read-only view,
+and operations always build new objects, so the memoized rows of the other
+layers can hand the same values to every caller.
 """
 
 from __future__ import annotations
+
+import operator
+from types import MappingProxyType
 
 from kschubert.rootsys import CartanDatum, Matrix, Weight, matvec, weight_in_root_coords
 
@@ -22,7 +26,8 @@ class NonPolynomialError(ArithmeticError):
 
 
 class GroupAlgebraElement:
-    """Element of Z[weight lattice]; ``terms`` maps weight -> coefficient.
+    """Element of Z[weight lattice]; ``terms`` is a read-only map weight ->
+    coefficient, copied from the mapping given to the constructor.
 
     Zero coefficients are never stored, so equality is plain map equality.
 
@@ -36,11 +41,7 @@ class GroupAlgebraElement:
 
     def __init__(self, rank: int, terms=None):
         self.rank = rank
-        if terms is None:
-            self.terms = {}
-        else:
-            items = terms.items() if isinstance(terms, dict) else terms
-            self.terms = {w: c for w, c in items if c}
+        self.terms = MappingProxyType({w: c for w, c in terms.items() if c} if terms else {})
 
     @classmethod
     def zero(cls, rank: int) -> "GroupAlgebraElement":
@@ -99,10 +100,11 @@ class GroupAlgebraElement:
             )
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
+        add = operator.add
         out: dict[Weight, int] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = tuple(a + b for a, b in zip(w1, w2))
+                w = tuple(map(add, w1, w2))
                 s = out.get(w, 0) + c1 * c2
                 if s:
                     out[w] = s
@@ -292,12 +294,8 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)
-        lcm = self._den_map()
-        for root, mult in other.den:
-            lcm[root] = max(lcm.get(root, 0), mult)
-        num = self.num * _den_complement(self.datum, lcm, self._den_map())
-        num = num + other.num * _den_complement(self.datum, lcm, other._den_map())
-        return RationalFunction(self.datum, num, lcm)
+        lcm, (a, b) = common_denominator(self.datum, (self, other))
+        return RationalFunction(self.datum, a + b, lcm)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -362,6 +360,17 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({format_rf(self)})"
+
+
+def common_denominator(datum: CartanDatum, fs) -> tuple[dict[Weight, int], list[GroupAlgebraElement]]:
+    """Lift rational functions to their lcm denominator: returns the lcm as a
+    root -> multiplicity map and the numerators over it, in input order."""
+    fs = list(fs)
+    lcm: dict[Weight, int] = {}
+    for f in fs:
+        for root, mult in f.den:
+            lcm[root] = max(lcm.get(root, 0), mult)
+    return lcm, [f.num * _den_complement(datum, lcm, f._den_map()) for f in fs]
 
 
 def _den_complement(datum, target: dict, have: dict) -> GroupAlgebraElement:

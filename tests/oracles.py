@@ -1,12 +1,23 @@
-"""Second computations of Weyl-group data and of row coset sums, kept out of
-the library because only the tests compare against them."""
+"""Second computations of Weyl-group data, of row coset sums and of the
+closed product formula, kept out of the library because only the tests
+compare against them."""
 
+from kschubert.constants import (
+    StructureConstantTable,
+    _support_warnings,
+    _translation_convolution,
+)
+from kschubert.nilhecke import e_cosets
+from kschubert.ring import RationalFunction
 from kschubert.weyl import (
+    AffineWeylElement,
     aff_multiply,
     affine_simple,
     coset_min,
     finite_element,
+    is_grassmannian,
     length,
+    translation,
     weyl_group,
 )
 
@@ -42,3 +53,20 @@ def coset_sums(row):
         key = coset_min(v)
         out[key] = out[key] + c if key in out else c
     return {k: c for k, c in out.items() if c}
+
+
+def pontryagin_constants_rf(x, y):
+    """The closed coset formula with every partial sum a reduced
+    ``RationalFunction``: the reference for ``constants.pontryagin_constants``,
+    which forms the same sum over one common denominator."""
+    if not (is_grassmannian(x) and is_grassmannian(y)):
+        raise ValueError("both factors must be affine Grassmannian elements")
+    datum = x.datum
+    convolution = _translation_convolution(x, y)
+    raw: dict[AffineWeylElement, RationalFunction] = {}
+    for sigma, p in convolution.items():
+        for z, egae in e_cosets(translation(datum, sigma)).items():
+            val = p * egae
+            raw[z] = raw[z] + val if z in raw else val
+    entries = {z: c.to_polynomial() for z, c in raw.items() if c}
+    return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))

@@ -3,10 +3,13 @@ import json
 
 import pytest
 
+from kschubert import constants
 from kschubert.cli import main
-from kschubert.constants import SingularSystemError
+from kschubert.constants import SingularSystemError, pontryagin_constants
 from kschubert.nilhecke import ShapeViolationError
-from kschubert.ring import NonPolynomialError
+from kschubert.ring import GroupAlgebraElement, NonPolynomialError
+from kschubert.rootsys import build_root_system
+from kschubert.weyl import parse_element, translation
 
 
 def run(capsys, *argv):
@@ -199,6 +202,32 @@ def test_internal_error_exit_3(capsys, monkeypatch, error):
         "schema_version": 1,
         "error": {"type": error.__name__, "message": "injected", "kind": "internal"},
     }
+
+
+def test_engine_division_is_the_exactness_gate(capsys, monkeypatch):
+    # One e coset sum off by a monomial: nothing but the engine's final exact
+    # division sees it, and the CLI reports that as an internal error.
+    a1 = build_root_system("A1")
+    skewed_at = translation(a1, (-2,))
+    real_e_cosets = constants.e_cosets
+
+    def skewed(t):
+        row = dict(real_e_cosets(t))
+        if t == skewed_at:
+            z = next(iter(row))
+            row[z] = row[z] + GroupAlgebraElement.monomial((0,))
+        return row
+
+    monkeypatch.setattr(constants, "e_cosets", skewed)
+    x = parse_element("t[-1]", a1)
+    with pytest.raises(NonPolynomialError):
+        pontryagin_constants(x, x)
+    code, out, err = run(
+        capsys, "constant", "--type", "A1", "--x", "t[-1]", "--y", "t[-1]", "--json"
+    )
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "NonPolynomialError" and error["kind"] == "internal"
 
 
 # sha256 of the --json stdout of fixed commands.  How the engine computes may

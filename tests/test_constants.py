@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from oracles import pontryagin_constants_rf
 from kschubert.ring import GroupAlgebraElement
 from kschubert.rootsys import build_root_system
 from kschubert.constants import (
@@ -21,6 +24,8 @@ from kschubert.weyl import (
     format_element,
     grassmannian_ball,
     identity,
+    is_grassmannian,
+    length,
     parse_element,
     translation,
     weyl_group,
@@ -110,11 +115,26 @@ def test_augmentation_sums_to_one(a1, a2):
         assert sum(c.augmentation() for c in table.entries.values()) == 1
 
 
-@pytest.mark.parametrize(
+@pytest.mark.parametrize("label, max_len", [("A1", 8), ("A2", 5), ("A3", 3)])
+def test_product_routes_whole_ball(label, max_len):
+    # The common-denominator engine against the reduced-RationalFunction sum
+    # it replaced and against the triangular solve, on every pair x <= y.
+    reps = grassmannian_ball(build_root_system(label), max_len)
+    for i, x in enumerate(reps):
+        for y in reps[i:]:
+            entries = pontryagin_constants(x, y).entries
+            assert entries == pontryagin_constants_rf(x, y).entries
+            assert entries == pontryagin_constants_linear(x, y).entries
+
+
+NON_SIMPLY_LACED = pytest.mark.parametrize(
     "cartan",
     [[[2, -2], [-1, 2]], [[2, -1], [-2, 2]], [[2, -1], [-3, 2]]],
     ids=["B2", "C2", "G2"],
 )
+
+
+@NON_SIMPLY_LACED
 def test_product_routes_non_simply_laced(cartan):
     # Whole Grassmannian ball; no reference numbers exist here, so the
     # invariants are the check: route agreement, commutativity, augmentation.
@@ -142,29 +162,25 @@ def test_translation_product_check(a1, a2):
         translation_product_check(identity(a1), (1,))
 
 
+def _times(table, factor, on_left=False):
+    """Expand sum_w table[w] O_w . O_factor, or O_factor . O_w if on_left."""
+    out = {}
+    for w, c in table.items():
+        pair = (factor, w) if on_left else (w, factor)
+        for v, c2 in pontryagin_constants(*pair).entries.items():
+            out[v] = out[v] + c * c2 if v in out else c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_associative(x, y, z):
+    left = _times(pontryagin_constants(x, y).entries, z)
+    right = _times(pontryagin_constants(y, z).entries, x, on_left=True)
+    assert left == right, (format_element(x), format_element(y), format_element(z))
+
+
 def test_associativity_a1(a1):
-    reps = grassmannian_ball(a1, 3)
-
-    def mul_table(table, z):
-        out = {}
-        for w, c in table.items():
-            for v, c2 in pontryagin_constants(w, z).entries.items():
-                prod = c * c2
-                out[v] = out.get(v, G.zero(a1.rank)) + prod
-        return {k: v for k, v in out.items() if v}
-
-    for x in reps:
-        for y in reps:
-            for z in reps:
-                left = mul_table(pontryagin_constants(x, y).entries, z)
-                inner = pontryagin_constants(y, z).entries
-                right = {}
-                for w, c in inner.items():
-                    for v, c2 in pontryagin_constants(x, w).entries.items():
-                        prod = c2 * c
-                        right[v] = right.get(v, G.zero(a1.rank)) + prod
-                right = {k: v for k, v in right.items() if v}
-                assert left == right
+    for x, y, z in itertools.product(grassmannian_ball(a1, 3), repeat=3):
+        _assert_associative(x, y, z)
 
 
 def test_associativity_spot_check_a2(a2):
@@ -172,25 +188,28 @@ def test_associativity_spot_check_a2(a2):
         ("s1 t[-1,-1]", "s2 t[-1,-1]", "s1*s2 t[-1,-1]"),
         ("s1 t[-1,-1]", "s1 t[-1,-1]", "s1*s2*s1 t[-1,-1]"),
     ]
-
-    def mul_left(table, z):
-        out = {}
-        for w, c in table.items():
-            for v, c2 in pontryagin_constants(w, z).entries.items():
-                prod = c * c2
-                out[v] = out.get(v, G.zero(2)) + prod
-        return {k: v for k, v in out.items() if v}
-
     for xs, ys, zs in triples:
-        x, y, z = el(a2, xs), el(a2, ys), el(a2, zs)
-        left = mul_left(pontryagin_constants(x, y).entries, z)
-        right = {}
-        for w, c in pontryagin_constants(y, z).entries.items():
-            for v, c2 in pontryagin_constants(x, w).entries.items():
-                prod = c2 * c
-                right[v] = right.get(v, G.zero(2)) + prod
-        right = {k: v for k, v in right.items() if v}
-        assert left == right
+        _assert_associative(el(a2, xs), el(a2, ys), el(a2, zs))
+
+
+@NON_SIMPLY_LACED
+def test_invariants_non_simply_laced(cartan):
+    # Unit, associativity and the translation law; no reference numbers
+    # exist for these types, so the invariants are the whole check.
+    datum = build_root_system(cartan)
+    one = identity(datum)
+    for x in grassmannian_ball(datum, 4):
+        assert pontryagin_constants(one, x).entries == {x: G.one(datum.rank)}
+    for x, y, z in itertools.product(grassmannian_ball(datum, 2), repeat=3):
+        _assert_associative(x, y, z)
+    nu = min(
+        (nu for nu in itertools.product(range(-2, 1), repeat=2)
+         if any(nu) and is_grassmannian(translation(datum, nu))),
+        key=lambda nu: length(translation(datum, nu)),
+    )
+    for x in grassmannian_ball(datum, 3):
+        holds, _ = translation_product_check(x, nu)
+        assert holds, (format_element(x), nu)
 
 
 # -- classical oracle ------------------------------------------------------------

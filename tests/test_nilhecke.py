@@ -277,6 +277,17 @@ def test_memoized_rows_are_read_only(a1):
         with pytest.raises(TypeError):
             row[key] = row[key] + row[key]
         assert read(arg) == before
+    # The group-algebra values inside the rows are read-only too.
+    values = [
+        e_row(x)[one],
+        e_cosets(x)[coset_min(g)],
+        b_cosets(x)[(1,)].num,
+        _finite_localization_row(s1)[s1],
+    ]
+    for value in values:
+        weight, coeff = next(iter(value.terms.items()))
+        with pytest.raises(TypeError):
+            value.terms[weight] = coeff + 1
 
 
 # -- basis conversion --------------------------------------------------------------
