@@ -52,13 +52,14 @@ from kschubert.weyl import (
     ParseError,
     ValidationError,
     coset_min,
+    coset_translation,
     finite_element,
     format_element,
+    grassmannian_ball,
     is_grassmannian,
     length,
     parse_element,
     reduced_word,
-    translation,
 )
 
 SCHEMA_VERSION = 1
@@ -280,14 +281,14 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _conjecture_inputs(datum, bound: int):
-    """Grassmannian representatives of every coset whose translation has
-    coordinates in [-bound, bound], enumerated deterministically."""
-    coords = [()]
-    for _ in range(datum.rank):
-        coords = [c + (k,) for c in coords for k in range(-bound, bound + 1)]
-    out = {coset_min(translation(datum, c)) for c in coords}
-    return sorted(out, key=element_sort_key)
+def _conjecture_inputs(datum, bound: int, guard: int):
+    """The Grassmannian elements of length <= guard whose coset translation
+    has coordinates in [-bound, bound]: each coset holds exactly one
+    translation, so these are the coset minima of the translations in that
+    box that pass the guard, in (length, string) order."""
+    ball = grassmannian_ball(datum, guard)
+    reps = [x for x in ball if max(map(abs, coset_translation(x))) <= bound]
+    return sorted(reps, key=element_sort_key)
 
 
 def _cmd_conjecture(args) -> int:
@@ -297,8 +298,7 @@ def _cmd_conjecture(args) -> int:
     guard = _guard(args, datum)
     data = list(load_quantum_data()) if datum.label == "A1" else []
     data = [d for d in data if d.u.datum == datum]
-    reps = _conjecture_inputs(datum, args.max_translation)
-    reps = [x for x in reps if length(x) <= guard]
+    reps = _conjecture_inputs(datum, args.max_translation, guard)
     finite_pairs = {
         (finite_element(datum, x.wmat), finite_element(datum, y.wmat))
         for x in reps

@@ -209,19 +209,6 @@ def pontryagin_constants_linear(x: AffineWeylElement, y: AffineWeylElement) -> S
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
 
 
-def translation_product_check(x: AffineWeylElement, nu: Coroot):
-    """Check O_x . O_{t_nu} = O_{x t_nu} for an antidominant translation t_nu.
-    Returns (holds, table); proved cases are asserted by the test suite, the
-    rest is reported as evidence."""
-    datum = x.datum
-    t = translation(datum, nu)
-    if not is_grassmannian(t):
-        raise ValueError("t_nu must be an affine Grassmannian element (nu antidominant)")
-    table = pontryagin_constants(x, t)
-    expected = {aff_multiply(x, t): GroupAlgebraElement.one(datum.rank)}
-    return table.entries == expected, table
-
-
 # Degree-zero oracle on the finite flag variety --------------------------------
 #
 # The fixed-point localization of the finite Schubert basis is determined,

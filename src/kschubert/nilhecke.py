@@ -35,7 +35,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from kschubert.ring import GroupAlgebraElement, RationalFunction
-from kschubert.rootsys import CartanDatum, Coroot, level_zero_root
+from kschubert.rootsys import CartanDatum, level_zero_root
 from kschubert.weyl import (
     AffineWeylElement,
     ReducedWord,
@@ -105,10 +105,6 @@ def kel_add(a: KElement, b: KElement) -> KElement:
     for x, c in b.terms.items():
         terms[x] = terms[x] + c if x in terms else c
     return KElement(a.datum, a.basis, terms)
-
-
-def kel_scale(a: KElement, scalar) -> KElement:
-    return KElement(a.datum, a.basis, {x: c * scalar for x, c in a.terms.items()})
 
 
 def k_mul(a: KElement, b: KElement) -> KElement:
@@ -265,13 +261,10 @@ def e_row_subword(x: AffineWeylElement, word: ReducedWord | None = None) -> dict
 
 @lru_cache(maxsize=None)
 def b_cosets(x: AffineWeylElement) -> MappingProxyType:
-    """Sums of the b-row of x over cosets v W, keyed by the coroot coordinate
-    of the unique translation in each coset (the convolution adds them)."""
-    out: dict[Coroot, RationalFunction] = {}
-    for v, c in y_in_loc(x).terms.items():
-        key = coset_translation(v)
-        out[key] = out[key] + c if key in out else c
-    return MappingProxyType({k: c for k, c in out.items() if c})
+    """Sums of the b-row of x over cosets v W, read from kappa(y_x) and keyed
+    by the coroot coordinate of the unique translation in each coset (the
+    convolution adds them)."""
+    return MappingProxyType({t.trans: c for t, c in kappa(y_in_loc(x)).terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +284,7 @@ def basis_convert(a: KElement, target: str) -> KElement:
     if target not in (LOC, TBASIS, YBASIS):
         raise ValueError(f"unknown basis {target!r}")
     if a.basis == target:
-        return KElement(a.datum, target, dict(a.terms))
+        return a
     route = {
         (YBASIS, LOC): _y_to_loc,
         (LOC, YBASIS): _loc_to_y,
@@ -348,9 +341,9 @@ def _t_to_y(a: KElement) -> KElement:
 def kappa(a: KElement) -> KElement:
     """Left Q(T)-linear projection sending the group element t_lam w (w in the
     finite Weyl group) to t_lam.  In our (w, lam) coordinates that is
-    w t_lam = t_{w lam} w |-> t_{w lam}."""
+    w t_lam = t_{w lam} w |-> t_{w lam}; a is in the localization basis."""
     if a.basis != LOC:
-        a = basis_convert(a, LOC)
+        raise ValueError("kappa needs its argument in the localization basis")
     out: dict[AffineWeylElement, RationalFunction] = {}
     for u, c in a.terms.items():
         t = translation(a.datum, coset_translation(u))

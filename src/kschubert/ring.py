@@ -65,22 +65,11 @@ class GroupAlgebraElement:
             return NotImplemented
         return self.rank == other.rank and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
     def __add__(self, other) -> "GroupAlgebraElement":
-        other = self._coerce(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return GroupAlgebraElement(self.rank, out) if out else GroupAlgebraElement(self.rank)
-
-    def __radd__(self, other):
-        return self.__add__(other)
+        for w, c in self._coerce(other).terms.items():
+            out[w] = out.get(w, 0) + c
+        return GroupAlgebraElement(self.rank, out)
 
     def __neg__(self) -> "GroupAlgebraElement":
         return GroupAlgebraElement(self.rank, {w: -c for w, c in self.terms.items()})
@@ -88,13 +77,8 @@ class GroupAlgebraElement:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "GroupAlgebraElement":
         if isinstance(other, int):
-            if other == 0:
-                return GroupAlgebraElement(self.rank)
             return GroupAlgebraElement(
                 self.rank, {w: other * c for w, c in self.terms.items()}
             )
@@ -111,9 +95,6 @@ class GroupAlgebraElement:
                 else:
                     del out[w]
         return GroupAlgebraElement(self.rank, out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __pow__(self, n: int) -> "GroupAlgebraElement":
         if n < 0:
@@ -256,10 +237,6 @@ class RationalFunction:
             raise ValueError(f"{lam} is not a root of {datum.label}")
         return cls(datum, GroupAlgebraElement.monomial(pos, -1), ((pos, 1),), reduce=False)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -277,28 +254,13 @@ class RationalFunction:
             and self.num == other.num
         )
 
-    def __hash__(self):
-        return hash((self.datum, self.num, self.den))
-
     def _den_map(self) -> dict[Weight, int]:
         return dict(self.den)
-
-    def den_gae(self) -> GroupAlgebraElement:
-        """The denominator expanded as a polynomial (for cross checks)."""
-        out = GroupAlgebraElement.one(self.datum.rank)
-        for root, mult in self.den:
-            factor = GroupAlgebraElement.one(self.datum.rank) - GroupAlgebraElement.monomial(root)
-            for _ in range(mult):
-                out = out * factor
-        return out
 
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         lcm, (a, b) = common_denominator(self.datum, (self, other))
         return RationalFunction(self.datum, a + b, lcm)
-
-    def __radd__(self, other):
-        return self.__add__(other)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(self.datum, -self.num, self.den, reduce=False)
@@ -306,18 +268,12 @@ class RationalFunction:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         den = self._den_map()
         for root, mult in other.den:
             den[root] = den.get(root, 0) + mult
         return RationalFunction(self.datum, self.num * other.num, den)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -444,12 +400,6 @@ def gae_to_json(g: GroupAlgebraElement) -> list[dict]:
     return [
         {"weight": list(w), "coeff": str(c)} for w, c in g.sorted_terms()
     ]
-
-
-def gae_from_json(rank: int, data) -> GroupAlgebraElement:
-    return GroupAlgebraElement(
-        rank, {tuple(entry["weight"]): int(entry["coeff"]) for entry in data}
-    )
 
 
 def rf_to_json(f: RationalFunction) -> dict:

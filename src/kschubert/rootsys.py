@@ -246,13 +246,6 @@ def build_root_system(spec: str | list | tuple, label: str | None = None) -> Car
     return _build_from_matrix(matrix, label or f"custom-rank{len(matrix)}")
 
 
-def pair(coroot: Coroot, weight: Weight) -> int:
-    """Canonical pairing <mu^vee, lambda>; a dot product in our bases."""
-    if len(coroot) != len(weight):
-        raise ValueError(f"rank mismatch: {len(coroot)} vs {len(weight)}")
-    return sum(c * w for c, w in zip(coroot, weight))
-
-
 def level_zero_root(datum: CartanDatum, i: int) -> Weight:
     """Level-zero image of the affine simple root: alpha_i for i >= 1 and
     -theta for the affine node i = 0."""

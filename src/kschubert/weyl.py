@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from kschubert.rootsys import (
     CartanDatum,
@@ -68,7 +69,8 @@ def _simple_coroot_matrix(datum: CartanDatum, i: int) -> Matrix:
 
 
 class WeylGroup:
-    """Tabulated finite Weyl group of a CartanDatum."""
+    """Tabulated finite Weyl group of a CartanDatum; the tables are read-only,
+    since ``weyl_group`` hands the same instance to every caller."""
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum
@@ -89,21 +91,21 @@ class WeylGroup:
                         cmat[m2] = matmul(cmat[m], gens_c[i])
                         nxt.append(m2)
             queue = nxt
-        self.word = word
-        self.cmat = cmat
-        self.length = {m: len(w) for m, w in word.items()}
-        self.inverse = {}
+        inverse = {}
         for m, w in word.items():
             inv = ident
             for letter in reversed(w):
                 inv = matmul(inv, gens_w[letter - 1])
-            self.inverse[m] = inv
-        self.elements = sorted(word, key=lambda m: (self.length[m], word[m]))
+            inverse[m] = inv
+        self.word = MappingProxyType(word)
+        self.cmat = MappingProxyType(cmat)
+        self.length = MappingProxyType({m: len(w) for m, w in word.items()})
+        self.inverse = MappingProxyType(inverse)
+        self.elements = tuple(sorted(word, key=lambda m: (self.length[m], word[m])))
         top = max(self.length.values())
         longest = [m for m, l in self.length.items() if l == top]
         assert len(longest) == 1
         self.longest = longest[0]
-        self.gens_w = gens_w
 
 
 @lru_cache(maxsize=None)
@@ -186,14 +188,6 @@ def aff_multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElemen
     )
 
 
-def aff_inverse(x: AffineWeylElement) -> AffineWeylElement:
-    group = weyl_group(x.datum)
-    w_lam = matvec(group.cmat[x.wmat], x.trans)
-    return AffineWeylElement(
-        x.datum, group.inverse[x.wmat], tuple(-c for c in w_lam)
-    )
-
-
 @lru_cache(maxsize=None)
 def length(x: AffineWeylElement) -> int:
     """Iwahori-Matsumoto length of w t_lam via the closed formula over
@@ -229,13 +223,6 @@ def reduced_word(x: AffineWeylElement) -> ReducedWord:
         word.append(i)
         current = aff_multiply(affine_simple(current.datum, i), current)
     return tuple(word)
-
-
-def evaluate_word(datum: CartanDatum, letters) -> AffineWeylElement:
-    out = identity(datum)
-    for i in letters:
-        out = aff_multiply(out, affine_simple(datum, i))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -305,14 +292,6 @@ def demazure_extend(x: AffineWeylElement, i: int) -> AffineWeylElement:
     return xs if length(xs) > length(x) else x
 
 
-def demazure_product(datum: CartanDatum, letters) -> AffineWeylElement:
-    """0-Hecke product: each generator either increases length or is absorbed."""
-    out = identity(datum)
-    for i in letters:
-        out = demazure_extend(out, i)
-    return out
-
-
 def coset_translation(x: AffineWeylElement) -> Coroot:
     """Coordinate of the unique translation in the coset x W: for x = w t_lam
     the coset contains t_{w lam} and nothing else of translation type."""
@@ -349,14 +328,6 @@ def affine_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylElement,
 
 def grassmannian_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylElement, ...]:
     return tuple(x for x in affine_ball(datum, max_length) if is_grassmannian(x))
-
-
-def validate_length_convention(datum: CartanDatum, max_length: int) -> None:
-    """Cross-check the closed length formula against BFS word enumeration.
-    Raises AssertionError on any disagreement."""
-    for dist, layer in enumerate(_word_layers(datum, max_length)):
-        for x in layer:
-            assert length(x) == dist, f"length formula disagrees with BFS at {x!r}"
 
 
 def weyl_act(x: AffineWeylElement, f):

@@ -1,25 +1,78 @@
-"""Second computations of Weyl-group data, of row coset sums and of the
-closed product formula, kept out of the library because only the tests
-compare against them."""
+"""Test-only helpers, kept out of the library because nothing in it calls
+them: second computations of Weyl-group data, of row coset sums and of the
+closed product formula, which the tests compare the library against, and
+small conveniences for writing the tests (word evaluation, the pairing,
+scaling, expanded denominators, the translation law)."""
 
 from kschubert.constants import (
     StructureConstantTable,
     _support_warnings,
     _translation_convolution,
+    pontryagin_constants,
 )
-from kschubert.nilhecke import e_cosets
-from kschubert.ring import RationalFunction
+from kschubert.nilhecke import KElement, e_cosets
+from kschubert.ring import GroupAlgebraElement, RationalFunction
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
     affine_simple,
     coset_min,
+    demazure_extend,
     finite_element,
+    identity,
     is_grassmannian,
     length,
     translation,
     weyl_group,
 )
+
+
+def evaluate_word(datum, letters):
+    """The product s_{i_1} ... s_{i_k} of a word in the affine alphabet."""
+    out = identity(datum)
+    for i in letters:
+        out = aff_multiply(out, affine_simple(datum, i))
+    return out
+
+
+def demazure_product(datum, letters):
+    """0-Hecke product: each generator either increases length or is absorbed."""
+    out = identity(datum)
+    for i in letters:
+        out = demazure_extend(out, i)
+    return out
+
+
+def pair(coroot, weight):
+    """Canonical pairing <mu^vee, lambda>; a dot product in the package's bases."""
+    return sum(c * w for c, w in zip(coroot, weight))
+
+
+def kel_scale(a, scalar):
+    """A nilHecke element with every coefficient multiplied by ``scalar``."""
+    return KElement(a.datum, a.basis, {x: c * scalar for x, c in a.terms.items()})
+
+
+def den_gae(f):
+    """The denominator of a ``RationalFunction`` expanded as a polynomial."""
+    out = GroupAlgebraElement.one(f.datum.rank)
+    for root, mult in f.den:
+        factor = GroupAlgebraElement.one(f.datum.rank) - GroupAlgebraElement.monomial(root)
+        for _ in range(mult):
+            out = out * factor
+    return out
+
+
+def translation_product_check(x, nu):
+    """Check O_x . O_{t_nu} = O_{x t_nu} for an antidominant translation t_nu.
+    Returns (holds, table)."""
+    datum = x.datum
+    t = translation(datum, nu)
+    if not is_grassmannian(t):
+        raise ValueError("t_nu must be an affine Grassmannian element (nu antidominant)")
+    table = pontryagin_constants(x, t)
+    expected = {aff_multiply(x, t): GroupAlgebraElement.one(datum.rank)}
+    return table.entries == expected, table
 
 
 def finite_coset(x):

@@ -8,6 +8,7 @@ lines.
 import random
 import time
 
+from oracles import kel_scale
 from kschubert.ring import GroupAlgebraElement, RationalFunction
 from kschubert.nilhecke import (
     LOC,
@@ -18,7 +19,6 @@ from kschubert.nilhecke import (
     e_row_subword,
     k_class,
     k_mul,
-    kel_scale,
     l_class,
     t_element,
     y_element,

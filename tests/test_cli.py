@@ -1,15 +1,17 @@
+import copy
 import hashlib
+import itertools
 import json
 
 import pytest
 
-from kschubert import constants
+from kschubert import cli, constants
 from kschubert.cli import main
-from kschubert.constants import SingularSystemError, pontryagin_constants
+from kschubert.constants import SingularSystemError, element_sort_key, pontryagin_constants
 from kschubert.nilhecke import ShapeViolationError
 from kschubert.ring import GroupAlgebraElement, NonPolynomialError
 from kschubert.rootsys import build_root_system
-from kschubert.weyl import parse_element, translation
+from kschubert.weyl import coset_min, length, parse_element, translation
 
 
 def run(capsys, *argv):
@@ -122,6 +124,30 @@ def test_verify_exit_codes(capsys):
     assert payload["failed"] == 0 and payload["total"] > 0
 
 
+def test_verify_failure_names_the_entry(capsys, monkeypatch):
+    # One atom of the first sl2 product changed from e^{-a1} to e^{-2a1}.
+    real_load = constants._load_fixture
+
+    def corrupted(name):
+        data = copy.deepcopy(real_load(name))
+        square = next(i for i in data["identities"] if i["name"] == "square-g1")
+        assert square["entries"]["t[-1]"] == [{"e": [-1]}]
+        square["entries"]["t[-1]"] = [{"e": [-2]}]
+        return data
+
+    monkeypatch.setattr(constants, "_load_fixture", corrupted)
+    code, out, _ = run(capsys, "verify", "--suite", "sl2", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["failed"] == 1
+    failing = [r for r in payload["records"] if not r["ok"]]
+    assert failing == [
+        {"identity": "square-g1", "ok": False, "detail": "t[-1]: expected e^{-2a1}, got e^{-a1}"}
+    ]
+    assert all(r["detail"] == "" for r in payload["records"] if r["ok"])
+    assert len(payload["records"]) == payload["total"] > 1
+
+
 def test_conjecture_command(capsys):
     code, out, _ = run(
         capsys, "conjecture", "--type", "A1", "--max-translation", "2", "--json"
@@ -133,6 +159,44 @@ def test_conjecture_command(capsys):
     code, out, err = run(capsys, "conjecture", "--type", "A1", "--max-translation", "-1")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "UsageError"
+
+
+def box_inputs(datum, bound, guard):
+    """Reference for the conjecture inputs: the coset minima of every
+    translation with coordinates in [-bound, bound], cut to the guard."""
+    box = itertools.product(range(-bound, bound + 1), repeat=datum.rank)
+    reps = {coset_min(translation(datum, c)) for c in box}
+    return sorted((x for x in reps if length(x) <= guard), key=element_sort_key)
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", [[2, -2], [-1, 2]]], ids=["A1", "A2", "B2"])
+def test_conjecture_inputs_match_box_enumeration(spec):
+    datum = build_root_system(spec)
+    guard = cli._DEFAULT_GUARD.get(datum.label, 6)
+    for bound in range(4):
+        assert cli._conjecture_inputs(datum, bound, guard) == box_inputs(datum, bound, guard)
+
+
+def test_conjecture_work_bounded_by_guard(capsys, monkeypatch):
+    # In A1 the default guard (length 8) already excludes every coset whose
+    # translation lies outside [-4, 4], so a wider box adds no input and must
+    # not add work either: count the elements the command sorts.
+    calls = []
+
+    def counting_key(x):
+        calls.append(x)
+        return element_sort_key(x)
+
+    monkeypatch.setattr(cli, "element_sort_key", counting_key)
+    outputs = {}
+    for bound in (4, 100):
+        calls.clear()
+        code, out, _ = run(capsys, "conjecture", "--type", "A1", "--max-translation", str(bound), "--json")
+        assert code == 0
+        outputs[bound] = (len(calls), json.loads(out))
+    (few, small), (many, wide) = outputs[4], outputs[100]
+    assert many <= few
+    assert wide == {**small, "max_translation": 100}
 
 
 def test_parse_error_exit_2(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import pontryagin_constants_rf
+from oracles import pontryagin_constants_rf, translation_product_check
 from kschubert.ring import GroupAlgebraElement
 from kschubert.rootsys import build_root_system
 from kschubert.constants import (
@@ -15,7 +15,6 @@ from kschubert.constants import (
     load_quantum_data,
     pontryagin_constants,
     pontryagin_constants_linear,
-    translation_product_check,
     verify_embedded_tables,
 )
 from kschubert.weyl import (

@@ -1,5 +1,6 @@
-"""Every module-level import in the library is used; a stdlib stand-in for a
-linter's unused-import rule."""
+"""Every module-level import in the library is used, and every function it
+defines is called from inside it; stdlib stand-ins for a linter's unused-name
+rules, so that helpers only the tests need live in ``tests/``."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,56 @@ def test_no_unused_imports_in_library():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+# Functions that code outside the library reads: the console script, the
+# independent oracles the tests and the benchmark compare against, and the
+# augmentation the benchmark checks.
+ENTRY_POINTS = {
+    "main",
+    "pontryagin_constants_linear",
+    "b_row_subword",
+    "e_row_subword",
+    "grassmannian_ball",
+    "augmentation",
+}
+
+
+def uncalled_functions(sources: list[str]) -> list[str]:
+    """Non-dunder functions and methods defined in ``sources`` whose name is
+    never read there, as a name or as an attribute, and is not an entry
+    point."""
+    defined, read = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(
+        name
+        for name in set(defined)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in read
+        and name not in ENTRY_POINTS
+    )
+
+
+def test_checker_flags_uncalled_functions():
+    source = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def main(): used()\n"
+        "class C:\n"
+        "    def __eq__(self, other): return True\n"
+        "    def method(self): pass\n"
+        "    def other(self): return self.method()\n"
+    )
+    assert uncalled_functions([source]) == ["other", "unused"]
+
+
+def test_every_library_function_is_called_in_the_library():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert uncalled_functions(sources) == []

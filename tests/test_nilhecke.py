@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coset_sums, reduced_word_max_tiebreak
+from oracles import (
+    coset_sums,
+    demazure_product,
+    evaluate_word,
+    kel_scale,
+    reduced_word_max_tiebreak,
+)
 from kschubert.constants import _finite_localization_row
 from kschubert.ring import GroupAlgebraElement, RationalFunction
 from kschubert.rootsys import build_root_system, level_zero_root
@@ -25,7 +31,6 @@ from kschubert.nilhecke import (
     kappa,
     kel_add,
     kel_scalar,
-    kel_scale,
     l_class,
     t_element,
     t_in_loc,
@@ -38,8 +43,6 @@ from kschubert.weyl import (
     affine_simple,
     aff_multiply,
     coset_min,
-    demazure_product,
-    evaluate_word,
     finite_element,
     grassmannian_ball,
     identity,
@@ -351,6 +354,8 @@ def test_kappa_examples(a1):
     assert kappa(t_in_loc(affine_simple(a1, 1))).terms == {}
     s0 = affine_simple(a1, 0)
     assert kappa(t_in_loc(s0)) == kappa(basis_convert(k_class(s0), LOC))
+    with pytest.raises(ValueError):
+        kappa(k_class(s0))  # T-basis: the projection is defined on the localization basis
     t = translation(a1, (-2,))
     scalar = KElement(a1, LOC, {t: RationalFunction.one(a1)})
     assert kappa(scalar) == scalar

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import den_gae
 from kschubert.ring import (
     GroupAlgebraElement,
     NonPolynomialError,
     RationalFunction,
     divide_one_minus_exp,
     format_gae,
-    gae_from_json,
     gae_to_json,
 )
 
@@ -52,7 +52,7 @@ def test_product_expansion(a1):
     one = G.one(1)
     ea = G.monomial((2,))
     ema = G.monomial((-2,))
-    assert (one - ema) * (one - ea) == 2 * one - ea - ema
+    assert (one - ema) * (one - ea) == one * 2 - ea - ema
 
 
 def test_no_zero_terms_stored():
@@ -156,7 +156,7 @@ def test_rf_reduce_normalization(a1):
 def test_rf_zero_has_empty_denominator(a1):
     alpha = a1.positive_roots[0]
     f = RationalFunction(a1, G.zero(1), ((alpha, 3),))
-    assert f.is_zero and f.den == ()
+    assert not f and f.den == ()
 
 
 def test_to_polynomial(a1):
@@ -198,8 +198,8 @@ def test_rf_add_agrees_with_cross_multiplication(a1, data):
     g = data.draw(rfs(a1))
     total = f + g
     # compare via cross multiplication with expanded denominators
-    lhs = total.num * f.den_gae() * g.den_gae()
-    rhs = (f.num * g.den_gae() + g.num * f.den_gae()) * total.den_gae()
+    lhs = total.num * den_gae(f) * den_gae(g)
+    rhs = (f.num * den_gae(g) + g.num * den_gae(f)) * den_gae(total)
     assert lhs == rhs
 
 
@@ -209,12 +209,15 @@ def test_rf_mul_agrees_with_numerator_product(a1, data):
     f = data.draw(rfs(a1))
     g = data.draw(rfs(a1))
     prod = f * g
-    assert prod.num * f.den_gae() * g.den_gae() == f.num * g.num * prod.den_gae()
+    assert prod.num * den_gae(f) * den_gae(g) == f.num * g.num * den_gae(prod)
 
 
-def test_json_roundtrip(a2):
+def test_gae_to_json_pinned(a2):
     g = G(2, {(1, -2): 5, (0, 0): -3})
-    assert gae_from_json(2, gae_to_json(g)) == g
+    assert gae_to_json(g) == [
+        {"weight": [0, 0], "coeff": "-3"},
+        {"weight": [1, -2], "coeff": "5"},
+    ]
 
 
 def test_format_gae_deterministic(a1):

@@ -1,19 +1,18 @@
 import pytest
 
-from oracles import finite_coset, reduced_word_max_tiebreak
+from oracles import demazure_product, evaluate_word, finite_coset, reduced_word_max_tiebreak
+from kschubert.constants import pontryagin_constants
 from kschubert.rootsys import build_root_system
 from kschubert.weyl import (
     ParseError,
     ValidationError,
-    aff_inverse,
+    _word_layers,
     aff_multiply,
     affine_ball,
     affine_simple,
     bruhat_leq,
     coset_min,
     coset_translation,
-    demazure_product,
-    evaluate_word,
     format_element,
     grassmannian_ball,
     identity,
@@ -24,7 +23,6 @@ from kschubert.weyl import (
     reduced_word,
     reflection_roots,
     translation,
-    validate_length_convention,
     weyl_act,
     weyl_group,
 )
@@ -43,12 +41,6 @@ def test_s0_is_s1_t_minus_alpha_vee(a1):
 def test_s1_s0_is_translation(a1):
     s0, s1 = affine_simple(a1, 0), affine_simple(a1, 1)
     assert aff_multiply(s1, s0) == translation(a1, (-1,))
-
-
-def test_inverse(a2):
-    x = parse_element("s1*s2 t[-1,-1]", a2)
-    assert aff_multiply(x, aff_inverse(x)) == identity(a2)
-    assert aff_multiply(aff_inverse(x), x) == identity(a2)
 
 
 def test_translations_multiply_additively(a2):
@@ -75,6 +67,13 @@ def test_length_fixtures(a1):
     assert length(translation(a1, (-1,))) == 2
     assert length(evaluate_word(a1, [0, 1, 0, 1])) == 4
     assert evaluate_word(a1, [0, 1, 0, 1]) == translation(a1, (2,))
+
+
+def validate_length_convention(datum, max_length):
+    """The closed length formula against the BFS layer index."""
+    for dist, layer in enumerate(_word_layers(datum, max_length)):
+        for x in layer:
+            assert length(x) == dist, f"length formula disagrees with BFS at {x!r}"
 
 
 def test_length_formula_vs_bfs(a1, a2):
@@ -272,6 +271,20 @@ def test_parse_errors(a1, a2):
         parse_element("s1 t[-1]", a2)  # wrong translation rank
     with pytest.raises(ValidationError):
         parse_element("s0", a1)  # affine node is not part of the grammar
+
+
+def test_weyl_tables_are_read_only(a1):
+    group = weyl_group(a1)
+    s1, one = affine_simple(a1, 1).wmat, identity(a1).wmat
+    x = parse_element("s1 t[-2]", a1)
+    before = pontryagin_constants(x, x).entries
+    for table in (group.word, group.cmat, group.inverse, group.length):
+        with pytest.raises(TypeError):
+            table[s1] = table[one]
+    with pytest.raises(TypeError):
+        group.elements[0] = s1
+    assert group.inverse[s1] == s1
+    assert pontryagin_constants(x, x).entries == before
 
 
 def test_longest_element(a2):
