@@ -83,6 +83,8 @@ def _datum(args):
 
 def _guard(args, datum) -> int:
     if args.max_length is not None:
+        if args.max_length < 0:
+            raise UsageError(f"--max-length must be >= 0, got {args.max_length}")
         return args.max_length
     return _DEFAULT_GUARD.get(datum.label, 6)
 
@@ -459,6 +461,9 @@ def main(argv=None) -> int:
         # caller's mistake.
         _report_error(exc, kind="internal")
         return 3
+    except RecursionError as exc:
+        _report_error(exc, hint="input too long for the engine; lower --max-length")
+        return 2
 
 
 if __name__ == "__main__":

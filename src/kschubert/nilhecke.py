@@ -1,13 +1,17 @@
 """The small-torus affine K-nilHecke ring.
 
 Elements are finite sums over affine Weyl group elements with coefficients
-in the localized ring, in one of three bases:
+in the localized ring, tagged with one of two bases:
 
 * ``loc``: group elements u with Q(T) coefficients and the twisted product
   (p u)(q v) = p (u.q) uv, where u acts at level zero;
 * ``t``: the basis T_x built from T_i = (1 - e^{alpha_i})^{-1} (s_i - 1),
-  which satisfy T_i^2 = -T_i and the braid relations;
-* ``y``: the idempotent basis y_x built from y_i = 1 + T_i.
+  which satisfy T_i^2 = -T_i and the braid relations.
+
+Products are taken in ``loc``; the only basis change is one way,
+localization -> T (``t_expansion``), through the idempotent basis y_x built
+from y_i = 1 + T_i, which is never stored: u = sum_v e_{u,v} y_v and
+y_v = sum_{w <= v} T_w.
 
 The change-of-basis data are the b and e coefficient matrices
 
@@ -58,7 +62,6 @@ from kschubert.weyl import (
 
 LOC = "localization"
 TBASIS = "t"
-YBASIS = "y"
 
 
 class ShapeViolationError(AssertionError):
@@ -83,19 +86,18 @@ class KElement:
         return self.terms.get(x, RationalFunction.zero(self.datum))
 
     def __repr__(self):
-        basis_symbol = {LOC: "", TBASIS: "T_", YBASIS: "y_"}[self.basis]
+        basis_symbol = {LOC: "", TBASIS: "T_"}[self.basis]
         body = " + ".join(
             f"({c!r})*{basis_symbol}{x!r}" for x, c in sorted(self.terms.items(), key=lambda t: (length(t[0]), repr(t[0])))
         )
         return f"KElement[{self.basis}]({body or '0'})"
 
 
-def kel_scalar(datum: CartanDatum, value, basis: str = LOC) -> KElement:
+def kel_scalar(datum: CartanDatum, value) -> KElement:
     rf = value if isinstance(value, RationalFunction) else RationalFunction.from_gae(
         datum, GroupAlgebraElement.one(datum.rank) * value
     )
-    key = identity(datum)
-    return KElement(datum, basis, {key: rf})
+    return KElement(datum, LOC, {identity(datum): rf})
 
 
 def kel_add(a: KElement, b: KElement) -> KElement:
@@ -277,62 +279,26 @@ def e_cosets(x: AffineWeylElement) -> MappingProxyType:
     return MappingProxyType({aff_multiply(v, w0): c for v, c in y_expansion(x, w0).items()})
 
 
-# Basis conversion -------------------------------------------------------------
+# Expansion in the T-basis ----------------------------------------------------
 
 
-def basis_convert(a: KElement, target: str) -> KElement:
-    if target not in (LOC, TBASIS, YBASIS):
-        raise ValueError(f"unknown basis {target!r}")
-    if a.basis == target:
-        return a
-    route = {
-        (YBASIS, LOC): _y_to_loc,
-        (LOC, YBASIS): _loc_to_y,
-        (YBASIS, TBASIS): _y_to_t,
-        (TBASIS, YBASIS): _t_to_y,
-    }
-    if (a.basis, target) in route:
-        return route[(a.basis, target)](a)
-    middle = YBASIS
-    return basis_convert(basis_convert(a, middle), target)
-
-
-def _y_to_loc(a: KElement) -> KElement:
-    out: dict[AffineWeylElement, RationalFunction] = {}
-    for w, c in a.terms.items():
-        for v, b in y_in_loc(w).terms.items():
-            val = c * b
-            out[v] = out[v] + val if v in out else val
-    return KElement(a.datum, LOC, out)
-
-
-def _loc_to_y(a: KElement) -> KElement:
-    out: dict[AffineWeylElement, RationalFunction] = {}
+def t_expansion(a: KElement) -> KElement:
+    """a, given in the localization basis, expanded in the T-basis: each
+    group element is u = sum_v e_{u,v} y_v (its e-row), and
+    y_v = sum_{w <= v} T_w."""
+    if a.basis != LOC:
+        raise ValueError("t_expansion needs its argument in the localization basis")
+    ys: dict[AffineWeylElement, RationalFunction] = {}
     for u, c in a.terms.items():
         for v, e in e_row(u).items():
             val = c * e
-            out[v] = out[v] + val if v in out else val
-    return KElement(a.datum, YBASIS, out)
-
-
-def _y_to_t(a: KElement) -> KElement:
-    # y_w = sum_{v <= w} T_v
+            ys[v] = ys[v] + val if v in ys else val
     out: dict[AffineWeylElement, RationalFunction] = {}
-    for w, c in a.terms.items():
-        for v in lower_interval(w):
-            out[v] = out[v] + c if v in out else c
+    for v, c in ys.items():
+        if c:
+            for w in lower_interval(v):
+                out[w] = out[w] + c if w in out else c
     return KElement(a.datum, TBASIS, out)
-
-
-def _t_to_y(a: KElement) -> KElement:
-    # Moebius inversion: T_w = sum_{v <= w} (-1)^{l(w)-l(v)} y_v
-    out: dict[AffineWeylElement, RationalFunction] = {}
-    for w, c in a.terms.items():
-        lw = length(w)
-        for v in lower_interval(w):
-            val = c * (1 if (lw - length(v)) % 2 == 0 else -1)
-            out[v] = out[v] + val if v in out else val
-    return KElement(a.datum, YBASIS, out)
 
 
 # Projection to the translation part and the Schubert-class images -------------
@@ -359,7 +325,7 @@ def k_class(w: AffineWeylElement) -> KElement:
     polynomial."""
     if not is_grassmannian(w):
         raise ValueError(f"{w!r} is not an affine Grassmannian element")
-    out = basis_convert(kappa(t_in_loc(w)), TBASIS)
+    out = t_expansion(kappa(t_in_loc(w)))
     lead = out.coefficient(w)
     if lead != RationalFunction.one(w.datum):
         raise ShapeViolationError(f"leading coefficient of {w!r} is {lead!r}, not 1")
@@ -378,4 +344,4 @@ def l_class(w: AffineWeylElement) -> KElement:
     of k_class(v) over Grassmannian v <= w."""
     if not is_grassmannian(w):
         raise ValueError(f"{w!r} is not an affine Grassmannian element")
-    return basis_convert(kappa(y_in_loc(w)), TBASIS)
+    return t_expansion(kappa(y_in_loc(w)))

@@ -96,14 +96,6 @@ class GroupAlgebraElement:
                     del out[w]
         return GroupAlgebraElement(self.rank, out)
 
-    def __pow__(self, n: int) -> "GroupAlgebraElement":
-        if n < 0:
-            raise ValueError("negative powers are not defined in the group algebra")
-        out = GroupAlgebraElement.one(self.rank)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def _coerce(self, other) -> "GroupAlgebraElement":
         if isinstance(other, int):
             return GroupAlgebraElement(self.rank, {(0,) * self.rank: other})
@@ -311,7 +303,7 @@ class RationalFunction:
             else:
                 pos = tuple(-x for x in image)
                 den[pos] = den.get(pos, 0) + mult
-                num = num * GroupAlgebraElement.monomial(pos, -1) ** mult
+                num = num * GroupAlgebraElement.monomial(tuple(mult * x for x in pos), (-1) ** mult)
         return RationalFunction(self.datum, num, den)
 
     def __repr__(self):

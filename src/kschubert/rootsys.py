@@ -130,30 +130,18 @@ def _check_cartan(cartan: Matrix) -> None:
                 elif d[j] != dj:
                     raise InvalidCartanMatrixError("matrix is not symmetrizable")
     sym = [[d[i] * cartan[i][j] for j in range(rank)] for i in range(rank)]
-    for k in range(1, rank + 1):
-        if _det([row[:k] for row in sym[:k]]) <= 0:
+    # Elimination without row swaps: the k-th pivot is the ratio of the k-th
+    # to the (k-1)-th leading principal minor, so the pivots are all positive
+    # exactly when the minors are.
+    for k in range(rank):
+        if sym[k][k] <= 0:
             raise InvalidCartanMatrixError(
                 "symmetrized matrix is not positive definite (not finite type)"
             )
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
+        for r in range(k + 1, rank):
+            factor = sym[r][k] / sym[k][k]
+            for c in range(k, rank):
+                sym[r][c] -= factor * sym[k][c]
 
 
 def _reflect_root(cartan: Matrix, i: int, root: tuple[int, ...]) -> tuple[int, ...]:

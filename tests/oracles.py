@@ -2,7 +2,8 @@
 them: second computations of Weyl-group data, of row coset sums and of the
 closed product formula, which the tests compare the library against, and
 small conveniences for writing the tests (word evaluation, the pairing,
-scaling, expanded denominators, the translation law)."""
+scaling, T-sums back in the localization basis, expanded denominators, the
+translation law)."""
 
 from kschubert.constants import (
     StructureConstantTable,
@@ -10,7 +11,7 @@ from kschubert.constants import (
     _translation_convolution,
     pontryagin_constants,
 )
-from kschubert.nilhecke import KElement, e_cosets
+from kschubert.nilhecke import LOC, KElement, e_cosets, kel_add, t_in_loc
 from kschubert.ring import GroupAlgebraElement, RationalFunction
 from kschubert.weyl import (
     AffineWeylElement,
@@ -51,6 +52,15 @@ def pair(coroot, weight):
 def kel_scale(a, scalar):
     """A nilHecke element with every coefficient multiplied by ``scalar``."""
     return KElement(a.datum, a.basis, {x: c * scalar for x, c in a.terms.items()})
+
+
+def t_sum_in_loc(a):
+    """A T-basis element sum_v c_v T_v back in the localization basis: the
+    inverse of ``nilhecke.t_expansion``."""
+    out = KElement(a.datum, LOC)
+    for v, c in a.terms.items():
+        out = kel_add(out, kel_scale(t_in_loc(v), c))
+    return out
 
 
 def den_gae(f):

@@ -223,6 +223,31 @@ def test_guard_rejects_long_elements(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["conjecture", "--type", "A1", "--max-translation", "1"],
+        ["product", "--type", "A1", "--x", "id", "--y", "id"],
+    ],
+    ids=["conjecture", "product"],
+)
+def test_negative_guard_rejected(capsys, argv):
+    # affine_ball(datum, -1) would still hold the identity
+    code, out, err = run(capsys, *argv, "--max-length", "-1")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError" and "--max-length" in error["message"]
+
+
+def test_recursion_depth_exit_2(capsys):
+    # Past the interpreter's recursion limit the y-expansion kernel cannot
+    # run; that is a usage limit, reported like one, not a mismatch.
+    code, out, err = run(capsys, "ecoeff", "--type", "A1", "--x", "t[-700]", "--max-length", "2000")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "RecursionError" and "--max-length" in error["hint"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["roots", "--max-length", "2"],
         ["element", "--type", "A1", "--max-length", "2", "t[5]"],
         ["verify", "--max-length", "2"],

@@ -64,16 +64,26 @@ ENTRY_POINTS = {
 def uncalled_functions(sources: list[str]) -> list[str]:
     """Non-dunder functions and methods defined in ``sources`` whose name is
     never read there, as a name or as an attribute, and is not an entry
-    point."""
+    point.  A read inside the body of a function of that name does not
+    count, so a recursion that nothing else enters is flagged too."""
     defined, read = [], set()
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.append(node.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+
+    def visit(node, enclosing: frozenset) -> None:
+        body = ()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.append(node.name)
+            body = node.body
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in enclosing:
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in enclosing:
                 read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing | {node.name} if child in body else enclosing)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
     return sorted(
         name
         for name in set(defined)
@@ -87,13 +97,15 @@ def test_checker_flags_uncalled_functions():
     source = (
         "def used(): pass\n"
         "def unused(): pass\n"
-        "def main(): used()\n"
+        "def main(): used(); countdown(2)\n"
+        "def countdown(n): return countdown(n - 1) if n else 0\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
         "class C:\n"
         "    def __eq__(self, other): return True\n"
         "    def method(self): pass\n"
         "    def other(self): return self.method()\n"
     )
-    assert uncalled_functions([source]) == ["other", "unused"]
+    assert uncalled_functions([source]) == ["other", "recursive", "unused"]
 
 
 def test_every_library_function_is_called_in_the_library():

@@ -10,6 +10,7 @@ from oracles import (
     evaluate_word,
     kel_scale,
     reduced_word_max_tiebreak,
+    t_sum_in_loc,
 )
 from kschubert.constants import _finite_localization_row
 from kschubert.ring import GroupAlgebraElement, RationalFunction
@@ -17,12 +18,10 @@ from kschubert.rootsys import build_root_system, level_zero_root
 from kschubert.nilhecke import (
     LOC,
     TBASIS,
-    YBASIS,
     KElement,
     ShapeViolationError,
     b_cosets,
     b_row_subword,
-    basis_convert,
     e_cosets,
     e_row,
     e_row_subword,
@@ -33,6 +32,7 @@ from kschubert.nilhecke import (
     kel_scalar,
     l_class,
     t_element,
+    t_expansion,
     t_in_loc,
     y_element,
     y_expansion,
@@ -42,6 +42,7 @@ from kschubert.weyl import (
     affine_ball,
     affine_simple,
     aff_multiply,
+    bruhat_leq,
     coset_min,
     finite_element,
     grassmannian_ball,
@@ -293,58 +294,74 @@ def test_memoized_rows_are_read_only(a1):
             value.terms[weight] = coeff + 1
 
 
-# -- basis conversion --------------------------------------------------------------
+# -- expansion in the T-basis -----------------------------------------------------
 
 
 def test_y_s0_in_tbasis(a1):
     s0 = affine_simple(a1, 0)
-    y = KElement(a1, YBASIS, {s0: RationalFunction.one(a1)})
-    t = basis_convert(y, TBASIS)
+    t = t_expansion(y_in_loc(s0))
     one = RationalFunction.one(a1)
     assert t == KElement(a1, TBASIS, {identity(a1): one, s0: one})
 
 
-def test_t_g2_in_ybasis(a1):
-    g2 = translation(a1, (-1,))
-    t = KElement(a1, TBASIS, {g2: RationalFunction.one(a1)})
-    y = basis_convert(t, YBASIS)
-    one = RationalFunction.one(a1)
-    assert y == KElement(
-        a1,
-        YBASIS,
-        {
-            g2: one,
-            affine_simple(a1, 0): -one,
-            affine_simple(a1, 1): -one,
-            identity(a1): one,
-        },
-    )
-
-
-@pytest.mark.parametrize("basis", [TBASIS, YBASIS, LOC])
+@pytest.mark.parametrize("basis", [TBASIS, "y", LOC])
 def test_roundtrip_conversions(a2, basis):
+    # The same coefficients on group elements, on T_x or on y_x, written in
+    # the localization basis: t_expansion and the sum of T_v in the
+    # localization basis are mutually inverse, and a T- or y-sum expands as
+    # its definition says.
     x = el(a2, "s1*s2 t[-1,-1]")
     y = el(a2, "s2 t[-1,-1]")
-    start = KElement(
-        a2,
-        basis,
-        {
-            x: RationalFunction.from_gae(a2, G.monomial((1, 0))),
-            y: RationalFunction.one(a2) + RationalFunction.one(a2),
-        },
-    )
-    for target in (TBASIS, YBASIS, LOC):
-        converted = basis_convert(start, target)
-        back = basis_convert(converted, basis)
-        assert back == start
+    coefficients = {
+        x: RationalFunction.from_gae(a2, G.monomial((1, 0))),
+        y: RationalFunction.one(a2) + RationalFunction.one(a2),
+    }
+    if basis == LOC:
+        start = KElement(a2, LOC, coefficients)
+    elif basis == TBASIS:
+        start = t_sum_in_loc(KElement(a2, TBASIS, coefficients))
+    else:
+        start = kel_add(*(kel_scale(y_in_loc(v), c) for v, c in coefficients.items()))
+    t = t_expansion(start)
+    assert t_sum_in_loc(t) == start
+    if basis == TBASIS:
+        assert t == KElement(a2, TBASIS, coefficients)
+    if basis == "y":
+        spreads = (
+            KElement(a2, TBASIS, dict.fromkeys(lower_interval(v), c))
+            for v, c in coefficients.items()
+        )
+        assert t == kel_add(*spreads)
 
 
 def test_group_element_in_ybasis_has_e_coefficients(a1):
+    # u = sum_v e_{u,v} y_v and y_v = sum_{w <= v} T_w
     u = translation(a1, (2,))
     loc = KElement(a1, LOC, {u: RationalFunction.one(a1)})
-    y = basis_convert(loc, YBASIS)
-    for v, c in y.terms.items():
-        assert c == RationalFunction.from_gae(a1, e_row(u)[v])
+    expected = KElement(a1, TBASIS)
+    for v, e in e_row(u).items():
+        spread = {w: RationalFunction.from_gae(a1, e) for w in lower_interval(v)}
+        expected = kel_add(expected, KElement(a1, TBASIS, spread))
+    assert t_expansion(loc) == expected
+
+
+@pytest.mark.parametrize(
+    "spec,bound", [("A1", 6), ("A2", 4), (B2, 4), (G2, 4)], ids=["A1", "A2", "B2", "G2"]
+)
+def test_t_expansion_over_balls(spec, bound):
+    datum = build_root_system(spec)
+    for w in grassmannian_ball(datum, bound):
+        for a in (kappa(t_in_loc(w)), kappa(y_in_loc(w))):
+            assert t_sum_in_loc(t_expansion(a)) == a, w
+    one = RationalFunction.one(datum)
+    for u in affine_ball(datum, bound):
+        row = e_row(u)
+        t = t_expansion(KElement(datum, LOC, {u: one}))
+        for w in set(t.terms) | lower_interval(u):
+            total = sum((e for v, e in row.items() if bruhat_leq(w, v)), G.zero(datum.rank))
+            assert t.coefficient(w) == RationalFunction.from_gae(datum, total), (u, w)
+    with pytest.raises(ValueError):
+        t_expansion(KElement(datum, TBASIS, {identity(datum): one}))
 
 
 # -- kappa and the Schubert-class images -------------------------------------------
@@ -353,7 +370,7 @@ def test_group_element_in_ybasis_has_e_coefficients(a1):
 def test_kappa_examples(a1):
     assert kappa(t_in_loc(affine_simple(a1, 1))).terms == {}
     s0 = affine_simple(a1, 0)
-    assert kappa(t_in_loc(s0)) == kappa(basis_convert(k_class(s0), LOC))
+    assert kappa(t_in_loc(s0)) == kappa(t_sum_in_loc(k_class(s0)))
     with pytest.raises(ValueError):
         kappa(k_class(s0))  # T-basis: the projection is defined on the localization basis
     t = translation(a1, (-2,))
@@ -384,7 +401,7 @@ def test_k_class_closed_forms(a1):
         )
         g_even = el(a1, f"t[{-r}]")
         assert k_class(g_even) == KElement(a1, TBASIS, {g_even: one, h_even: ema})
-    assert k_class(identity(a1)) == kel_scalar(a1, 1, TBASIS)
+    assert k_class(identity(a1)) == KElement(a1, TBASIS, {identity(a1): one})
 
 
 def test_l_class_closed_forms(a1):
@@ -397,12 +414,12 @@ def test_l_class_closed_forms(a1):
         odd_terms = {v: one for v in affine_ball(a1, 2 * r - 1)}
         odd_terms[el(a1, f"t[{r}]")] = one_minus
         assert l_class(el(a1, f"s1 t[{-r}]")) == KElement(a1, TBASIS, odd_terms)
-    assert l_class(identity(a1)) == kel_scalar(a1, 1, TBASIS)
+    assert l_class(identity(a1)) == KElement(a1, TBASIS, {identity(a1): one})
 
 
 def test_l_class_is_sum_of_k_classes(a2):
     for w in grassmannian_ball(a2, 4):
-        total = kel_scalar(a2, 0, TBASIS)
+        total = KElement(a2, TBASIS)
         for v in lower_interval(w):
             if is_grassmannian(v):
                 total = kel_add(total, k_class(v))
@@ -430,7 +447,7 @@ def test_sl2_k_classes_commute_with_scalars(a1):
     ema = kel_scalar(a1, RationalFunction.from_gae(a1, G.monomial((-2,))))
     for r in (1, 2, 3):
         for name in (f"s1 t[{-r}]", f"t[{-r}]"):
-            k = basis_convert(k_class(el(a1, name)), LOC)
+            k = t_sum_in_loc(k_class(el(a1, name)))
             assert k_mul(k, ema) == k_mul(ema, k)
 
 
@@ -463,6 +480,6 @@ def test_scalar_commutation_rule(a2, data):
 
 
 def test_k_mul_requires_loc(a1):
-    a = kel_scalar(a1, 1, TBASIS)
+    a = KElement(a1, TBASIS, {identity(a1): RationalFunction.one(a1)})
     with pytest.raises(ValueError):
         k_mul(a, a)

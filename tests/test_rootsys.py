@@ -56,6 +56,8 @@ def test_custom_matrix_matches_builtin(a2):
         [["2"]],
         [[2.9]],
         [[True]],
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2: only the third minor fails
+        [[2, -3], [-3, 2]],  # hyperbolic
     ],
 )
 def test_invalid_matrices_rejected(matrix):
