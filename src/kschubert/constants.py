@@ -35,6 +35,7 @@ from kschubert.ring import (
     RationalFunction,
     common_denominator,
     format_gae,
+    mul_add,
 )
 from kschubert.rootsys import (
     CartanDatum,
@@ -126,23 +127,30 @@ def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> Structur
     bx, by = b_cosets(x), b_cosets(y)
     den_x, nums_x = common_denominator(datum, bx.values())
     den_y, nums_y = common_denominator(datum, by.values())
-    convolution: dict[Coroot, GroupAlgebraElement] = {}
+    # Both stages accumulate in place into plain dicts of packed terms
+    # (ring.mul_add); one bound per stage covers every entry's coordinates.
+    convolution: dict[Coroot, dict] = {}
+    conv_bound = 0
     for mu, p in zip(bx, nums_x):
         for nu, q in zip(by, nums_y):
             sigma = tuple(a + b for a, b in zip(mu, nu))
-            val = p * q
-            convolution[sigma] = convolution[sigma] + val if sigma in convolution else val
-    raw: dict[AffineWeylElement, GroupAlgebraElement] = {}
-    for sigma, p in convolution.items():
-        if not p:
+            conv_bound = mul_add(convolution.setdefault(sigma, {}), p, q, conv_bound)
+    raw: dict[AffineWeylElement, dict] = {}
+    raw_bound = 0
+    for sigma, terms in convolution.items():
+        if not terms:
             continue
+        p = GroupAlgebraElement.from_packed(datum.rank, terms, conv_bound)
         for z, egae in e_cosets(translation(datum, sigma)).items():
-            val = p * egae
-            raw[z] = raw[z] + val if z in raw else val
+            raw_bound = mul_add(raw.setdefault(z, {}), p, egae, raw_bound)
     # The one exactness gate: each entry over D_x D_y must divide out fully.
     den = (*den_x.items(), *den_y.items())
     entries = {
-        z: RationalFunction(datum, c, den).to_polynomial() for z, c in raw.items() if c
+        z: RationalFunction(
+            datum, GroupAlgebraElement.from_packed(datum.rank, terms, raw_bound), den
+        ).to_polynomial()
+        for z, terms in raw.items()
+        if terms
     }
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
 

@@ -2,11 +2,19 @@
 localization at the factors (1 - e^beta), beta a positive root.
 
 A :class:`GroupAlgebraElement` is a finite map weight -> integer; Python
-integers give arbitrary precision for free.  A :class:`RationalFunction` is
-a group-algebra numerator together with a multiset of positive roots, each
-entry standing for one denominator factor (1 - e^beta).  Every denominator
-that arises in this package has that shape, which keeps reduction to exact
-division along a single lattice direction and avoids multivariate gcd.
+integers give arbitrary precision for free.  Each weight w of rank r is
+stored as one integer key k = sum_j w_j B^j, B = 2^32, with signed digits
+|w_j| <= COORD_LIMIT = 2^31 - 1 (``pack``/``unpack``).  Packing is linear, so
+the weight of a product term is k1 + k2 and e^lambda -> e^{-lambda} is
+k -> -k; ``sorted_terms()`` is the view by weight tuples that printing and
+JSON read.  A coordinate outside the range raises ValueError, never wraps
+into the next digit.
+
+A :class:`RationalFunction` is a group-algebra numerator together with a
+multiset of positive roots, each entry standing for one denominator factor
+(1 - e^beta).  Every denominator that arises in this package has that shape,
+which keeps reduction to exact division along a single lattice direction and
+avoids multivariate gcd.
 
 Values are read-only: a group-algebra element's terms are a read-only view,
 and operations always build new objects, so the memoized rows of the other
@@ -15,7 +23,6 @@ layers can hand the same values to every caller.
 
 from __future__ import annotations
 
-import operator
 from types import MappingProxyType
 
 from kschubert.rootsys import CartanDatum, Matrix, Weight, matvec, weight_in_root_coords
@@ -25,11 +32,63 @@ class NonPolynomialError(ArithmeticError):
     """A rational function expected to lie in the group algebra does not."""
 
 
+DIGIT_BITS = 32
+_MASK = (1 << DIGIT_BITS) - 1
+_HALF = 1 << (DIGIT_BITS - 1)
+COORD_LIMIT = _HALF - 1
+
+
+def pack(weight: Weight) -> int:
+    """The key sum_j w_j B^j of a weight; raises ValueError for a coordinate
+    outside [-COORD_LIMIT, COORD_LIMIT]."""
+    key = 0
+    for c in reversed(weight):
+        if not -COORD_LIMIT <= c <= COORD_LIMIT:
+            raise ValueError(f"weight coordinate {c} is outside the packing range ±{COORD_LIMIT}")
+        key = (key << DIGIT_BITS) + c
+    return key
+
+
+def _offset(rank: int) -> int:
+    """sum over j < rank of B^j / 2: added to a key, it makes every digit
+    nonnegative, so digits read off with a shift and a mask."""
+    return _HALF * (((1 << (DIGIT_BITS * rank)) - 1) // _MASK)
+
+
+def unpack(key: int, rank: int) -> Weight:
+    """The weight whose key is ``key``; the inverse of ``pack``."""
+    u = key + _offset(rank)
+    return tuple(((u >> s) & _MASK) - _HALF for s in range(0, DIGIT_BITS * rank, DIGIT_BITS))
+
+
+def _in_range(bound: int) -> int:
+    if bound > COORD_LIMIT:
+        raise ValueError(
+            f"weight coordinates could reach {bound}, outside the packing range ±{COORD_LIMIT}"
+        )
+    return bound
+
+
+def _exact_bound(g: "GroupAlgebraElement") -> int:
+    """The largest |coordinate| among the weights of g, read off its keys."""
+    return max((max(map(abs, unpack(k, g.rank))) for k in g.terms), default=0)
+
+
 class GroupAlgebraElement:
-    """Element of Z[weight lattice]; ``terms`` is a read-only map weight ->
-    coefficient, copied from the mapping given to the constructor.
+    """Element of Z[weight lattice]; ``terms`` is a read-only map from packed
+    weight keys (see ``pack``) to coefficients, and ``sorted_terms()`` is the
+    same element as sorted (weight tuple, coefficient) pairs.  The
+    constructor takes a map weight tuple -> coefficient, each weight of
+    length ``rank``.
 
     Zero coefficients are never stored, so equality is plain map equality.
+
+    ``bound`` is an upper bound on |coordinate| over the weights: exact for
+    constructed elements, the sum of the factors' bounds for a product, the
+    bound times the matrix's row-sum norm under ``act``, and kept by the
+    exact division.  An operation whose bound passes COORD_LIMIT recomputes
+    it from its operands' actual coordinates and raises ValueError if it
+    still does not fit, so a key never wraps into a neighbouring digit.
 
     >>> a = GroupAlgebraElement.monomial((2,))
     >>> b = GroupAlgebraElement.monomial((-2,))
@@ -37,11 +96,30 @@ class GroupAlgebraElement:
     True
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "terms", "bound")
 
     def __init__(self, rank: int, terms=None):
+        packed: dict[int, int] = {}
+        bound = 0
+        for w, c in terms.items() if terms else ():
+            if len(w) != rank:
+                raise ValueError(f"weight {tuple(w)} does not have rank {rank}")
+            if c:
+                packed[pack(w)] = c
+                bound = max(bound, max(map(abs, w), default=0))
         self.rank = rank
-        self.terms = MappingProxyType({w: c for w, c in terms.items() if c} if terms else {})
+        self.terms = MappingProxyType(packed)
+        self.bound = bound
+
+    @classmethod
+    def from_packed(cls, rank: int, terms: dict, bound: int) -> "GroupAlgebraElement":
+        """Wrap a dict packed key -> nonzero coefficient, without copying it;
+        ``bound`` must bound |coordinate| over its weights."""
+        g = cls.__new__(cls)
+        g.rank = rank
+        g.terms = MappingProxyType(terms)
+        g.bound = bound
+        return g
 
     @classmethod
     def zero(cls, rank: int) -> "GroupAlgebraElement":
@@ -49,7 +127,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def one(cls, rank: int) -> "GroupAlgebraElement":
-        return cls(rank, {(0,) * rank: 1})
+        return cls.from_packed(rank, {0: 1}, 0)
 
     @classmethod
     def monomial(cls, weight: Weight, coeff: int = 1) -> "GroupAlgebraElement":
@@ -60,45 +138,42 @@ class GroupAlgebraElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = GroupAlgebraElement(self.rank, {(0,) * self.rank: other})
+            other = self._coerce(other)
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         return self.rank == other.rank and self.terms == other.terms
 
     def __add__(self, other) -> "GroupAlgebraElement":
+        other = self._coerce(other)
         out = dict(self.terms)
-        for w, c in self._coerce(other).terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupAlgebraElement(self.rank, out)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return GroupAlgebraElement.from_packed(self.rank, out, max(self.bound, other.bound))
 
     def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.rank, {w: -c for w, c in self.terms.items()})
+        return GroupAlgebraElement.from_packed(
+            self.rank, {k: -c for k, c in self.terms.items()}, self.bound
+        )
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "GroupAlgebraElement":
         if isinstance(other, int):
-            return GroupAlgebraElement(
-                self.rank, {w: other * c for w, c in self.terms.items()}
-            )
+            terms = {k: other * c for k, c in self.terms.items()} if other else {}
+            return GroupAlgebraElement.from_packed(self.rank, terms, self.bound)
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        add = operator.add
-        out: dict[Weight, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = tuple(map(add, w1, w2))
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return GroupAlgebraElement(self.rank, out)
+        out: dict[int, int] = {}
+        return GroupAlgebraElement.from_packed(self.rank, out, mul_add(out, self, other))
 
     def _coerce(self, other) -> "GroupAlgebraElement":
         if isinstance(other, int):
-            return GroupAlgebraElement(self.rank, {(0,) * self.rank: other})
+            return GroupAlgebraElement.from_packed(self.rank, {0: other} if other else {}, 0)
         if isinstance(other, GroupAlgebraElement):
             if other.rank != self.rank:
                 raise ValueError("rank mismatch")
@@ -110,22 +185,59 @@ class GroupAlgebraElement:
         return sum(self.terms.values())
 
     def act(self, matrix: Matrix) -> "GroupAlgebraElement":
-        """Apply an invertible lattice map to every exponent."""
-        return GroupAlgebraElement(
-            self.rank, {matvec(matrix, w): c for w, c in self.terms.items()}
-        )
+        """Apply an invertible lattice map to every exponent.  By linearity a
+        weight's image key is sum_j w_j pack(column j of the matrix), with
+        the digits w_j read off the key."""
+        norm = max(sum(map(abs, row)) for row in matrix)
+        bound = self.bound * norm
+        if bound > COORD_LIMIT:
+            bound = _in_range(_exact_bound(self) * norm)
+        columns = [pack(col) for col in zip(*matrix)]
+        digits = list(zip(range(0, DIGIT_BITS * self.rank, DIGIT_BITS), columns))
+        offset, base = _offset(self.rank), _HALF * sum(columns)
+        out: dict[int, int] = {}
+        for k, c in self.terms.items():
+            u, image = k + offset, -base
+            for shift, column in digits:
+                image += ((u >> shift) & _MASK) * column
+            out[image] = c
+        return GroupAlgebraElement.from_packed(self.rank, out, bound)
 
     def flip(self) -> "GroupAlgebraElement":
         """The automorphism e^lambda -> e^{-lambda}."""
-        return GroupAlgebraElement(
-            self.rank, {tuple(-x for x in w): c for w, c in self.terms.items()}
+        return GroupAlgebraElement.from_packed(
+            self.rank, {-k: c for k, c in self.terms.items()}, self.bound
         )
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    def sorted_terms(self) -> list[tuple[Weight, int]]:
+        """The terms as (weight tuple, coefficient) pairs, sorted by weight."""
+        return sorted((unpack(k, self.rank), c) for k, c in self.terms.items())
 
     def __repr__(self):
         return f"GroupAlgebraElement({format_gae(self)})"
+
+
+def mul_add(acc: dict, a: GroupAlgebraElement, b: GroupAlgebraElement, bound: int = 0) -> int:
+    """acc += a*b in place: ``acc`` is a plain dict packed key -> nonzero
+    coefficient, and stays free of zero coefficients.  Returns the larger of
+    ``bound`` and the product's coordinate bound, the bound to wrap ``acc``
+    with (``GroupAlgebraElement.from_packed``) once it is complete."""
+    if a.rank != b.rank:
+        raise ValueError("rank mismatch")
+    product_bound = a.bound + b.bound
+    if product_bound > COORD_LIMIT:
+        product_bound = _in_range(_exact_bound(a) + _exact_bound(b))
+    get = acc.get
+    inner = tuple(b.terms.items())
+    for k1, c1 in a.terms.items():
+        for k2, c2 in inner:
+            k = k1 + k2
+            s = get(k, 0) + c1 * c2
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return max(bound, product_bound)
 
 
 def divide_one_minus_exp(f: GroupAlgebraElement, beta: Weight):
@@ -134,28 +246,35 @@ def divide_one_minus_exp(f: GroupAlgebraElement, beta: Weight):
     Terms are grouped by coset of the lattice modulo Z*beta; on each coset
     the quotient is the univariate long division of sum c_k x^k by (1 - x),
     whose coefficients are the partial sums from below.  Divisibility means
-    every coset sums to zero.
+    every coset sums to zero.  On packed keys a coset representative is
+    k - q pack(beta), q read off the first nonzero coordinate of beta.
     """
+    if len(beta) != f.rank:
+        raise ValueError("rank mismatch")
     if not f:
         return f
+    # Coset representatives stay inside (1 + max|beta_i|) * bound.
+    reach = 1 + max(map(abs, beta))
+    if f.bound * reach > COORD_LIMIT:
+        _in_range(_exact_bound(f) * reach)
     j = next(idx for idx, b in enumerate(beta) if b)
-    groups: dict[Weight, list[tuple[int, int]]] = {}
-    for w, c in f.terms.items():
-        k = w[j] // beta[j]
-        rep = tuple(a - k * b for a, b in zip(w, beta))
-        groups.setdefault(rep, []).append((k, c))
-    out: dict[Weight, int] = {}
+    step, shift, offset = pack(beta), DIGIT_BITS * j, _offset(f.rank)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for key, c in f.terms.items():
+        q = ((((key + offset) >> shift) & _MASK) - _HALF) // beta[j]
+        groups.setdefault(key - q * step, []).append((q, c))
+    out: dict[int, int] = {}
     for rep, entries in groups.items():
         entries.sort()
         if sum(c for _, c in entries) != 0:
             return None
         running = 0
-        for (k, c), (k_next, _) in zip(entries, entries[1:]):
+        for (q, c), (q_next, _) in zip(entries, entries[1:]):
             running += c
             if running:
-                for kk in range(k, k_next):
-                    out[tuple(a + kk * b for a, b in zip(rep, beta))] = running
-    return GroupAlgebraElement(f.rank, out)
+                for qq in range(q, q_next):
+                    out[rep + qq * step] = running
+    return GroupAlgebraElement.from_packed(f.rank, out, f.bound)
 
 
 class RationalFunction:

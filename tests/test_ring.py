@@ -2,15 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import den_gae
+from oracles import TupleGroupAlgebraElement, den_gae, tuple_divide_one_minus_exp
+from kschubert.nilhecke import b_cosets, e_cosets
 from kschubert.ring import (
+    COORD_LIMIT,
     GroupAlgebraElement,
     NonPolynomialError,
     RationalFunction,
+    common_denominator,
     divide_one_minus_exp,
     format_gae,
     gae_to_json,
+    pack,
+    unpack,
 )
+from kschubert.rootsys import build_root_system
+from kschubert.weyl import grassmannian_ball, weyl_group
 
 G = GroupAlgebraElement
 
@@ -57,8 +64,32 @@ def test_product_expansion(a1):
 
 def test_no_zero_terms_stored():
     g = G(1, {(0,): 0, (2,): 3})
-    assert list(g.terms) == [(2,)]
+    assert g.sorted_terms() == [((2,), 3)]
+    assert len(g.terms) == 1
     assert not (g - g)
+
+
+def test_product_rejects_rank_mismatch():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        G(1, {(1,): 1}) * G(2, {(1, 1): 1})
+    with pytest.raises(ValueError, match="rank mismatch"):
+        G(1, {(1,): 1}) + G(2, {(1, 1): 1})
+    with pytest.raises(ValueError, match="rank mismatch"):
+        divide_one_minus_exp(G.one(2), (2,))
+
+
+def test_constructor_rejects_weight_of_wrong_length():
+    with pytest.raises(ValueError, match="rank"):
+        G(2, {(1,): 1})
+    with pytest.raises(ValueError, match="rank"):
+        G(1, {(1, 0): 0})
+
+
+def test_monomial_takes_its_rank_from_its_weight():
+    g = G.monomial((1, 0))
+    assert g.rank == 2 and g.sorted_terms() == [((1, 0), 1)]
+    with pytest.raises(ValueError, match="rank mismatch"):
+        g * G.one(1)
 
 
 @given(gaes(2), gaes(2), gaes(2))
@@ -224,3 +255,111 @@ def test_format_gae_deterministic(a1):
     g = G.one(1) - G.monomial((-2,))
     assert format_gae(g, a1, root_coords=True) == "-e^{-a1} + 1"
 
+
+
+# -- packed weights --------------------------------------------------------------
+
+
+def edge_coordinates():
+    """Coordinates at both ends of the packing range, near zero, or anywhere."""
+    return st.one_of(
+        st.integers(-COORD_LIMIT, -COORD_LIMIT + 2),
+        st.integers(-2, 2),
+        st.integers(COORD_LIMIT - 2, COORD_LIMIT),
+        st.integers(-COORD_LIMIT, COORD_LIMIT),
+    )
+
+
+def weight_pairs():
+    return st.integers(1, 4).flatmap(
+        lambda r: st.tuples(*[st.tuples(*[edge_coordinates()] * r)] * 2)
+    )
+
+
+@given(weight_pairs())
+def test_pack_round_trip_and_linearity(pair):
+    u, v = pair
+    rank = len(u)
+    assert unpack(pack(u), rank) == u
+    assert pack(tuple(-c for c in u)) == -pack(u)
+    total = tuple(a + b for a, b in zip(u, v))
+    if max(map(abs, total)) <= COORD_LIMIT:
+        assert pack(u) + pack(v) == pack(total)
+        assert unpack(pack(u) + pack(v), rank) == total
+    if max(map(abs, u)) + max(map(abs, v)) <= COORD_LIMIT:
+        assert G.monomial(u) * G.monomial(v, 3) == G.monomial(total, 3)
+    else:
+        with pytest.raises(ValueError, match="packing range"):
+            G.monomial(u) * G.monomial(v)
+
+
+@given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([1, -1]))
+def test_coordinate_one_step_past_the_range_raises(rank, index, sign):
+    index %= rank
+    weight = tuple(sign * (COORD_LIMIT + 1) if j == index else 0 for j in range(rank))
+    with pytest.raises(ValueError, match="packing range"):
+        pack(weight)
+    with pytest.raises(ValueError, match="packing range"):
+        G(rank, {weight: 1})
+    edge = tuple(sign * COORD_LIMIT if j == index else 0 for j in range(rank))
+    assert G(rank, {edge: 1}).sorted_terms() == [(edge, 1)]
+
+
+def test_product_chain_past_the_range_raises():
+    h = G.monomial((1, -1))
+    for _ in range(30):  # squaring: coordinates 2^30
+        h = h * h
+    assert h.sorted_terms() == [((1 << 30, -(1 << 30)), 1)]
+    with pytest.raises(ValueError, match="packing range"):
+        h * h
+    reflection = ((-1, 0), (1, 1))  # row-sum norm 2
+    with pytest.raises(ValueError, match="packing range"):
+        h.act(reflection)
+    assert G.monomial((1 << 29, 0)).act(reflection) == G.monomial((-(1 << 29), 1 << 29))
+
+
+def to_tuple_keys(g):
+    """The same element in the tuple-keyed oracle, read off the packed keys."""
+    return TupleGroupAlgebraElement(g.rank, {unpack(k, g.rank): c for k, c in g.terms.items()})
+
+
+def assert_same(packed, reference):
+    assert packed.rank == reference.rank
+    assert packed.sorted_terms() == reference.sorted_terms()
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A2", 5), ("A3", 3), ([[2, -2], [-1, 2]], 4), ([[2, -1], [-3, 2]], 4)],
+    ids=["A2", "A3", "B2", "G2"],
+)
+def test_packed_ring_matches_tuple_oracle_on_whole_balls(spec, max_len):
+    """Every b coset numerator (reduced, and lifted to the common
+    denominator) and every e coset value of a Grassmannian ball, through
+    products, flip, the action of every finite Weyl element and the exact
+    division by each (1 - e^beta), with both quotient and None outcomes."""
+    datum = build_root_system(spec)
+    values = []
+    for x in grassmannian_ball(datum, max_len):
+        values.extend(f.num for f in b_cosets(x).values())
+        values.extend(common_denominator(datum, b_cosets(x).values())[1])
+        values.extend(e_cosets(x).values())
+    one = G.one(datum.rank)
+    outcomes = set()
+    for g, h in zip(values, values[1:] + values[:1]):
+        ref_g = to_tuple_keys(g)
+        assert_same(g, ref_g)
+        assert_same(g * h, ref_g * to_tuple_keys(h))
+        assert_same(g.flip(), ref_g.flip())
+        for matrix in weyl_group(datum).elements:
+            assert_same(g.act(matrix), ref_g.act(matrix))
+        for beta in datum.positive_roots:
+            for f in (g, g * (one - G.monomial(beta))):
+                quotient = divide_one_minus_exp(f, beta)
+                expected = tuple_divide_one_minus_exp(to_tuple_keys(f), beta)
+                outcomes.add(quotient is None)
+                if expected is None:
+                    assert quotient is None
+                else:
+                    assert_same(quotient, expected)
+    assert outcomes == {True, False}
