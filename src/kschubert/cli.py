@@ -56,6 +56,7 @@ from kschubert.weyl import (
     finite_element,
     format_element,
     grassmannian_ball,
+    identity,
     is_grassmannian,
     length,
     parse_element,
@@ -184,7 +185,7 @@ def _cmd_ecoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
     row = e_row(x)
-    coset_e = e_cosets(x)
+    coset_e = e_cosets(x, identity(datum))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "ecoeff",

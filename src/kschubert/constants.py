@@ -2,18 +2,33 @@
 affine Grassmannian, a linear-algebra cross check, a finite-type oracle for
 the degree-zero quantum constants, and the conjecture comparison.
 
-The main engine computes, for Grassmannian x and y,
+The paper's formula for Grassmannian x and y is
 
     c_{x,y}^z = sum over translations t1, t2 of
                 b_{x,[t1]} * b_{y,[t2]} * e_{t1 t2, [z]},
 
-where [t] denotes a coset sum over t W.  The sum is finite because the coset
-b-sums vanish outside the Bruhat lower intervals of x and y.  Only the b
-coset sums carry denominators, products of (1 - e^beta), so the engine
-writes those of x and of y over one common denominator each, forms the whole
-sum in the group algebra, and makes one exact division per output entry.
-Every constant must land in the group algebra; a surviving denominator
-signals a bug.
+where [t] denotes a coset sum over t W.  The engine does the y-side sum
+once, inside the nilHecke ring, and computes
+
+    c_{x,y}^z = sum over mu of b_{x,[mu]} * E_{mu,y}[z],
+
+with E_{mu,y} the coset row of t_mu y_y (``nilhecke.e_cosets(t_mu, y)``,
+the y-expansion of t_mu y_{y w0}, its key v read as z = v w0).  Why:
+
+* for finite i, s_i = e^{alpha_i} + (1 - e^{alpha_i}) y_i and
+  y_i y_{w0} = y_{w0}, so s_i y_{w0} = y_{w0}, and a y_{w0} = kappa(a) y_{w0}
+  for every a in the localization basis;
+* hence l_y y_{w0} = y_y y_{w0} = y_{y w0} for l_y = kappa(y_y), and
+  l_x l_y y_{w0} = sum_mu b_{x,[mu]} t_mu y_{y w0};
+* c_{x,y}^z is the coefficient of y_{z w0} in l_x l_y y_{w0}: the formula
+  above read through the same w0 trick that ``e_cosets`` uses.
+
+The sum is finite because the coset b-sums vanish outside the Bruhat lower
+interval of x.  Only the b coset sums carry denominators, products of
+(1 - e^beta), so the engine writes those of x over one common denominator
+D_x, forms the whole sum in the group algebra, and makes one exact division
+per output entry.  Every constant must land in the group algebra; a
+surviving denominator signals a bug.
 
 The independent route expands the same product in the translation
 localization coordinates and solves the triangular system against the
@@ -117,37 +132,28 @@ def _support_warnings(x, y, entries) -> list[str]:
 
 
 def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> StructureConstantTable:
-    """Structure constants of O_x . O_y via the closed coset formula, over
-    one common denominator: the b coset sums of x and of y become numerators
-    over their lcm denominators D_x and D_y, the convolution and the e stage
-    run in the group algebra, and each entry is divided once by D_x D_y."""
+    """Structure constants of O_x . O_y as sum_mu b_{x,[mu]} E_{mu,y}[z]
+    (module docstring), over one common denominator: the b coset sums of x
+    become numerators over their lcm denominator D_x, each is multiplied
+    into the coset row of t_mu y_y in the group algebra, and each entry is
+    divided once by D_x.  The route is deliberately asymmetric in x and y,
+    so commutativity stays a real check."""
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise ValueError("both factors must be affine Grassmannian elements")
     datum = x.datum
-    bx, by = b_cosets(x), b_cosets(y)
-    den_x, nums_x = common_denominator(datum, bx.values())
-    den_y, nums_y = common_denominator(datum, by.values())
-    # Both stages accumulate in place into plain dicts of packed terms
-    # (ring.mul_add); one bound per stage covers every entry's coordinates.
-    convolution: dict[Coroot, dict] = {}
-    conv_bound = 0
-    for mu, p in zip(bx, nums_x):
-        for nu, q in zip(by, nums_y):
-            sigma = tuple(a + b for a, b in zip(mu, nu))
-            conv_bound = mul_add(convolution.setdefault(sigma, {}), p, q, conv_bound)
+    bx = b_cosets(x)
+    den, nums = common_denominator(datum, bx.values())
+    # Accumulate in place into plain dicts of packed terms (ring.mul_add);
+    # one bound covers every entry's coordinates.
     raw: dict[AffineWeylElement, dict] = {}
-    raw_bound = 0
-    for sigma, terms in convolution.items():
-        if not terms:
-            continue
-        p = GroupAlgebraElement.from_packed(datum.rank, terms, conv_bound)
-        for z, egae in e_cosets(translation(datum, sigma)).items():
-            raw_bound = mul_add(raw.setdefault(z, {}), p, egae, raw_bound)
-    # The one exactness gate: each entry over D_x D_y must divide out fully.
-    den = (*den_x.items(), *den_y.items())
+    bound = 0
+    for mu, p in zip(bx, nums):
+        for z, egae in e_cosets(translation(datum, mu), y).items():
+            bound = mul_add(raw.setdefault(z, {}), p, egae, bound)
+    # The one exactness gate: each entry over D_x must divide out fully.
     entries = {
         z: RationalFunction(
-            datum, GroupAlgebraElement.from_packed(datum.rank, terms, raw_bound), den
+            datum, GroupAlgebraElement.from_packed(datum.rank, terms, bound), den
         ).to_polynomial()
         for z, terms in raw.items()
         if terms

@@ -22,13 +22,16 @@ closed subword sum kept as an independent oracle).  e rows come from one
 kernel, ``y_expansion(x, start)``, the y-expansion of x . y_start by a left
 recursion peeling the smallest left descent at each step: started at the
 identity it gives the full e row (with the closed subword sum over Demazure
-products as the oracle).  The product formula needs only the coset sums of e
-rows of translations, and it reads them from x . y_{w0}, whose row has one
-entry per coset, at the coset maximum v; the sum is keyed by the coset
-minimum v w0.  Full rows are built only for ``ecoeff``, the class layer and
-the oracles.  e entries are genuinely polynomial and are stored as
-group-algebra elements.  Rows and coset sums are returned read-only, since
-they are the memoized values themselves.
+products as the oracle).  Started at y w0 for Grassmannian y (w0 the longest
+finite element) it gives x . y_y . y_{w0}, whose row has one entry per coset,
+at the coset maximum v; ``e_cosets(x, y)`` keys that entry by the coset
+minimum v w0.  The product formula reads only these coset rows, for x a
+translation t_mu and y its second factor: s_i y_{w0} = y_{w0} for finite
+s_i, so kappa(y_y) y_{w0} = y_y y_{w0}, and the rows of t_mu y_y y_{w0}
+carry the whole y-side sum of the formula.  Full rows are built only for
+``ecoeff``, the class layer and the oracles.  e entries are genuinely
+polynomial and are stored as group-algebra elements.  Rows and coset sums
+are returned read-only, since they are the memoized values themselves.
 """
 
 from __future__ import annotations
@@ -172,9 +175,9 @@ def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyT
                                                       if s_i v < v,
         c_{s_i u, v} = e^{alpha_i} s_i(c_{u,v})       if s_i v > v.
 
-    Started at the identity this is the e-row of x; started at the longest
-    finite element w0 every row lives on coset maxima, because
-    y_v y_{w0} = y_{max vW}."""
+    Started at the identity this is the e-row of x; started at a coset
+    maximum, such as the longest finite element w0, every row lives on coset
+    maxima, because y_v y_{w0} = y_{max vW}."""
     datum = x.datum
     if x.is_identity:
         return MappingProxyType({start: GroupAlgebraElement.one(datum.rank)})
@@ -264,19 +267,27 @@ def e_row_subword(x: AffineWeylElement, word: ReducedWord | None = None) -> dict
 @lru_cache(maxsize=None)
 def b_cosets(x: AffineWeylElement) -> MappingProxyType:
     """Sums of the b-row of x over cosets v W, read from kappa(y_x) and keyed
-    by the coroot coordinate of the unique translation in each coset (the
-    convolution adds them)."""
+    by the coroot coordinate of the unique translation in each coset: the
+    coefficients of kappa(y_x) = sum_mu b_{x,[mu]} t_mu."""
     return MappingProxyType({t.trans: c for t, c in kappa(y_in_loc(x)).terms.items()})
 
 
 @lru_cache(maxsize=None)
-def e_cosets(x: AffineWeylElement) -> MappingProxyType:
-    """Coset sums e_{x,[z]} = sum over v in z W of e_{x,v}, keyed by the
-    Grassmannian element z.  Read from the y-expansion of x . y_{w0}: its row
-    holds one entry per coset, at the coset maximum v, whose coset minimum is
-    v w0, so no full e-row is built."""
+def e_cosets(x: AffineWeylElement, y: AffineWeylElement) -> MappingProxyType:
+    """Coset sums of the y-expansion of x . y_y, for Grassmannian y, keyed by
+    the Grassmannian element z of each coset.  Read from the y-expansion of
+    x . y_{y w0} = x . y_y . y_{w0}: its row holds one entry per coset, at the
+    coset maximum v, whose coset minimum is v w0, so no full row is built.
+    At y = id these are the coset sums e_{x,[z]} = sum over v in z W of
+    e_{x,v}.  At a translation x = t_mu, since w y_{w0} = y_{w0} for finite
+    w, t_mu y_y y_{w0} = sum_nu b_{y,[nu]} t_{mu+nu} y_{w0}: the row is
+    sum_nu b_{y,[nu]} e_cosets(t_{mu+nu}, id), the y-side sum of the
+    product formula done once."""
+    if not is_grassmannian(y):
+        raise ValueError(f"{y!r} is not an affine Grassmannian element")
     w0 = finite_element(x.datum, weyl_group(x.datum).longest)
-    return MappingProxyType({aff_multiply(v, w0): c for v, c in y_expansion(x, w0).items()})
+    row = y_expansion(x, aff_multiply(y, w0))
+    return MappingProxyType({aff_multiply(v, w0): c for v, c in row.items()})
 
 
 # Expansion in the T-basis ----------------------------------------------------

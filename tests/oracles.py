@@ -124,16 +124,18 @@ def coset_sums(row):
 
 
 def pontryagin_constants_rf(x, y):
-    """The closed coset formula with every partial sum a reduced
-    ``RationalFunction``: the reference for ``constants.pontryagin_constants``,
-    which forms the same sum over one common denominator."""
+    """The paper's closed coset formula, sum over t1, t2 of
+    b_{x,[t1]} b_{y,[t2]} e_{t1 t2,[z]}, with every partial sum a reduced
+    ``RationalFunction``.  It is off the engine's path: the reference for
+    ``constants.pontryagin_constants``, which folds the y-side sum into the
+    coset rows of t_mu y_y and divides once by x's common denominator."""
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise ValueError("both factors must be affine Grassmannian elements")
     datum = x.datum
     convolution = _translation_convolution(x, y)
     raw: dict[AffineWeylElement, RationalFunction] = {}
     for sigma, p in convolution.items():
-        for z, egae in e_cosets(translation(datum, sigma)).items():
+        for z, egae in e_cosets(translation(datum, sigma), identity(datum)).items():
             val = p * egae
             raw[z] = raw[z] + val if z in raw else val
     entries = {z: c.to_polynomial() for z, c in raw.items() if c}

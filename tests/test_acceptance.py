@@ -76,7 +76,7 @@ def test_criterion_1_sl2_product(a1):
 def test_criterion_2_sl2_remark_summand(a1):
     # the single surviving summand at t1 = t2 = t_{alpha_vee} for z = s1 s0
     b = b_cosets(el(a1, "s1 t[-1]"))[(1,)]
-    e = e_cosets(translation(a1, (2,)))[coset_min(translation(a1, (-1,)))]
+    e = e_cosets(translation(a1, (2,)), identity(a1))[coset_min(translation(a1, (-1,)))]
     value = b * b * e
     assert value == RationalFunction.from_gae(a1, G.monomial((-2,)))
     _report(2, "remark summand b^2 e evaluates to e^{-a}")

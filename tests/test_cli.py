@@ -294,23 +294,27 @@ def test_internal_error_exit_3(capsys, monkeypatch, error):
 
 
 def test_engine_division_is_the_exactness_gate(capsys, monkeypatch):
-    # One e coset sum off by a monomial: nothing but the engine's final exact
-    # division sees it, and the CLI reports that as an internal error.
+    # One coset row of t_mu y_y off by a monomial: nothing but the engine's
+    # final exact division sees it, and the CLI reports that as an internal
+    # error.  The skewed row must be one the engine reads for A1 t[-1]^2.
     a1 = build_root_system("A1")
-    skewed_at = translation(a1, (-2,))
+    x = parse_element("t[-1]", a1)
+    skewed_at = (translation(a1, (-1,)), x)
     real_e_cosets = constants.e_cosets
+    reads = []
 
-    def skewed(t):
-        row = dict(real_e_cosets(t))
-        if t == skewed_at:
+    def skewed(t, y):
+        reads.append((t, y))
+        row = dict(real_e_cosets(t, y))
+        if (t, y) == skewed_at:
             z = next(iter(row))
             row[z] = row[z] + GroupAlgebraElement.monomial((0,))
         return row
 
     monkeypatch.setattr(constants, "e_cosets", skewed)
-    x = parse_element("t[-1]", a1)
     with pytest.raises(NonPolynomialError):
         pontryagin_constants(x, x)
+    assert skewed_at in reads
     code, out, err = run(
         capsys, "constant", "--type", "A1", "--x", "t[-1]", "--y", "t[-1]", "--json"
     )

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from oracles import pontryagin_constants_rf, translation_product_check
-from kschubert.ring import GroupAlgebraElement
+from kschubert import constants
+from kschubert.ring import GroupAlgebraElement, mul_add
 from kschubert.rootsys import build_root_system
 from kschubert.constants import (
     MalformedDatumError,
@@ -116,14 +117,17 @@ def test_augmentation_sums_to_one(a1, a2):
 
 @pytest.mark.parametrize("label, max_len", [("A1", 8), ("A2", 5), ("A3", 3)])
 def test_product_routes_whole_ball(label, max_len):
-    # The common-denominator engine against the reduced-RationalFunction sum
-    # it replaced and against the triangular solve, on every pair x <= y.
+    # The engine's coset-row route against the paper's formula it replaced
+    # (reduced RationalFunctions) and against the triangular solve, on every
+    # pair of the ball; the route is asymmetric, so swapping the factors is
+    # a check too.
     reps = grassmannian_ball(build_root_system(label), max_len)
     for i, x in enumerate(reps):
         for y in reps[i:]:
             entries = pontryagin_constants(x, y).entries
             assert entries == pontryagin_constants_rf(x, y).entries
             assert entries == pontryagin_constants_linear(x, y).entries
+            assert entries == pontryagin_constants(y, x).entries
 
 
 NON_SIMPLY_LACED = pytest.mark.parametrize(
@@ -136,15 +140,33 @@ NON_SIMPLY_LACED = pytest.mark.parametrize(
 @NON_SIMPLY_LACED
 def test_product_routes_non_simply_laced(cartan):
     # Whole Grassmannian ball; no reference numbers exist here, so the
-    # invariants are the check: route agreement, commutativity, augmentation.
+    # invariants are the check: agreement with the paper's formula and the
+    # triangular solve, commutativity, augmentation.
     datum = build_root_system(cartan)
     reps = grassmannian_ball(datum, 4)
     for i, x in enumerate(reps):
         for y in reps[i:]:
             entries = pontryagin_constants(x, y).entries
+            assert entries == pontryagin_constants_rf(x, y).entries
             assert entries == pontryagin_constants_linear(x, y).entries
             assert entries == pontryagin_constants(y, x).entries
             assert sum(c.augmentation() for c in entries.values()) == 1
+
+
+def test_square_work_count(monkeypatch, a2):
+    # Term products of the engine's multiply-adds for one A2 t[-2,-2]
+    # square: 10,635 on the coset-row route; the convolution and e stage it
+    # replaced made 893,724.  A count, so it holds however noisy the clock.
+    seen = []
+
+    def counting(acc, a, b, bound=0):
+        seen.append(len(a.terms) * len(b.terms))
+        return mul_add(acc, a, b, bound)
+
+    monkeypatch.setattr(constants, "mul_add", counting)
+    x = el(a2, "t[-2,-2]")
+    assert pontryagin_constants(x, x).entries
+    assert sum(seen) < 50_000
 
 
 def test_translation_product_check(a1, a2):

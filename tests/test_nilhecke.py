@@ -13,7 +13,7 @@ from oracles import (
     t_sum_in_loc,
 )
 from kschubert.constants import _finite_localization_row
-from kschubert.ring import GroupAlgebraElement, RationalFunction
+from kschubert.ring import GroupAlgebraElement, RationalFunction, common_denominator
 from kschubert.rootsys import build_root_system, level_zero_root
 from kschubert.nilhecke import (
     LOC,
@@ -153,7 +153,7 @@ def test_e_row_identity_and_s0(a1):
 
 def test_e_row_coset_value_from_square(a1):
     # e_{t_{2 alpha_vee}, [t_{-alpha_vee}]} = e^{-a} (1 - e^{-a})^2
-    cosets = e_cosets(translation(a1, (2,)))
+    cosets = e_cosets(translation(a1, (2,)), identity(a1))
     ema = G.monomial((-2,))
     expect = ema * (G.one(1) - ema) * (G.one(1) - ema)
     assert cosets[coset_min(translation(a1, (-1,)))] == expect
@@ -227,7 +227,7 @@ def test_e_cosets_match_full_rows(spec, max_len):
     w0 = finite_element(datum, group.longest)
     simples = [affine_simple(datum, j) for j in range(1, datum.rank + 1)]
     for x in affine_ball(datum, max_len):
-        sums = e_cosets(x)
+        sums = e_cosets(x, identity(datum))
         assert sums == coset_sums(e_row(x))
         assert all(is_grassmannian(z) for z in sums)
         row = y_expansion(x, w0)
@@ -235,7 +235,40 @@ def test_e_cosets_match_full_rows(spec, max_len):
         for v in row:
             assert all(length(aff_multiply(v, s)) < length(v) for s in simples)
         for w in finite:
-            assert e_cosets(aff_multiply(x, w)) == sums
+            assert e_cosets(aff_multiply(x, w), identity(datum)) == sums
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 5), ("A2", 4), ("A3", 4), (B2, 6), (C2, 6), (G2, 6)],
+    ids=["a1-5", "a2-4", "a3-4", "B2-6", "C2-6", "G2-6"],
+)
+def test_coset_rows_fold_the_y_side_sum(spec, max_len):
+    # The lemma under the product route: w y_{w0} = y_{w0} for finite w, so
+    # t_mu y_y y_{w0} = sum_nu b_{y,[nu]} t_{mu+nu} y_{w0}, and the coset row
+    # of t_mu y_y is the b-weighted sum of the coset e rows of t_{mu+nu}.
+    # Checked for every Grassmannian y of the ball and every mu that the
+    # b coset sums of the ball reach.  The sum is formed over y's common
+    # denominator and reduced once per entry.
+    datum = build_root_system(spec)
+    one = identity(datum)
+    ball = grassmannian_ball(datum, max_len)
+    mus = {mu for x in ball for mu in b_cosets(x)}
+    for y in ball:
+        den, nums = common_denominator(datum, b_cosets(y).values())
+        for mu in mus:
+            sums = {}
+            for nu, num in zip(b_cosets(y), nums):
+                sigma = tuple(m + n for m, n in zip(mu, nu))
+                for z, e in e_cosets(translation(datum, sigma), one).items():
+                    sums[z] = sums[z] + num * e if z in sums else num * e
+            expected = {z: RationalFunction(datum, c, den) for z, c in sums.items()}
+            row = e_cosets(translation(datum, mu), y)
+            assert {z: RationalFunction.from_gae(datum, c) for z, c in row.items()} == {
+                z: c for z, c in expected.items() if c
+            }
+    with pytest.raises(ValueError):
+        e_cosets(one, affine_simple(datum, 1))
 
 
 def test_demazure_convolution_of_translations(a1, a2):
@@ -267,7 +300,7 @@ def test_memoized_rows_are_read_only(a1):
     reads = [
         (e_row, x, one),
         (lambda u: y_expansion(u, one), x, one),
-        (e_cosets, x, coset_min(g)),
+        (lambda u: e_cosets(u, one), x, coset_min(g)),
         (b_cosets, x, (1,)),
         (lambda u: y_in_loc(u).terms, x, one),
         (lambda u: t_in_loc(u).terms, x, one),
@@ -284,7 +317,7 @@ def test_memoized_rows_are_read_only(a1):
     # The group-algebra values inside the rows are read-only too.
     values = [
         e_row(x)[one],
-        e_cosets(x)[coset_min(g)],
+        e_cosets(x, one)[coset_min(g)],
         b_cosets(x)[(1,)].num,
         _finite_localization_row(s1)[s1],
     ]

@@ -17,7 +17,7 @@ from kschubert.ring import (
     unpack,
 )
 from kschubert.rootsys import build_root_system
-from kschubert.weyl import grassmannian_ball, weyl_group
+from kschubert.weyl import grassmannian_ball, identity, weyl_group
 
 G = GroupAlgebraElement
 
@@ -343,7 +343,7 @@ def test_packed_ring_matches_tuple_oracle_on_whole_balls(spec, max_len):
     for x in grassmannian_ball(datum, max_len):
         values.extend(f.num for f in b_cosets(x).values())
         values.extend(common_denominator(datum, b_cosets(x).values())[1])
-        values.extend(e_cosets(x).values())
+        values.extend(e_cosets(x, identity(datum)).values())
     one = G.one(datum.rank)
     outcomes = set()
     for g, h in zip(values, values[1:] + values[:1]):
