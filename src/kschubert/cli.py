@@ -53,7 +53,7 @@ from kschubert.weyl import (
     ValidationError,
     coset_min,
     coset_translation,
-    finite_element,
+    finite_part,
     format_element,
     grassmannian_ball,
     identity,
@@ -303,7 +303,7 @@ def _cmd_conjecture(args) -> int:
     data = [d for d in data if d.u.datum == datum]
     reps = _conjecture_inputs(datum, args.max_translation, guard)
     finite_pairs = {
-        (finite_element(datum, x.wmat), finite_element(datum, y.wmat))
+        (finite_part(x), finite_part(y))
         for x in reps
         for y in reps
     }

@@ -64,7 +64,8 @@ from kschubert.weyl import (
     bruhat_leq,
     coset_min,
     coset_translation,
-    finite_element,
+    finite_elements,
+    finite_part,
     format_element,
     identity,
     is_grassmannian,
@@ -74,7 +75,6 @@ from kschubert.weyl import (
     reduced_word,
     reflection_roots,
     translation,
-    weyl_group,
 )
 from kschubert.nilhecke import b_cosets, e_cosets, e_row
 
@@ -236,16 +236,11 @@ def pontryagin_constants_linear(x: AffineWeylElement, y: AffineWeylElement) -> S
 # end to land in the same convention as the affine tables.
 
 
-def _finite_elements(datum: CartanDatum) -> list[AffineWeylElement]:
-    group = weyl_group(datum)
-    return [finite_element(datum, m) for m in group.elements]
-
-
 @lru_cache(maxsize=None)
 def _finite_localization_row(w: AffineWeylElement) -> MappingProxyType:
     datum = w.datum
     out: dict[AffineWeylElement, GroupAlgebraElement] = {}
-    for v in _finite_elements(datum):
+    for v in finite_elements(datum):
         total = GroupAlgebraElement.zero(datum.rank)
         for u, e in e_row(v).items():
             if bruhat_leq(w, u):
@@ -270,7 +265,7 @@ def classical_k_constants(u: AffineWeylElement, v: AffineWeylElement) -> dict:
     datum = u.datum
     if not (u.is_finite and v.is_finite):
         raise ValueError("classical constants take finite Weyl elements")
-    elements = _finite_elements(datum)
+    elements = finite_elements(datum)
     row_u = _finite_localization_row(u)
     row_v = _finite_localization_row(v)
     product = {
@@ -349,8 +344,7 @@ def conjecture_check(
     datum = x.datum
     table = pontryagin_constants(x, y)
     nu = tuple(a + b for a, b in zip(x.trans, y.trans))
-    u_fin = finite_element(datum, x.wmat)
-    v_fin = finite_element(datum, y.wmat)
+    u_fin, v_fin = finite_part(x), finite_part(y)
 
     index: dict[tuple, QuantumDatum] = {}
     for d in quantum_data:
@@ -359,7 +353,7 @@ def conjecture_check(
     entries = []
     seen_keys = set()
     for z, c in table.sorted_entries():
-        w_fin = finite_element(datum, z.wmat)
+        w_fin = finite_part(z)
         eta = tuple(a - b for a, b in zip(z.trans, nu))
         if any(e < 0 for e in eta):
             entries.append(ConjectureEntry(z, c, w_fin, eta, None, "no-data"))
@@ -379,7 +373,7 @@ def conjecture_check(
             continue
         eta = key[3]
         z = aff_multiply(
-            finite_element(datum, d.w.wmat),
+            finite_part(d.w),
             translation(datum, tuple(a + b for a, b in zip(nu, eta))),
         )
         zero = GroupAlgebraElement.zero(datum.rank)

@@ -50,7 +50,7 @@ from kschubert.weyl import (
     affine_simple,
     coset_translation,
     demazure_extend,
-    finite_element,
+    finite_elements,
     identity,
     is_grassmannian,
     left_descent,
@@ -183,12 +183,13 @@ def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyT
         return MappingProxyType({start: GroupAlgebraElement.one(datum.rank)})
     i = left_descent(x)
     s = affine_simple(datum, i)
+    action = weyl_group(datum).action[s.index]
     e_alpha = GroupAlgebraElement.monomial(level_zero_root(datum, i))
     one_minus = GroupAlgebraElement.one(datum.rank) - e_alpha
     out: dict[AffineWeylElement, GroupAlgebraElement] = {}
     # One pass over the row of u, scattering c_{u,v} to the entries that read it.
     for v, c in y_expansion(aff_multiply(s, x), start).items():
-        sc = c.act(s.wmat)
+        sc = c.act(action)
         sv = aff_multiply(s, v)
         if length(sv) < length(v):
             out[v] = out[v] + sc if v in out else sc
@@ -285,7 +286,7 @@ def e_cosets(x: AffineWeylElement, y: AffineWeylElement) -> MappingProxyType:
     product formula done once."""
     if not is_grassmannian(y):
         raise ValueError(f"{y!r} is not an affine Grassmannian element")
-    w0 = finite_element(x.datum, weyl_group(x.datum).longest)
+    w0 = finite_elements(x.datum)[weyl_group(x.datum).longest]
     row = y_expansion(x, aff_multiply(y, w0))
     return MappingProxyType({aff_multiply(v, w0): c for v, c in row.items()})
 

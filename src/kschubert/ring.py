@@ -23,9 +23,11 @@ layers can hand the same values to every caller.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from types import MappingProxyType
+from typing import NamedTuple
 
-from kschubert.rootsys import CartanDatum, Matrix, Weight, matvec, weight_in_root_coords
+from kschubert.rootsys import CartanDatum, Weight, weight_in_root_coords
 
 
 class NonPolynomialError(ArithmeticError):
@@ -61,6 +63,19 @@ def unpack(key: int, rank: int) -> Weight:
     return tuple(((u >> s) & _MASK) - _HALF for s in range(0, DIGIT_BITS * rank, DIGIT_BITS))
 
 
+class WeylAction(NamedTuple):
+    """A finite Weyl group element prepared to act on ring values, tabulated
+    once per element by ``weyl.WeylGroup``: ``columns`` are the packed images
+    of the fundamental weights (the columns of its weight-lattice matrix),
+    ``norm`` is that matrix's row-sum norm, and ``roots`` maps each positive
+    root beta to (gamma, flipped), where w(beta) = -gamma if ``flipped`` and
+    gamma otherwise, gamma positive."""
+
+    columns: tuple[int, ...]
+    norm: int
+    roots: Mapping[Weight, tuple[Weight, bool]]
+
+
 def _in_range(bound: int) -> int:
     if bound > COORD_LIMIT:
         raise ValueError(
@@ -85,7 +100,7 @@ class GroupAlgebraElement:
 
     ``bound`` is an upper bound on |coordinate| over the weights: exact for
     constructed elements, the sum of the factors' bounds for a product, the
-    bound times the matrix's row-sum norm under ``act``, and kept by the
+    bound times the action's row-sum norm under ``act``, and kept by the
     exact division.  An operation whose bound passes COORD_LIMIT recomputes
     it from its operands' actual coordinates and raises ValueError if it
     still does not fit, so a key never wraps into a neighbouring digit.
@@ -184,15 +199,14 @@ class GroupAlgebraElement:
         """Specialization e^lambda -> 1, i.e. the sum of coefficients."""
         return sum(self.terms.values())
 
-    def act(self, matrix: Matrix) -> "GroupAlgebraElement":
-        """Apply an invertible lattice map to every exponent.  By linearity a
-        weight's image key is sum_j w_j pack(column j of the matrix), with
-        the digits w_j read off the key."""
-        norm = max(sum(map(abs, row)) for row in matrix)
+    def act(self, action: WeylAction) -> "GroupAlgebraElement":
+        """Apply a finite Weyl group element to every exponent.  By linearity
+        a weight's image key is sum_j w_j columns[j], with the digits w_j
+        read off the key."""
+        columns, norm = action.columns, action.norm
         bound = self.bound * norm
         if bound > COORD_LIMIT:
             bound = _in_range(_exact_bound(self) * norm)
-        columns = [pack(col) for col in zip(*matrix)]
         digits = list(zip(range(0, DIGIT_BITS * self.rank, DIGIT_BITS), columns))
         offset, base = _offset(self.rank), _HALF * sum(columns)
         out: dict[int, int] = {}
@@ -408,20 +422,17 @@ class RationalFunction:
             )
         return self.num
 
-    def act(self, matrix: Matrix) -> "RationalFunction":
-        """Image under a finite Weyl-group element given by its weight-lattice
-        matrix.  Denominator roots map to roots; factors sent to negative
-        roots are renormalized via (1 - e^{-beta}) = (-e^{-beta})(1 - e^beta),
-        the unit being absorbed into the numerator."""
-        num = self.num.act(matrix)
+    def act(self, action: WeylAction) -> "RationalFunction":
+        """Image under a finite Weyl group element.  Denominator roots map to
+        roots; factors sent to negative roots are renormalized via
+        (1 - e^{-beta}) = (-e^{-beta})(1 - e^beta), the unit being absorbed
+        into the numerator."""
+        num = self.num.act(action)
         den: dict[Weight, int] = {}
         for root, mult in self.den:
-            image = matvec(matrix, root)
-            if image in self.datum.positive_root_set:
-                den[image] = den.get(image, 0) + mult
-            else:
-                pos = tuple(-x for x in image)
-                den[pos] = den.get(pos, 0) + mult
+            pos, flipped = action.roots[root]
+            den[pos] = den.get(pos, 0) + mult
+            if flipped:
                 num = num * GroupAlgebraElement.monomial(tuple(mult * x for x in pos), (-1) ** mult)
         return RationalFunction(self.datum, num, den)
 

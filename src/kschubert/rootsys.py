@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 Weight = tuple[int, ...]
 Coroot = tuple[int, ...]
@@ -43,15 +44,12 @@ class InvalidCartanMatrixError(ValueError):
 
 
 def matvec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def identity_matrix(rank: int) -> Matrix:
@@ -76,6 +74,13 @@ class CartanDatum:
     highest_root: Weight = field(compare=False)
     highest_coroot: Coroot = field(compare=False)
     positive_root_set: frozenset[Weight] = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        # Every memo of the other layers is keyed on the datum: hash it once.
+        object.__setattr__(self, "_hash", hash((self.label, self.cartan)))
+
+    def __hash__(self):
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def rank(self) -> int:

@@ -14,17 +14,25 @@ Both conventions are pinned by fixtures (s_0 = s_1 t_{-alpha^vee} and
 t_{-alpha^vee} = s_1 s_0 in A1) and the length formula is cross-validated
 against breadth-first word enumeration in the tests.
 
-Finite parts are stored as their action matrix on the weight lattice; the
-finite group is small (|W| <= 24 for the built-in types), so words, lengths,
-inverses and the coroot-action matrices are tabulated once per datum.
+Finite parts are stored as integer indices into the memoized
+``weyl_group(datum)``, which lists W once per datum (|W| <= 24 for the
+built-in types), identity first.  Its tables turn the hot paths into
+lookups: a product is one Cayley-table read plus, when x translates, one
+coroot ``matvec``; a length reads which positive roots the finite part
+sends negative; and a finite element acts on ring values through its
+tabulated ``ring.WeylAction``.  ``wmat`` still reads the weight-lattice
+matrix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 
+from kschubert.ring import WeylAction, pack
 from kschubert.rootsys import (
     CartanDatum,
     Coroot,
@@ -68,9 +76,49 @@ def _simple_coroot_matrix(datum: CartanDatum, i: int) -> Matrix:
     )
 
 
+class _Tabulated(Sequence):
+    """A read-only table whose entry k is ``build(k)``, computed on first
+    lookup, so that entries no computation reads are never built."""
+
+    __slots__ = ("_build", "_items")
+
+    def __init__(self, size: int, build):
+        self._build = build
+        self._items = [None] * size
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, k):
+        item = self._items[k]
+        if item is None:
+            item = self._items[k] = self._build(k)
+        return item
+
+
 class WeylGroup:
-    """Tabulated finite Weyl group of a CartanDatum; the tables are read-only,
-    since ``weyl_group`` hands the same instance to every caller."""
+    """Tabulated finite Weyl group of a CartanDatum.
+
+    Element k has the weight-lattice matrix ``elements[k]``, and ``index``
+    maps a matrix back to k.  Elements are numbered in breadth-first order,
+    which is (length, smallest reduced word) order: the identity is 0 and
+    s_i is i.  The other tables are indexed by element:
+
+    * ``word`` and ``length``: the smallest reduced word and its length;
+    * ``inverse``;
+    * ``cmat``: the coroot-lattice matrix;
+    * ``product[a][b]``: the index of ab (the Cayley table);
+    * ``action``: w acting on ring values (``ring.WeylAction``).
+
+    Only the breadth-first search multiplies matrices, once per element and
+    generator; ``inverse`` folds its generator table along each reversed
+    word.  ``product`` and ``action`` are built one entry at a time on first
+    lookup, so set-up stays the search and a large group costs only what is
+    read of it.  A Cayley row folds along the search tree: each b other than
+    the identity was found as p s_i from an earlier p, so ab = (ap) s_i is
+    read off the same row and the generator table.  The tables are
+    read-only, since ``weyl_group`` hands the same instance to every caller.
+    """
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum
@@ -78,34 +126,59 @@ class WeylGroup:
         gens_w = [_simple_weight_matrix(datum, i) for i in range(1, rank + 1)]
         gens_c = [_simple_coroot_matrix(datum, i) for i in range(1, rank + 1)]
         ident = identity_matrix(rank)
-        word: dict[Matrix, ReducedWord] = {ident: ()}
-        cmat: dict[Matrix, Matrix] = {ident: ident}
-        queue = [ident]
-        while queue:
-            nxt = []
-            for m in queue:
-                for i in range(rank):
-                    m2 = matmul(m, gens_w[i])
-                    if m2 not in word:
-                        word[m2] = word[m] + (i + 1,)
-                        cmat[m2] = matmul(cmat[m], gens_c[i])
-                        nxt.append(m2)
-            queue = nxt
-        inverse = {}
-        for m, w in word.items():
-            inv = ident
-            for letter in reversed(w):
-                inv = matmul(inv, gens_w[letter - 1])
-            inverse[m] = inv
-        self.word = MappingProxyType(word)
-        self.cmat = MappingProxyType(cmat)
-        self.length = MappingProxyType({m: len(w) for m, w in word.items()})
-        self.inverse = MappingProxyType(inverse)
-        self.elements = tuple(sorted(word, key=lambda m: (self.length[m], word[m])))
-        top = max(self.length.values())
-        longest = [m for m, l in self.length.items() if l == top]
-        assert len(longest) == 1
-        self.longest = longest[0]
+        mats, cmats, words, steps = [ident], [ident], [()], []
+        index = {ident: 0}
+        right = []  # right[k][i]: the index of element k times s_{i+1}
+        k = 0
+        while k < len(mats):  # the list is its own queue
+            row = []
+            for i in range(rank):
+                m = matmul(mats[k], gens_w[i])
+                j = index.get(m)
+                if j is None:
+                    j = index[m] = len(mats)
+                    mats.append(m)
+                    cmats.append(matmul(cmats[k], gens_c[i]))
+                    words.append(words[k] + (i + 1,))
+                    steps.append((k, i))  # element j is element k times s_{i+1}
+                row.append(j)
+            right.append(tuple(row))
+            k += 1
+        self._right, self._steps = tuple(right), tuple(steps)
+        self.elements = tuple(mats)
+        self.index = MappingProxyType(index)
+        self.word = tuple(words)
+        self.length = tuple(len(w) for w in words)
+        self.inverse = tuple(self._fold(reversed(w)) for w in words)
+        self.cmat = tuple(cmats)
+        self.product = _Tabulated(len(mats), self._product_row)
+        self.action = _Tabulated(len(mats), self._action)
+        self.longest = len(mats) - 1
+        assert self.length.count(self.length[-1]) == 1
+
+    def _fold(self, letters) -> int:
+        k = 0
+        for i in letters:
+            k = self._right[k][i - 1]
+        return k
+
+    def _product_row(self, a: int) -> tuple[int, ...]:
+        right, row = self._right, [a]
+        for p, i in self._steps:
+            row.append(right[row[p]][i])
+        return tuple(row)
+
+    def _action(self, k: int) -> WeylAction:
+        m, positive = self.elements[k], self.datum.positive_root_set
+
+        def signed(gamma: Weight) -> tuple[Weight, bool]:
+            return (gamma, False) if gamma in positive else (tuple(-c for c in gamma), True)
+
+        return WeylAction(
+            tuple(pack(col) for col in zip(*m)),
+            max(sum(map(abs, row)) for row in m),
+            MappingProxyType({beta: signed(matvec(m, beta)) for beta in self.datum.positive_roots}),
+        )
 
 
 @lru_cache(maxsize=None)
@@ -115,21 +188,27 @@ def weyl_group(datum: CartanDatum) -> WeylGroup:
 
 @dataclass(frozen=True)
 class AffineWeylElement:
-    """w t_lam: finite part as weight-lattice matrix, translation in Q^vee."""
+    """w t_lam: the finite part w as its index into
+    ``weyl_group(datum).elements``, the translation lam in Q^vee."""
 
     datum: CartanDatum = field(repr=False)
-    wmat: Matrix
+    index: int
     trans: Coroot
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.datum.label, self.wmat, self.trans)))
+        object.__setattr__(self, "_hash", hash((self.datum.label, self.index, self.trans)))
 
     def __hash__(self):
         return self._hash  # type: ignore[attr-defined]
 
     @property
+    def wmat(self) -> Matrix:
+        """The weight-lattice matrix of the finite part."""
+        return weyl_group(self.datum).elements[self.index]
+
+    @property
     def is_identity(self) -> bool:
-        return self.wmat == identity_matrix(self.datum.rank) and not any(self.trans)
+        return self.index == 0 and not any(self.trans)
 
     @property
     def is_finite(self) -> bool:
@@ -140,17 +219,35 @@ class AffineWeylElement:
 
 
 def identity(datum: CartanDatum) -> AffineWeylElement:
-    return AffineWeylElement(datum, identity_matrix(datum.rank), (0,) * datum.rank)
+    return AffineWeylElement(datum, 0, (0,) * datum.rank)
 
 
 def translation(datum: CartanDatum, coroot: Coroot) -> AffineWeylElement:
     if len(coroot) != datum.rank:
         raise ValueError("rank mismatch")
-    return AffineWeylElement(datum, identity_matrix(datum.rank), tuple(coroot))
+    return AffineWeylElement(datum, 0, tuple(coroot))
 
 
 def finite_element(datum: CartanDatum, wmat: Matrix) -> AffineWeylElement:
-    return AffineWeylElement(datum, wmat, (0,) * datum.rank)
+    """The finite element whose weight-lattice matrix is ``wmat``; raises
+    ValueError when no element of W has that matrix."""
+    key = tuple(map(tuple, wmat))
+    k = weyl_group(datum).index.get(key)
+    if k is None:
+        raise ValueError(f"{key} is not the matrix of an element of the Weyl group of {datum.label}")
+    return AffineWeylElement(datum, k, (0,) * datum.rank)
+
+
+@lru_cache(maxsize=None)
+def finite_elements(datum: CartanDatum) -> tuple[AffineWeylElement, ...]:
+    """W as affine elements, in the order of ``weyl_group(datum).elements``."""
+    zero = (0,) * datum.rank
+    return tuple(AffineWeylElement(datum, k, zero) for k in range(len(weyl_group(datum).elements)))
+
+
+def finite_part(x: AffineWeylElement) -> AffineWeylElement:
+    """w for x = w t_lam."""
+    return AffineWeylElement(x.datum, x.index, (0,) * x.datum.rank)
 
 
 @lru_cache(maxsize=None)
@@ -167,39 +264,36 @@ def affine_simple(datum: CartanDatum, i: int) -> AffineWeylElement:
     """The generator s_i of the affine Weyl group, s_0 = s_theta t_{-theta^vee}."""
     if i == 0:
         return AffineWeylElement(
-            datum, _s_theta(datum), tuple(-c for c in datum.highest_coroot)
+            datum,
+            weyl_group(datum).index[_s_theta(datum)],
+            tuple(-c for c in datum.highest_coroot),
         )
     if 1 <= i <= datum.rank:
-        return finite_element(datum, _simple_weight_matrix(datum, i))
+        return AffineWeylElement(datum, i, (0,) * datum.rank)
     raise ValueError(f"affine index {i} out of range 0..{datum.rank}")
 
 
 def aff_multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
     """(w t_lam)(v t_mu) = wv t_{v^{-1} lam + mu}."""
-    if x.datum != y.datum:
+    datum = x.datum
+    if datum is not y.datum and datum != y.datum:
         raise ValueError("mixed ambient root systems")
-    group = weyl_group(x.datum)
-    v_inv_c = group.cmat[group.inverse[y.wmat]]
-    lam = matvec(v_inv_c, x.trans)
-    return AffineWeylElement(
-        x.datum,
-        matmul(x.wmat, y.wmat),
-        tuple(a + b for a, b in zip(lam, y.trans)),
-    )
+    group = weyl_group(datum)
+    trans = y.trans
+    if any(x.trans):
+        lam = matvec(group.cmat[group.inverse[y.index]], x.trans)
+        trans = tuple(a + b for a, b in zip(lam, trans))
+    return AffineWeylElement(datum, group.product[x.index][y.index], trans)
 
 
 @lru_cache(maxsize=None)
 def length(x: AffineWeylElement) -> int:
     """Iwahori-Matsumoto length of w t_lam via the closed formula over
     positive roots (validated against word enumeration in the tests)."""
-    datum = x.datum
-    total = 0
-    for beta in datum.positive_roots:
-        n = sum(l * b for l, b in zip(x.trans, beta))
-        if matvec(x.wmat, beta) not in datum.positive_root_set:
-            n += 1
-        total += abs(n)
-    return total
+    roots = weyl_group(x.datum).action[x.index].roots
+    return sum(
+        abs(sum(map(mul, x.trans, beta)) + flipped) for beta, (_, flipped) in roots.items()
+    )
 
 
 def left_descent(x: AffineWeylElement) -> int:
@@ -279,11 +373,12 @@ def reflection_roots(datum: CartanDatum, letters) -> list[Weight]:
     """gamma_j = s_{beta_1} ... s_{beta_{j-1}}(beta_j) for a word in the
     affine alphabet, everything taken through the level-zero action (the
     affine node contributes -theta and acts as s_theta)."""
-    prefix = identity_matrix(datum.rank)
+    group = weyl_group(datum)
+    prefix = 0
     out = []
     for i in letters:
-        out.append(matvec(prefix, level_zero_root(datum, i)))
-        prefix = matmul(prefix, affine_simple(datum, i).wmat)
+        out.append(matvec(group.elements[prefix], level_zero_root(datum, i)))
+        prefix = group.product[prefix][affine_simple(datum, i).index]
     return out
 
 
@@ -295,8 +390,7 @@ def demazure_extend(x: AffineWeylElement, i: int) -> AffineWeylElement:
 def coset_translation(x: AffineWeylElement) -> Coroot:
     """Coordinate of the unique translation in the coset x W: for x = w t_lam
     the coset contains t_{w lam} and nothing else of translation type."""
-    group = weyl_group(x.datum)
-    return matvec(group.cmat[x.wmat], x.trans)
+    return matvec(weyl_group(x.datum).cmat[x.index], x.trans)
 
 
 def _word_layers(datum: CartanDatum, max_length: int):
@@ -332,8 +426,9 @@ def grassmannian_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylEl
 
 def weyl_act(x: AffineWeylElement, f):
     """Level-zero action of an affine element on a ring value: the finite
-    part acts on exponents, the translation part acts trivially."""
-    return f.act(x.wmat)
+    part acts on exponents, the translation part acts trivially.  Values are
+    read-only, so the identity hands f back itself."""
+    return f.act(weyl_group(x.datum).action[x.index]) if x.index else f
 
 
 # Element grammar -------------------------------------------------------------
@@ -396,8 +491,7 @@ def parse_element(text: str, datum: CartanDatum) -> AffineWeylElement:
 def format_element(x: AffineWeylElement) -> str:
     """Canonical string: reduced word of the finite part, then the coroot
     translation; reparses to an equal element."""
-    group = weyl_group(x.datum)
-    word = group.word[x.wmat]
+    word = weyl_group(x.datum).word[x.index]
     word_str = "*".join(f"s{i}" for i in word) if word else "id"
     if any(x.trans):
         trans_str = "t[" + ",".join(str(c) for c in x.trans) + "]"

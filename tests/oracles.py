@@ -3,8 +3,9 @@ them: second computations of Weyl-group data, of row coset sums and of the
 closed product formula, which the tests compare the library against, and
 small conveniences for writing the tests (word evaluation, the pairing,
 scaling, T-sums back in the localization basis, expanded denominators, the
-translation law); and the tuple-keyed group algebra that the packed one in
-``kschubert.ring`` is compared against."""
+translation law); the tuple-keyed group algebra that the packed one in
+``kschubert.ring`` is compared against; and the matrix route for affine Weyl
+elements that the index route of ``kschubert.weyl`` is compared against."""
 
 import operator
 from types import MappingProxyType
@@ -17,7 +18,7 @@ from kschubert.constants import (
 )
 from kschubert.nilhecke import LOC, KElement, e_cosets, kel_add, t_in_loc
 from kschubert.ring import GroupAlgebraElement, RationalFunction, format_gae
-from kschubert.rootsys import Matrix, Weight, matvec
+from kschubert.rootsys import Matrix, Weight, identity_matrix, matmul, matvec
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
@@ -272,3 +273,88 @@ def tuple_divide_one_minus_exp(f: TupleGroupAlgebraElement, beta: Weight):
                 for kk in range(k, k_next):
                     out[tuple(a + kk * b for a, b in zip(rep, beta))] = running
     return TupleGroupAlgebraElement(f.rank, out)
+
+
+# The matrix route ---------------------------------------------------------------
+#
+# Affine elements as pairs (weight-lattice matrix of w, translation lam), the
+# way ``kschubert.weyl`` stored them before finite parts became indices into
+# the tabulated group: the reference for its Cayley table, inversion flags,
+# coroot actions and ring actions.  Nothing here reads the group's tables.
+# The pairing is a W-invariant dot product, so the coroot-lattice matrix of
+# w is the transpose of the weight-lattice matrix of w^{-1}.
+
+
+def matrix_pair(x):
+    """x = w t_lam as (matrix of w, lam)."""
+    return x.wmat, x.trans
+
+
+def matrix_simple(datum, i):
+    """The affine generator s_i as a pair; s_0 = s_theta t_{-theta^vee}.
+    Column j of s_beta is e_j - (beta^vee)_j beta."""
+    rank = datum.rank
+    if i == 0:
+        root, coroot = datum.highest_root, datum.highest_coroot
+        trans = tuple(-c for c in coroot)
+    else:
+        root, coroot = datum.simple_roots[i - 1], datum.simple_coroots[i - 1]
+        trans = (0,) * rank
+    matrix = tuple(
+        tuple(int(r == c) - coroot[c] * root[r] for c in range(rank)) for r in range(rank)
+    )
+    return matrix, trans
+
+
+def _transpose(m: Matrix) -> Matrix:
+    return tuple(zip(*m))
+
+
+def _matrix_inverse(w: Matrix) -> Matrix:
+    """w^{-1} as the last power of w before the identity (W is finite)."""
+    ident = identity_matrix(len(w))
+    inv = ident
+    while matmul(inv, w) != ident:
+        inv = matmul(inv, w)
+    return inv
+
+
+def matrix_multiply(x, y):
+    """(w t_lam)(v t_mu) = wv t_{v^{-1} lam + mu} on pairs."""
+    (w, lam), (v, mu) = x, y
+    shifted = matvec(_transpose(v), lam)
+    return matmul(w, v), tuple(a + b for a, b in zip(shifted, mu))
+
+
+def matrix_length(datum, x):
+    """sum over positive roots beta of |<lam, beta> + [w(beta) < 0]|."""
+    w, lam = x
+    return sum(
+        abs(pair(lam, beta) + (matvec(w, beta) not in datum.positive_root_set))
+        for beta in datum.positive_roots
+    )
+
+
+def matrix_coset_translation(x):
+    """w lam, the translation in the coset of x = w t_lam."""
+    w, lam = x
+    return matvec(_transpose(_matrix_inverse(w)), lam)
+
+
+def matrix_rf_act(f, matrix):
+    """``RationalFunction.act`` on a weight-lattice matrix: every exponent and
+    every denominator root through ``matvec``, a factor sent to a negative
+    root renormalized by (1 - e^{-beta}) = (-e^{-beta})(1 - e^beta)."""
+    num = GroupAlgebraElement(
+        f.datum.rank, {matvec(matrix, w): c for w, c in f.num.sorted_terms()}
+    )
+    den: dict[Weight, int] = {}
+    for root, mult in f.den:
+        image = matvec(matrix, root)
+        if image in f.datum.positive_root_set:
+            den[image] = den.get(image, 0) + mult
+        else:
+            pos = tuple(-x for x in image)
+            den[pos] = den.get(pos, 0) + mult
+            num = num * GroupAlgebraElement.monomial(tuple(mult * x for x in pos), (-1) ** mult)
+    return RationalFunction(f.datum, num, den)

@@ -39,6 +39,18 @@ def test_roots_custom_cartan(capsys):
         assert json.loads(err)["error"]["type"] == "InvalidCartanMatrixError"
 
 
+def test_element_on_a_weyl_group_of_5040_elements(capsys):
+    # A6: its Cayley table would hold |W|^2 = 25.4 million entries, but only
+    # the rows an element string reads are built.
+    a6 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(6)] for i in range(6)]
+    text = "s1*s2*s3*s4*s5*s6 t[-1,0,0,0,0,-1]"
+    code, out, _ = run(capsys, "element", "--cartan", json.dumps(a6), text, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["element"], payload["length"], payload["is_grassmannian"]) == (text, 16, False)
+    assert payload["coset_min"] == "s1*s3*s2*s4*s3*s5*s4*s6*s5*s4*s3*s2 t[-1,-2,-2,-2,-2,-1]"
+
+
 def test_element_roundtrip(capsys):
     code, out, _ = run(capsys, "element", "--type", "A1", "s1 t[-1]", "--json")
     assert code == 0

@@ -49,8 +49,9 @@ def test_no_unused_imports_in_library():
 
 
 # Functions that code outside the library reads: the console script, the
-# independent oracles the tests and the benchmark compare against, and the
-# augmentation the benchmark checks.
+# independent oracles the tests and the benchmark compare against, the
+# augmentation the benchmark checks, and the matrix view of a finite part
+# that the benchmark reads and turns back into an element.
 ENTRY_POINTS = {
     "main",
     "pontryagin_constants_linear",
@@ -58,6 +59,8 @@ ENTRY_POINTS = {
     "e_row_subword",
     "grassmannian_ball",
     "augmentation",
+    "wmat",
+    "finite_element",
 }
 
 

@@ -53,6 +53,7 @@ from kschubert.weyl import (
     parse_element,
     reduced_word,
     translation,
+    weyl_act,
     weyl_group,
 )
 
@@ -224,7 +225,7 @@ def test_e_cosets_match_full_rows(spec, max_len):
     datum = build_root_system(spec)
     group = weyl_group(datum)
     finite = [finite_element(datum, m) for m in group.elements]
-    w0 = finite_element(datum, group.longest)
+    w0 = finite_element(datum, group.elements[group.longest])
     simples = [affine_simple(datum, j) for j in range(1, datum.rank + 1)]
     for x in affine_ball(datum, max_len):
         sums = e_cosets(x, identity(datum))
@@ -503,7 +504,7 @@ def test_scalar_commutation_rule(a2, data):
     yi = y_element(a2, i)
     lhs = k_mul(kel_scalar(a2, q), yi)
     si = affine_simple(a2, i)
-    siq = q.act(si.wmat)
+    siq = weyl_act(si, q)
     alpha = level_zero_root(a2, i)
     corr = (q - siq) * RationalFunction.inverse_one_minus_exp(
         a2, tuple(-c for c in alpha)

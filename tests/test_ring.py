@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import TupleGroupAlgebraElement, den_gae, tuple_divide_one_minus_exp
+from oracles import TupleGroupAlgebraElement, den_gae, matrix_rf_act, tuple_divide_one_minus_exp
 from kschubert.nilhecke import b_cosets, e_cosets
 from kschubert.ring import (
     COORD_LIMIT,
@@ -213,7 +213,7 @@ def test_normalization_identity_every_positive_root(a2):
 
 def test_weyl_act_on_rf(a1):
     alpha = a1.positive_roots[0]
-    s1 = ((-1,),)
+    s1 = weyl_group(a1).action[1]
     f = RationalFunction.inverse_one_minus_exp(a1, alpha)
     expect = RationalFunction(a1, G.monomial(alpha, -1), ((alpha, 1),))
     assert f.act(s1) == expect
@@ -312,7 +312,8 @@ def test_product_chain_past_the_range_raises():
     assert h.sorted_terms() == [((1 << 30, -(1 << 30)), 1)]
     with pytest.raises(ValueError, match="packing range"):
         h * h
-    reflection = ((-1, 0), (1, 1))  # row-sum norm 2
+    # s1 of A2, matrix ((-1, 0), (1, 1)): row-sum norm 2
+    reflection = weyl_group(build_root_system("A2")).action[1]
     with pytest.raises(ValueError, match="packing range"):
         h.act(reflection)
     assert G.monomial((1 << 29, 0)).act(reflection) == G.monomial((-(1 << 29), 1 << 29))
@@ -351,8 +352,9 @@ def test_packed_ring_matches_tuple_oracle_on_whole_balls(spec, max_len):
         assert_same(g, ref_g)
         assert_same(g * h, ref_g * to_tuple_keys(h))
         assert_same(g.flip(), ref_g.flip())
-        for matrix in weyl_group(datum).elements:
-            assert_same(g.act(matrix), ref_g.act(matrix))
+        group = weyl_group(datum)
+        for matrix, action in zip(group.elements, group.action):
+            assert_same(g.act(action), ref_g.act(matrix))
         for beta in datum.positive_roots:
             for f in (g, g * (one - G.monomial(beta))):
                 quotient = divide_one_minus_exp(f, beta)
@@ -363,3 +365,26 @@ def test_packed_ring_matches_tuple_oracle_on_whole_balls(spec, max_len):
                 else:
                     assert_same(quotient, expected)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 6), ("A2", 4), ("A3", 3), ([[2, -2], [-1, 2]], 4), ([[2, -1], [-2, 2]], 4),
+     ([[2, -1], [-3, 2]], 4)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_act_matches_matrix_route(spec, max_len):
+    """The tabulated action of every finite Weyl element against matvec on
+    unpacked weights, on every b coset sum of a Grassmannian ball (whose
+    denominators meet roots sent to both signs)."""
+    datum = build_root_system(spec)
+    group = weyl_group(datum)
+    flipped = set()
+    for x in grassmannian_ball(datum, max_len):
+        for f in b_cosets(x).values():
+            ref = to_tuple_keys(f.num)
+            for matrix, action in zip(group.elements, group.action):
+                assert_same(f.num.act(action), ref.act(matrix))
+                assert f.act(action) == matrix_rf_act(f, matrix)
+                flipped.update(action.roots[root][1] for root, _ in f.den)
+    assert flipped == {True, False}

@@ -1,8 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import demazure_product, evaluate_word, finite_coset, reduced_word_max_tiebreak
+from oracles import (
+    demazure_product,
+    evaluate_word,
+    finite_coset,
+    matrix_coset_translation,
+    matrix_length,
+    matrix_multiply,
+    matrix_pair,
+    matrix_simple,
+    reduced_word_max_tiebreak,
+)
+from kschubert import weyl
 from kschubert.constants import pontryagin_constants
-from kschubert.rootsys import build_root_system
+from kschubert.rootsys import build_root_system, identity_matrix, matmul
 from kschubert.weyl import (
     ParseError,
     ValidationError,
@@ -13,10 +26,12 @@ from kschubert.weyl import (
     bruhat_leq,
     coset_min,
     coset_translation,
+    finite_element,
     format_element,
     grassmannian_ball,
     identity,
     is_grassmannian,
+    left_descent,
     length,
     lower_interval,
     parse_element,
@@ -26,6 +41,17 @@ from kschubert.weyl import (
     weyl_act,
     weyl_group,
 )
+
+# Every type the root-system layer is tested on: the built-ins and the other
+# rank-two types, given by their Cartan matrices.
+SPECS = {
+    "A1": "A1",
+    "A2": "A2",
+    "A3": "A3",
+    "B2": [[2, -2], [-1, 2]],
+    "C2": [[2, -1], [-2, 2]],
+    "G2": [[2, -1], [-3, 2]],
+}
 
 
 # -- group law fixtures (these pin the semidirect-product convention) ----------
@@ -275,18 +301,154 @@ def test_parse_errors(a1, a2):
 
 def test_weyl_tables_are_read_only(a1):
     group = weyl_group(a1)
-    s1, one = affine_simple(a1, 1).wmat, identity(a1).wmat
+    s1, one = affine_simple(a1, 1).index, identity(a1).index
     x = parse_element("s1 t[-2]", a1)
     before = pontryagin_constants(x, x).entries
-    for table in (group.word, group.cmat, group.inverse, group.length):
+    tables = (
+        group.elements, group.word, group.length, group.product, group.product[s1],
+        group.inverse, group.cmat, group.action,
+    )
+    for table in tables:
         with pytest.raises(TypeError):
             table[s1] = table[one]
     with pytest.raises(TypeError):
-        group.elements[0] = s1
+        group.index[group.elements[s1]] = one
+    alpha = a1.positive_roots[0]
+    with pytest.raises(TypeError):
+        group.action[s1].roots[alpha] = (alpha, False)
     assert group.inverse[s1] == s1
+    assert group.action[s1].roots[alpha] == (alpha, True)
     assert pontryagin_constants(x, x).entries == before
 
 
 def test_longest_element(a2):
     group = weyl_group(a2)
     assert group.length[group.longest] == 3
+
+
+def test_group_order_and_tables(a2):
+    # Breadth-first order is (length, smallest reduced word) order.
+    group = weyl_group(a2)
+    order = sorted(range(len(group.elements)), key=lambda k: (group.length[k], group.word[k]))
+    assert order == list(range(len(group.elements)))
+    assert group.word[: a2.rank + 1] == ((), (1,), (2,))
+    for k, word in enumerate(group.word):
+        assert evaluate_word(a2, word).index == k
+        assert sum(flipped for _, flipped in group.action[k].roots.values()) == group.length[k]
+        assert group.product[k][group.inverse[k]] == 0
+
+
+# -- the index route against the matrix route ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "label,max_len", [("A1", 8), ("A2", 6), ("A3", 4), ("B2", 6), ("C2", 6), ("G2", 6)]
+)
+def test_index_route_matches_matrix_route(label, max_len):
+    """Over a whole affine ball: products with every affine generator on both
+    sides, length, left descent, the Grassmannian test, the coset
+    translation, and the element grammar's round trip."""
+    datum = build_root_system(SPECS[label])
+    gens = [affine_simple(datum, i) for i in range(datum.rank + 1)]
+    gens_m = [matrix_simple(datum, i) for i in range(datum.rank + 1)]
+    assert [matrix_pair(s) for s in gens] == gens_m
+    for x in affine_ball(datum, max_len):
+        xm = matrix_pair(x)
+        lx = matrix_length(datum, xm)
+        assert length(x) == lx
+        assert coset_translation(x) == matrix_coset_translation(xm)
+        left, right = [], []
+        for s, sm in zip(gens, gens_m):
+            sx, xs = matrix_multiply(sm, xm), matrix_multiply(xm, sm)
+            assert matrix_pair(aff_multiply(s, x)) == sx
+            assert matrix_pair(aff_multiply(x, s)) == xs
+            left.append(matrix_length(datum, sx))
+            right.append(matrix_length(datum, xs))
+        if not x.is_identity:
+            assert left_descent(x) == next(i for i, l in enumerate(left) if l < lx)
+        assert is_grassmannian(x) == all(l > lx for l in right[1:])
+        back = parse_element(format_element(x), datum)
+        assert back == x and hash(back) == hash(x)
+        assert aff_multiply(finite_element(datum, xm[0]), translation(datum, x.trans)) == x
+
+
+# -- properties on random words -------------------------------------------------------
+
+
+def _words(datum, letters):
+    return st.lists(st.sampled_from(letters), max_size=2 * len(datum.positive_roots) + 2)
+
+
+@pytest.mark.parametrize("label", sorted(SPECS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_group_laws_on_random_words(label, data):
+    datum = build_root_system(SPECS[label])
+    affine = range(datum.rank + 1)
+    x, y, z = (evaluate_word(datum, data.draw(_words(datum, affine))) for _ in range(3))
+    assert aff_multiply(aff_multiply(x, y), z) == aff_multiply(x, aff_multiply(y, z))
+    s = affine_simple(datum, data.draw(st.sampled_from(affine)))
+    assert aff_multiply(s, s) == identity(datum)
+    assert aff_multiply(aff_multiply(x, s), s) == x
+    assert abs(length(aff_multiply(s, x)) - length(x)) == 1
+
+
+@pytest.mark.parametrize("label", sorted(SPECS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_matrix_parse_and_product_give_one_element(label, data):
+    """One element built from its matrix, from its string and from products
+    is equal and hashes equal, so the memos never hold it twice."""
+    datum = build_root_system(SPECS[label])
+    word = data.draw(_words(datum, range(1, datum.rank + 1)))
+    lam = data.draw(st.tuples(*[st.integers(-3, 3)] * datum.rank))
+    matrix = identity_matrix(datum.rank)
+    for i in word:
+        matrix = matmul(matrix, matrix_simple(datum, i)[0])
+    text = ("*".join(f"s{i}" for i in word) or "id") + " t[" + ",".join(map(str, lam)) + "]"
+    built = [
+        aff_multiply(finite_element(datum, matrix), translation(datum, lam)),
+        parse_element(text, datum),
+        aff_multiply(evaluate_word(datum, word), translation(datum, lam)),
+    ]
+    assert built[0] == built[1] == built[2]
+    assert len({hash(x) for x in built}) == 1
+    assert len(set(built)) == 1
+
+
+def test_finite_element_rejects_matrices_outside_w(a2):
+    with pytest.raises(ValueError, match=r"\(\(5, 0\), \(0, 5\)\) is not the matrix"):
+        finite_element(a2, ((5, 0), (0, 5)))
+    assert finite_element(a2, [[-1, 0], [1, 1]]) == affine_simple(a2, 1)
+
+
+# rootsys.matmul calls made by WeylGroup(datum) before its tables moved to
+# indices (the search, the coroot matrices and a product per letter for the
+# inverses).  The index tables take 95 and 35: only the search multiplies
+# matrices, and the Cayley rows and actions are built on first lookup.  A
+# table added later must not move work into set-up.
+MATMUL_CALLS_BEFORE_INDEX_TABLES = {"A3": 167, "G2": 71}
+
+
+@pytest.mark.parametrize("label", sorted(MATMUL_CALLS_BEFORE_INDEX_TABLES))
+def test_weyl_group_setup_matmul_guard(monkeypatch, label):
+    calls = {"matmul": 0, "matvec": 0, "row": 0, "action": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(weyl, "matmul", counted("matmul", matmul))
+    monkeypatch.setattr(weyl, "matvec", counted("matvec", weyl.matvec))
+    monkeypatch.setattr(weyl.WeylGroup, "_product_row", counted("row", weyl.WeylGroup._product_row))
+    monkeypatch.setattr(weyl.WeylGroup, "_action", counted("action", weyl.WeylGroup._action))
+    group = weyl.WeylGroup(build_root_system(SPECS[label]))
+    assert 0 < calls["matmul"] <= MATMUL_CALLS_BEFORE_INDEX_TABLES[label]
+    assert calls["matvec"] == calls["row"] == calls["action"] == 0
+    for _ in range(2):
+        assert group.product[2][group.inverse[2]] == 0
+        assert group.action[group.longest].norm > 0
+    assert (calls["row"], calls["action"]) == (1, 1)
