@@ -34,7 +34,7 @@ from kschubert.nilhecke import (
     e_row,
     k_class,
     l_class,
-    y_in_loc,
+    loc_row,
 )
 from kschubert.ring import (
     NonPolynomialError,
@@ -65,7 +65,7 @@ from kschubert.weyl import (
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_GUARD = {"A1": 8, "A2": 6}
+_DEFAULT_GUARD = {"A1": 8}
 
 
 class UsageError(ValueError):
@@ -163,7 +163,7 @@ def _cmd_element(args) -> int:
 def _cmd_bcoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
-    row = y_in_loc(x).terms
+    row = loc_row(x, True, False)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "bcoeff",

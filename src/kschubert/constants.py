@@ -340,7 +340,8 @@ def conjecture_check(
     """Compare the affine constants c_{x,y}^z against quantum data: z = w t
     with t = (translation of x) + (translation of y) + eta, and a matching
     datum has finite parts (u, v, w) and q-degree eta in simple-coroot
-    coordinates."""
+    coordinates.  Data that share (u, v, w, eta) must agree: equal ones are
+    compared once, conflicting ones raise MalformedDatumError."""
     datum = x.datum
     table = pontryagin_constants(x, y)
     nu = tuple(a + b for a, b in zip(x.trans, y.trans))
@@ -348,7 +349,12 @@ def conjecture_check(
 
     index: dict[tuple, QuantumDatum] = {}
     for d in quantum_data:
-        index[(d.u, d.v, d.w, d.degree)] = d
+        seen = index.setdefault((d.u, d.v, d.w, d.degree), d)
+        if seen is not d and seen.value != d.value:
+            raise MalformedDatumError(
+                f"conflicting data for {format_element(d.u)}, {format_element(d.v)}, "
+                f"{format_element(d.w)} at degree {d.degree}: {seen.value!r} and {d.value!r}"
+            )
 
     entries = []
     seen_keys = set()

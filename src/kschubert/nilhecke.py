@@ -17,21 +17,33 @@ The change-of-basis data are the b and e coefficient matrices
 
     y_w = sum_u b_{w,u} u,        w = sum_u e_{w,u} y_u,
 
-mutually inverse.  b rows are computed by incremental y-products (with the
-closed subword sum kept as an independent oracle).  e rows come from one
-kernel, ``y_expansion(x, start)``, the y-expansion of x . y_start by a left
-recursion peeling the smallest left descent at each step: started at the
-identity it gives the full e row (with the closed subword sum over Demazure
-products as the oracle).  Started at y w0 for Grassmannian y (w0 the longest
-finite element) it gives x . y_y . y_{w0}, whose row has one entry per coset,
-at the coset maximum v; ``e_cosets(x, y)`` keys that entry by the coset
-minimum v w0.  The product formula reads only these coset rows, for x a
-translation t_mu and y its second factor: s_i y_{w0} = y_{w0} for finite
-s_i, so kappa(y_y) y_{w0} = y_y y_{w0}, and the rows of t_mu y_y y_{w0}
-carry the whole y-side sum of the formula.  Full rows are built only for
-``ecoeff``, the class layer and the oracles.  e entries are genuinely
-polynomial and are stored as group-algebra elements.  Rows and coset sums
-are returned read-only, since they are the memoized values themselves.
+mutually inverse.  Each side has one memoized scatter kernel that peels the
+smallest left descent i off x = s_i u and makes one pass over the row of u.
+
+b side: ``loc_row(x, y_side, cosets)`` is y_x, or T_x, in the localization
+basis; the y-row is the b-row of x.  With ``cosets`` it is the image under
+the projection kappa onto translations (t_lam w -> t_lam for finite w),
+built by the same recursion on translations alone, so no full row is
+built and the row is up to |W| times shorter.  ``b_cosets(x)`` reads
+kappa(y_x), the class layer reads kappa(y_w) and kappa(T_w), and only
+``bcoeff`` and the tests read a full row.
+
+e side: ``y_expansion(x, start)`` is the y-expansion of x . y_start.
+Started at the identity it gives the full e row.  Started at y w0 for
+Grassmannian y (w0 the longest finite element) it gives
+x . y_y . y_{w0}, whose row has one entry per coset, at the coset maximum
+v; ``e_cosets(x, y)`` keys that entry by the coset minimum v w0.  The
+product formula reads only these coset rows, for x a translation t_mu and
+y its second factor: s_i y_{w0} = y_{w0} for finite s_i, so
+kappa(y_y) y_{w0} = y_y y_{w0}, and the rows of t_mu y_y y_{w0} carry the
+whole y-side sum of the formula.  Full e rows are built only for
+``ecoeff``, the class layer and the tests.  e entries are genuinely
+polynomial and are stored as group-algebra elements.
+
+The closed subword sums and the word products in the localization basis
+that the tests compare both kernels against live in ``tests/oracles.py``.
+Rows and coset sums are returned read-only, since they are the memoized
+values themselves.
 """
 
 from __future__ import annotations
@@ -45,21 +57,16 @@ from kschubert.ring import GroupAlgebraElement, RationalFunction
 from kschubert.rootsys import CartanDatum, level_zero_root
 from kschubert.weyl import (
     AffineWeylElement,
-    ReducedWord,
     aff_multiply,
     affine_simple,
     coset_translation,
-    demazure_extend,
     finite_elements,
     identity,
     is_grassmannian,
     left_descent,
     length,
     lower_interval,
-    reduced_word,
-    reflection_roots,
     translation,
-    weyl_act,
     weyl_group,
 )
 
@@ -96,72 +103,38 @@ class KElement:
         return f"KElement[{self.basis}]({body or '0'})"
 
 
-def kel_scalar(datum: CartanDatum, value) -> KElement:
-    rf = value if isinstance(value, RationalFunction) else RationalFunction.from_gae(
-        datum, GroupAlgebraElement.one(datum.rank) * value
-    )
-    return KElement(datum, LOC, {identity(datum): rf})
-
-
-def kel_add(a: KElement, b: KElement) -> KElement:
-    if a.basis != b.basis or a.datum != b.datum:
-        raise ValueError("basis or datum mismatch")
-    terms = dict(a.terms)
-    for x, c in b.terms.items():
-        terms[x] = terms[x] + c if x in terms else c
-    return KElement(a.datum, a.basis, terms)
-
-
-def k_mul(a: KElement, b: KElement) -> KElement:
-    """Twisted product in the localization basis: (p u)(q v) = p (u.q) uv."""
-    if a.basis != LOC or b.basis != LOC:
-        raise ValueError("k_mul needs both factors in the localization basis")
-    if a.datum != b.datum:
-        raise ValueError("mixed ambient root systems")
-    out: dict[AffineWeylElement, RationalFunction] = {}
-    for u, p in a.terms.items():
-        for v, q in b.terms.items():
-            uv = aff_multiply(u, v)
-            val = p * weyl_act(u, q)
-            out[uv] = out[uv] + val if uv in out else val
-    return KElement(a.datum, LOC, out)
-
-
 @lru_cache(maxsize=None)
-def t_element(datum: CartanDatum, i: int) -> KElement:
-    """T_i = (1 - e^{alpha_i})^{-1}(s_i - 1) in the localization basis, with
-    alpha_i the level-zero root (alpha_0 = -theta)."""
+def loc_row(x: AffineWeylElement, y_side: bool, cosets: bool) -> MappingProxyType:
+    """y_x (``y_side``) or T_x in the localization basis, read-only; with
+    ``cosets``, its image under kappa, keyed by translations.  Computed by
+    peeling the smallest left descent i off x = s_i u, from the base row
+    {id: 1} at x = id: y_i = c0 + c1 s_i and T_i = -c1 + c1 s_i with
+    c1 = 1/(1 - e^{alpha_i}) and c0 = -e^{alpha_i} c1, so
+
+        p u  |->  c0 p u (or -c1 p u)  +  c1 s_i(p) s_i u.
+
+    kappa is left Q(T)-linear and kappa(s_i t_lam w) = kappa(s_i t_lam) for
+    finite w, so a projected row follows the same recursion with the key
+    s_i t_lam replaced by the translation in its coset."""
+    datum = x.datum
+    if x.is_identity:
+        return MappingProxyType({x: RationalFunction.one(datum)})
+    i = left_descent(x)
+    s = affine_simple(datum, i)
+    action = weyl_group(datum).action[s.index]
     alpha = level_zero_root(datum, i)
-    inv = RationalFunction.inverse_one_minus_exp(datum, alpha)
-    return KElement(datum, LOC, {affine_simple(datum, i): inv, identity(datum): -inv})
-
-
-@lru_cache(maxsize=None)
-def y_element(datum: CartanDatum, i: int) -> KElement:
-    """y_i = 1 + T_i."""
-    return kel_add(kel_scalar(datum, 1), t_element(datum, i))
-
-
-@lru_cache(maxsize=None)
-def y_in_loc(x: AffineWeylElement) -> KElement:
-    """y_x expanded in the localization basis; the coefficients are the b-row
-    of x.  Built incrementally along a reduced word (the y_i satisfy the
-    braid relations, so the word does not matter)."""
-    if x.is_identity:
-        return kel_scalar(x.datum, 1)
-    i = left_descent(x)
-    rest = aff_multiply(affine_simple(x.datum, i), x)
-    return k_mul(y_element(x.datum, i), y_in_loc(rest))
-
-
-@lru_cache(maxsize=None)
-def t_in_loc(x: AffineWeylElement) -> KElement:
-    """T_x in the localization basis, along a reduced word of x."""
-    if x.is_identity:
-        return kel_scalar(x.datum, 1)
-    i = left_descent(x)
-    rest = aff_multiply(affine_simple(x.datum, i), x)
-    return k_mul(t_element(x.datum, i), t_in_loc(rest))
+    c1 = RationalFunction.inverse_one_minus_exp(datum, alpha)
+    stay = c1 * GroupAlgebraElement.monomial(alpha, -1) if y_side else -c1
+    out: dict[AffineWeylElement, RationalFunction] = {}
+    for u, p in loc_row(aff_multiply(s, x), y_side, cosets).items():
+        val = stay * p
+        out[u] = out[u] + val if u in out else val
+        su = aff_multiply(s, u)
+        if cosets:
+            su = translation(datum, coset_translation(su))
+        val = c1 * p.act(action)
+        out[su] = out[su] + val if su in out else val
+    return MappingProxyType({u: c for u, c in out.items() if c})
 
 
 @lru_cache(maxsize=None)
@@ -206,62 +179,6 @@ def e_row(x: AffineWeylElement) -> MappingProxyType:
     return y_expansion(x, identity(x.datum))
 
 
-# Closed subword-sum oracles --------------------------------------------------
-
-
-def b_row_subword(x: AffineWeylElement, word: ReducedWord | None = None) -> dict:
-    """b-row of x by the closed sum over epsilon in {0,1}^m: the epsilon-th
-    summand is the product over k of the prefix-conjugated factor
-    (-e^{-beta_k})^{eps_k} / (1 - e^{-beta_k}), the prefix being the product
-    of the *selected* reflections before position k, and the summand lands on
-    the group element given by the full selected product."""
-    datum = x.datum
-    if word is None:
-        word = reduced_word(x)
-    out: dict[AffineWeylElement, RationalFunction] = {}
-
-    def go(k: int, prefix: AffineWeylElement, acc: RationalFunction) -> None:
-        if k == len(word):
-            out[prefix] = out[prefix] + acc if prefix in out else acc
-            return
-        beta = level_zero_root(datum, word[k])
-        base = RationalFunction.inverse_one_minus_exp(
-            datum, tuple(-b for b in beta)
-        )
-        f0 = weyl_act(prefix, base)
-        go(k + 1, prefix, acc * f0)
-        unit = GroupAlgebraElement.monomial(tuple(-b for b in beta), -1)
-        f1 = weyl_act(prefix, base * unit)
-        go(k + 1, aff_multiply(prefix, affine_simple(datum, word[k])), acc * f1)
-
-    go(0, identity(datum), RationalFunction.one(datum))
-    return {v: c for v, c in out.items() if c}
-
-
-def e_row_subword(x: AffineWeylElement, word: ReducedWord | None = None) -> dict:
-    """e-row of x by the closed sum over epsilon in {0,1}^m with factors
-    (1-eps_k) e^{gamma_k} + eps_k (1 - e^{gamma_k}), gamma_k the reflection
-    roots of the full word; the summand lands on the Demazure product of the
-    selected letters."""
-    datum = x.datum
-    if word is None:
-        word = reduced_word(x)
-    gammas = reflection_roots(datum, word)
-    keep = [GroupAlgebraElement.monomial(g) for g in gammas]
-    use = [GroupAlgebraElement.one(datum.rank) - k for k in keep]
-    out: dict[AffineWeylElement, GroupAlgebraElement] = {}
-
-    def go(k: int, dem: AffineWeylElement, acc: GroupAlgebraElement) -> None:
-        if k == len(word):
-            out[dem] = out[dem] + acc if dem in out else acc
-            return
-        go(k + 1, dem, acc * keep[k])
-        go(k + 1, demazure_extend(dem, word[k]), acc * use[k])
-
-    go(0, identity(datum), GroupAlgebraElement.one(datum.rank))
-    return {v: c for v, c in out.items() if c}
-
-
 # Coset sums -------------------------------------------------------------------
 
 
@@ -270,7 +187,7 @@ def b_cosets(x: AffineWeylElement) -> MappingProxyType:
     """Sums of the b-row of x over cosets v W, read from kappa(y_x) and keyed
     by the coroot coordinate of the unique translation in each coset: the
     coefficients of kappa(y_x) = sum_mu b_{x,[mu]} t_mu."""
-    return MappingProxyType({t.trans: c for t, c in kappa(y_in_loc(x)).terms.items()})
+    return MappingProxyType({t.trans: c for t, c in loc_row(x, True, True).items()})
 
 
 @lru_cache(maxsize=None)
@@ -313,20 +230,7 @@ def t_expansion(a: KElement) -> KElement:
     return KElement(a.datum, TBASIS, out)
 
 
-# Projection to the translation part and the Schubert-class images -------------
-
-
-def kappa(a: KElement) -> KElement:
-    """Left Q(T)-linear projection sending the group element t_lam w (w in the
-    finite Weyl group) to t_lam.  In our (w, lam) coordinates that is
-    w t_lam = t_{w lam} w |-> t_{w lam}; a is in the localization basis."""
-    if a.basis != LOC:
-        raise ValueError("kappa needs its argument in the localization basis")
-    out: dict[AffineWeylElement, RationalFunction] = {}
-    for u, c in a.terms.items():
-        t = translation(a.datum, coset_translation(u))
-        out[t] = out[t] + c if t in out else c
-    return KElement(a.datum, LOC, out)
+# The Schubert-class images ----------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +241,7 @@ def k_class(w: AffineWeylElement) -> KElement:
     polynomial."""
     if not is_grassmannian(w):
         raise ValueError(f"{w!r} is not an affine Grassmannian element")
-    out = t_expansion(kappa(t_in_loc(w)))
+    out = t_expansion(KElement(w.datum, LOC, loc_row(w, False, True)))
     lead = out.coefficient(w)
     if lead != RationalFunction.one(w.datum):
         raise ShapeViolationError(f"leading coefficient of {w!r} is {lead!r}, not 1")
@@ -356,4 +260,4 @@ def l_class(w: AffineWeylElement) -> KElement:
     of k_class(v) over Grassmannian v <= w."""
     if not is_grassmannian(w):
         raise ValueError(f"{w!r} is not an affine Grassmannian element")
-    return t_expansion(kappa(y_in_loc(w)))
+    return t_expansion(KElement(w.datum, LOC, loc_row(w, True, True)))

@@ -382,11 +382,6 @@ def reflection_roots(datum: CartanDatum, letters) -> list[Weight]:
     return out
 
 
-def demazure_extend(x: AffineWeylElement, i: int) -> AffineWeylElement:
-    xs = aff_multiply(x, affine_simple(x.datum, i))
-    return xs if length(xs) > length(x) else x
-
-
 def coset_translation(x: AffineWeylElement) -> Coroot:
     """Coordinate of the unique translation in the coset x W: for x = w t_lam
     the coset contains t_{w lam} and nothing else of translation type."""
@@ -422,13 +417,6 @@ def affine_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylElement,
 
 def grassmannian_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylElement, ...]:
     return tuple(x for x in affine_ball(datum, max_length) if is_grassmannian(x))
-
-
-def weyl_act(x: AffineWeylElement, f):
-    """Level-zero action of an affine element on a ring value: the finite
-    part acts on exponents, the translation part acts trivially.  Values are
-    read-only, so the identity hands f back itself."""
-    return f.act(weyl_group(x.datum).action[x.index]) if x.index else f
 
 
 # Element grammar -------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Test-only helpers, kept out of the library because nothing in it calls
-them: second computations of Weyl-group data, of row coset sums and of the
-closed product formula, which the tests compare the library against, and
-small conveniences for writing the tests (word evaluation, the pairing,
-scaling, T-sums back in the localization basis, expanded denominators, the
-translation law); the tuple-keyed group algebra that the packed one in
-``kschubert.ring`` is compared against; and the matrix route for affine Weyl
-elements that the index route of ``kschubert.weyl`` is compared against."""
+them: second computations of Weyl-group data, of the b and e rows, of row
+coset sums and of the closed product formula, which the tests compare the
+library against, and small conveniences for writing the tests (word
+evaluation, the pairing, scaling, T-sums back in the localization basis,
+expanded denominators, the translation law); the tuple-keyed group algebra
+that the packed one in ``kschubert.ring`` is compared against; and the
+matrix route for affine Weyl elements that the index route of
+``kschubert.weyl`` is compared against."""
 
 import operator
+from functools import lru_cache
 from types import MappingProxyType
 
 from kschubert.constants import (
@@ -16,22 +18,38 @@ from kschubert.constants import (
     _translation_convolution,
     pontryagin_constants,
 )
-from kschubert.nilhecke import LOC, KElement, e_cosets, kel_add, t_in_loc
+from kschubert.nilhecke import LOC, KElement, e_cosets
 from kschubert.ring import GroupAlgebraElement, RationalFunction, format_gae
-from kschubert.rootsys import Matrix, Weight, identity_matrix, matmul, matvec
+from kschubert.rootsys import Matrix, Weight, identity_matrix, level_zero_root, matmul, matvec
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
     affine_simple,
     coset_min,
-    demazure_extend,
+    coset_translation,
     finite_element,
     identity,
     is_grassmannian,
+    left_descent,
     length,
+    reduced_word,
+    reflection_roots,
     translation,
     weyl_group,
 )
+
+
+def weyl_act(x, f):
+    """Level-zero action of an affine element on a ring value: the finite
+    part acts on exponents, the translation part acts trivially.  Values are
+    read-only, so the identity hands f back itself."""
+    return f.act(weyl_group(x.datum).action[x.index]) if x.index else f
+
+
+def demazure_extend(x, i):
+    """x s_i if that is longer than x, else x: one step of a Demazure product."""
+    xs = aff_multiply(x, affine_simple(x.datum, i))
+    return xs if length(xs) > length(x) else x
 
 
 def evaluate_word(datum, letters):
@@ -141,6 +159,155 @@ def pontryagin_constants_rf(x, y):
             raw[z] = raw[z] + val if z in raw else val
     entries = {z: c.to_polynomial() for z, c in raw.items() if c}
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
+
+
+# The full-row route ------------------------------------------------------------
+#
+# y_x and T_x as word products of the generators y_i and T_i under the
+# generic twisted product of the localization basis, and the projection
+# kappa of a whole row: the reference for ``nilhecke.loc_row``, which
+# scatters one generator at a time and projects as it goes.
+
+
+def kel_scalar(datum, value):
+    """The scalar ``value`` (a ``RationalFunction`` or an int) times the identity."""
+    rf = value if isinstance(value, RationalFunction) else RationalFunction.from_gae(
+        datum, GroupAlgebraElement.one(datum.rank) * value
+    )
+    return KElement(datum, LOC, {identity(datum): rf})
+
+
+def kel_add(a, b):
+    if a.basis != b.basis or a.datum != b.datum:
+        raise ValueError("basis or datum mismatch")
+    terms = dict(a.terms)
+    for x, c in b.terms.items():
+        terms[x] = terms[x] + c if x in terms else c
+    return KElement(a.datum, a.basis, terms)
+
+
+def k_mul(a, b):
+    """Twisted product in the localization basis: (p u)(q v) = p (u.q) uv."""
+    if a.basis != LOC or b.basis != LOC:
+        raise ValueError("k_mul needs both factors in the localization basis")
+    if a.datum != b.datum:
+        raise ValueError("mixed ambient root systems")
+    out = {}
+    for u, p in a.terms.items():
+        for v, q in b.terms.items():
+            uv = aff_multiply(u, v)
+            val = p * weyl_act(u, q)
+            out[uv] = out[uv] + val if uv in out else val
+    return KElement(a.datum, LOC, out)
+
+
+@lru_cache(maxsize=None)
+def t_element(datum, i):
+    """T_i = (1 - e^{alpha_i})^{-1}(s_i - 1) in the localization basis, with
+    alpha_i the level-zero root (alpha_0 = -theta)."""
+    alpha = level_zero_root(datum, i)
+    inv = RationalFunction.inverse_one_minus_exp(datum, alpha)
+    return KElement(datum, LOC, {affine_simple(datum, i): inv, identity(datum): -inv})
+
+
+@lru_cache(maxsize=None)
+def y_element(datum, i):
+    """y_i = 1 + T_i."""
+    return kel_add(kel_scalar(datum, 1), t_element(datum, i))
+
+
+@lru_cache(maxsize=None)
+def y_in_loc(x):
+    """y_x in the localization basis, the product of the y_i along a reduced
+    word of x (the y_i satisfy the braid relations, so the word does not
+    matter); its coefficients are the b-row of x."""
+    if x.is_identity:
+        return kel_scalar(x.datum, 1)
+    i = left_descent(x)
+    rest = aff_multiply(affine_simple(x.datum, i), x)
+    return k_mul(y_element(x.datum, i), y_in_loc(rest))
+
+
+@lru_cache(maxsize=None)
+def t_in_loc(x):
+    """T_x in the localization basis, along a reduced word of x."""
+    if x.is_identity:
+        return kel_scalar(x.datum, 1)
+    i = left_descent(x)
+    rest = aff_multiply(affine_simple(x.datum, i), x)
+    return k_mul(t_element(x.datum, i), t_in_loc(rest))
+
+
+def kappa(a):
+    """Left Q(T)-linear projection sending the group element t_lam w (w in the
+    finite Weyl group) to t_lam.  In our (w, lam) coordinates that is
+    w t_lam = t_{w lam} w |-> t_{w lam}; a is in the localization basis."""
+    if a.basis != LOC:
+        raise ValueError("kappa needs its argument in the localization basis")
+    out = {}
+    for u, c in a.terms.items():
+        t = translation(a.datum, coset_translation(u))
+        out[t] = out[t] + c if t in out else c
+    return KElement(a.datum, LOC, out)
+
+
+# Closed subword sums ------------------------------------------------------------
+
+
+def b_row_subword(x, word=None):
+    """b-row of x by the closed sum over epsilon in {0,1}^m: the epsilon-th
+    summand is the product over k of the prefix-conjugated factor
+    (-e^{-beta_k})^{eps_k} / (1 - e^{-beta_k}), the prefix being the product
+    of the *selected* reflections before position k, and the summand lands on
+    the group element given by the full selected product."""
+    datum = x.datum
+    if word is None:
+        word = reduced_word(x)
+    out = {}
+
+    def go(k, prefix, acc):
+        if k == len(word):
+            out[prefix] = out[prefix] + acc if prefix in out else acc
+            return
+        beta = level_zero_root(datum, word[k])
+        base = RationalFunction.inverse_one_minus_exp(
+            datum, tuple(-b for b in beta)
+        )
+        f0 = weyl_act(prefix, base)
+        go(k + 1, prefix, acc * f0)
+        unit = GroupAlgebraElement.monomial(tuple(-b for b in beta), -1)
+        f1 = weyl_act(prefix, base * unit)
+        go(k + 1, aff_multiply(prefix, affine_simple(datum, word[k])), acc * f1)
+
+    go(0, identity(datum), RationalFunction.one(datum))
+    return {v: c for v, c in out.items() if c}
+
+
+def e_row_subword(x, word=None):
+    """e-row of x by the closed sum over epsilon in {0,1}^m with factors
+    (1-eps_k) e^{gamma_k} + eps_k (1 - e^{gamma_k}), gamma_k the reflection
+    roots of the full word; the summand lands on the Demazure product of the
+    selected letters."""
+    datum = x.datum
+    if word is None:
+        word = reduced_word(x)
+    gammas = reflection_roots(datum, word)
+    keep = [GroupAlgebraElement.monomial(g) for g in gammas]
+    use = [GroupAlgebraElement.one(datum.rank) - k for k in keep]
+    out = {}
+
+    def go(k, dem, acc):
+        if k == len(word):
+            out[dem] = out[dem] + acc if dem in out else acc
+            return
+        go(k + 1, dem, acc * keep[k])
+        go(k + 1, demazure_extend(dem, word[k]), acc * use[k])
+
+    go(0, identity(datum), GroupAlgebraElement.one(datum.rank))
+    return {v: c for v, c in out.items() if c}
+
+
+# The tuple-keyed group algebra -------------------------------------------------
 
 
 class TupleGroupAlgebraElement:

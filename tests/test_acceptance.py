@@ -8,21 +8,24 @@ lines.
 import random
 import time
 
-from oracles import kel_scale
+from oracles import (
+    b_row_subword,
+    e_row_subword,
+    k_mul,
+    kel_scale,
+    t_element,
+    weyl_act,
+    y_element,
+)
 from kschubert.ring import GroupAlgebraElement, RationalFunction
 from kschubert.nilhecke import (
     LOC,
     b_cosets,
-    b_row_subword,
     e_cosets,
     e_row,
-    e_row_subword,
     k_class,
-    k_mul,
     l_class,
-    t_element,
-    y_element,
-    y_in_loc,
+    loc_row,
 )
 from kschubert.constants import (
     classical_k_constants,
@@ -44,7 +47,6 @@ from kschubert.weyl import (
     identity,
     parse_element,
     translation,
-    weyl_act,
     weyl_group,
 )
 
@@ -133,7 +135,7 @@ def test_criterion_6_matrix_inverse_identity(a1, a2):
     for datum, bound in ((a1, 6), (a2, 5)):
         ball = affine_ball(datum, bound)
         for x in ball:
-            row = y_in_loc(x).terms
+            row = loc_row(x, True, False)
             for z in ball:
                 total = RationalFunction.zero(datum)
                 for v, b in row.items():
@@ -173,7 +175,7 @@ def test_criterion_7_oracle_equivalences(a1, a2):
 
     for datum, targets in oracle_targets.items():
         for x in sorted(targets, key=lambda e: (format_element(e),)):
-            assert b_row_subword(x) == y_in_loc(x).terms, x
+            assert b_row_subword(x) == loc_row(x, True, False), x
             assert e_row_subword(x) == e_row(x), x
 
     for datum, xs, ys in product_inputs:

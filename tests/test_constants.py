@@ -329,6 +329,22 @@ def test_conjecture_reports_missing_product_entries(a1):
     assert len(zero_side) == 1 and zero_side[0].verdict == "mismatch"
 
 
+def test_conjecture_rejects_conflicting_data(a1):
+    # The fixture's degree-zero datum and the classical oracle's share a key;
+    # equal duplicates are accepted, a conflicting one is refused.
+    x, s1 = el(a1, "s1 t[-1]"), el(a1, "s1")
+    fixture = list(load_quantum_data())
+    classical = classical_quantum_data(a1, [(s1, s1)])
+    for data in (fixture, classical):
+        assert (s1, s1, s1, (0,)) in {(d.u, d.v, d.w, d.degree) for d in data}
+    report = conjecture_check(x, x, fixture + classical)
+    assert report.mismatches == 0 and report.matches == 2
+    conflict = QuantumDatum(u=s1, v=s1, w=s1, degree=(0,), value=G.one(1))
+    for data in (fixture + [conflict], [conflict] + classical):
+        with pytest.raises(MalformedDatumError):
+            conjecture_check(x, x, data)
+
+
 def test_malformed_datum():
     with pytest.raises(MalformedDatumError):
         QuantumDatum(

@@ -5,12 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    b_row_subword,
     coset_sums,
     demazure_product,
+    e_row_subword,
     evaluate_word,
+    k_mul,
+    kappa,
+    kel_add,
+    kel_scalar,
     kel_scale,
     reduced_word_max_tiebreak,
+    t_element,
+    t_in_loc,
     t_sum_in_loc,
+    weyl_act,
+    y_element,
+    y_in_loc,
 )
 from kschubert.constants import _finite_localization_row
 from kschubert.ring import GroupAlgebraElement, RationalFunction, common_denominator
@@ -21,22 +32,13 @@ from kschubert.nilhecke import (
     KElement,
     ShapeViolationError,
     b_cosets,
-    b_row_subword,
     e_cosets,
     e_row,
-    e_row_subword,
     k_class,
-    k_mul,
-    kappa,
-    kel_add,
-    kel_scalar,
     l_class,
-    t_element,
+    loc_row,
     t_expansion,
-    t_in_loc,
-    y_element,
     y_expansion,
-    y_in_loc,
 )
 from kschubert.weyl import (
     affine_ball,
@@ -53,7 +55,6 @@ from kschubert.weyl import (
     parse_element,
     reduced_word,
     translation,
-    weyl_act,
     weyl_group,
 )
 
@@ -102,10 +103,10 @@ def test_t1_coefficient_of_identity(a1):
 
 def test_y_s0_expansion(a1):
     alpha = a1.positive_roots[0]
-    y = y_in_loc(affine_simple(a1, 0))
+    row = loc_row(affine_simple(a1, 0), True, False)
     inv = RationalFunction.inverse_one_minus_exp(a1, alpha)
-    assert y.terms[identity(a1)] == inv
-    assert y.terms[affine_simple(a1, 0)] == inv * G.monomial(alpha, -1)
+    assert row[identity(a1)] == inv
+    assert row[affine_simple(a1, 0)] == inv * G.monomial(alpha, -1)
 
 
 def test_k_mul_one_twist(a1):
@@ -133,7 +134,7 @@ def test_translations_multiply_in_loc(a2):
 def test_b_row_s0(a1):
     alpha = a1.positive_roots[0]
     s0 = affine_simple(a1, 0)
-    row = y_in_loc(s0).terms
+    row = loc_row(s0, True, False)
     inv = RationalFunction.inverse_one_minus_exp(a1, alpha)
     assert row[identity(a1)] == inv
     assert row[s0] == inv * G.monomial(alpha, -1)
@@ -142,7 +143,7 @@ def test_b_row_s0(a1):
 
 
 def test_b_row_identity(a1):
-    assert y_in_loc(identity(a1)).terms == {identity(a1): RationalFunction.one(a1)}
+    assert loc_row(identity(a1), True, False) == {identity(a1): RationalFunction.one(a1)}
 
 
 def test_e_row_identity_and_s0(a1):
@@ -163,7 +164,7 @@ def test_e_row_coset_value_from_square(a1):
 def test_b_row_supported_on_lower_interval(a2):
     for x in affine_ball(a2, 4):
         interval = lower_interval(x)
-        assert set(y_in_loc(x).terms) <= set(interval)
+        assert set(loc_row(x, True, False)) <= set(interval)
         assert set(e_row(x)) <= set(interval)
 
 
@@ -186,8 +187,26 @@ G2 = [[2, -1], [-3, 2]]
 )
 def test_subword_oracles_agree(spec, max_len):
     for x in affine_ball(build_root_system(spec), max_len):
-        assert b_row_subword(x) == y_in_loc(x).terms
+        assert b_row_subword(x) == loc_row(x, True, False)
         assert e_row_subword(x) == e_row(x)
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 8), ("A2", 6), ("A3", 4), (B2, 6), (C2, 6), (G2, 6)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_loc_rows_match_the_full_row_route(spec, max_len):
+    # loc_row scatters one generator at a time and projects as it goes; the
+    # oracle multiplies whole rows by the generators with k_mul and projects
+    # the finished row with kappa.
+    for x in affine_ball(build_root_system(spec), max_len):
+        full_y, full_t = y_in_loc(x), t_in_loc(x)
+        assert loc_row(x, True, False) == full_y.terms == b_row_subword(x), x
+        assert loc_row(x, False, False) == full_t.terms, x
+        assert loc_row(x, True, True) == kappa(full_y).terms, x
+        assert loc_row(x, False, True) == kappa(full_t).terms, x
+        assert bool(loc_row(x, False, True)) == is_grassmannian(x), x
 
 
 @pytest.mark.parametrize("fixture_name,max_len", [("a1", 5), ("a2", 4)])
@@ -195,14 +214,14 @@ def test_rows_independent_of_reduced_word(request, fixture_name, max_len):
     datum = request.getfixturevalue(fixture_name)
     for x in affine_ball(datum, max_len):
         other = reduced_word_max_tiebreak(x)
-        assert b_row_subword(x, other) == y_in_loc(x).terms
+        assert b_row_subword(x, other) == loc_row(x, True, False)
         assert e_row_subword(x, other) == e_row(x)
 
 
 def test_matrix_inverse_identity_small(a1):
     ball = affine_ball(a1, 4)
     for x in ball:
-        row = y_in_loc(x).terms
+        row = loc_row(x, True, False)
         for z in ball:
             total = RationalFunction.zero(a1)
             for v, b in row.items():
@@ -303,8 +322,10 @@ def test_memoized_rows_are_read_only(a1):
         (lambda u: y_expansion(u, one), x, one),
         (lambda u: e_cosets(u, one), x, coset_min(g)),
         (b_cosets, x, (1,)),
-        (lambda u: y_in_loc(u).terms, x, one),
-        (lambda u: t_in_loc(u).terms, x, one),
+        (lambda u: loc_row(u, True, False), x, one),
+        (lambda u: loc_row(u, False, False), x, one),
+        (lambda u: loc_row(u, True, True), x, translation(a1, (1,))),
+        (lambda w: loc_row(w, False, True), g, g),
         (lambda w: k_class(w).terms, g, g),
         (lambda w: l_class(w).terms, g, g),
         (_finite_localization_row, s1, s1),
@@ -385,7 +406,8 @@ def test_group_element_in_ybasis_has_e_coefficients(a1):
 def test_t_expansion_over_balls(spec, bound):
     datum = build_root_system(spec)
     for w in grassmannian_ball(datum, bound):
-        for a in (kappa(t_in_loc(w)), kappa(y_in_loc(w))):
+        for y_side in (False, True):
+            a = KElement(datum, LOC, loc_row(w, y_side, True))
             assert t_sum_in_loc(t_expansion(a)) == a, w
     one = RationalFunction.one(datum)
     for u in affine_ball(datum, bound):
@@ -415,11 +437,11 @@ def test_kappa_examples(a1):
 def test_kappa_kills_exactly_non_grassmannian(a1, a2):
     for datum, bound in ((a1, 6), (a2, 5)):
         for u in affine_ball(datum, bound):
-            value = kappa(t_in_loc(u))
+            value = loc_row(u, False, True)
             if is_grassmannian(u):
-                assert value.terms, u
+                assert value, u
             else:
-                assert not value.terms, u
+                assert not value, u
 
 
 def test_k_class_closed_forms(a1):

@@ -12,6 +12,7 @@ from oracles import (
     matrix_pair,
     matrix_simple,
     reduced_word_max_tiebreak,
+    weyl_act,
 )
 from kschubert import weyl
 from kschubert.constants import pontryagin_constants
@@ -38,7 +39,6 @@ from kschubert.weyl import (
     reduced_word,
     reflection_roots,
     translation,
-    weyl_act,
     weyl_group,
 )
 
