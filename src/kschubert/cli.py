@@ -300,7 +300,6 @@ def _cmd_conjecture(args) -> int:
     datum = _datum(args)
     guard = _guard(args, datum)
     data = list(load_quantum_data()) if datum.label == "A1" else []
-    data = [d for d in data if d.u.datum == datum]
     reps = _conjecture_inputs(datum, args.max_translation, guard)
     finite_pairs = {
         (finite_part(x), finite_part(y))

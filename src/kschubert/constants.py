@@ -45,13 +45,7 @@ from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
-from kschubert.ring import (
-    GroupAlgebraElement,
-    RationalFunction,
-    common_denominator,
-    format_gae,
-    mul_add,
-)
+from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae
 from kschubert.rootsys import (
     CartanDatum,
     Coroot,
@@ -61,7 +55,6 @@ from kschubert.rootsys import (
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
-    bruhat_leq,
     coset_min,
     coset_translation,
     finite_elements,
@@ -76,7 +69,7 @@ from kschubert.weyl import (
     reflection_roots,
     translation,
 )
-from kschubert.nilhecke import b_cosets, e_cosets, e_row
+from kschubert.nilhecke import b_cosets, e_cosets, k_class, l_class, t_row
 
 
 class SingularSystemError(ArithmeticError):
@@ -133,31 +126,17 @@ def _support_warnings(x, y, entries) -> list[str]:
 
 def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> StructureConstantTable:
     """Structure constants of O_x . O_y as sum_mu b_{x,[mu]} E_{mu,y}[z]
-    (module docstring), over one common denominator: the b coset sums of x
-    become numerators over their lcm denominator D_x, each is multiplied
-    into the coset row of t_mu y_y in the group algebra, and each entry is
-    divided once by D_x.  The route is deliberately asymmetric in x and y,
-    so commutativity stays a real check."""
+    (module docstring), over one common denominator (``ring.combine``): the
+    b coset sums of x become numerators over their lcm denominator D_x, each
+    is multiplied into the coset row of t_mu y_y in the group algebra, and
+    each entry is divided once by D_x.  The route is deliberately asymmetric
+    in x and y, so commutativity stays a real check."""
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise ValueError("both factors must be affine Grassmannian elements")
     datum = x.datum
-    bx = b_cosets(x)
-    den, nums = common_denominator(datum, bx.values())
-    # Accumulate in place into plain dicts of packed terms (ring.mul_add);
-    # one bound covers every entry's coordinates.
-    raw: dict[AffineWeylElement, dict] = {}
-    bound = 0
-    for mu, p in zip(bx, nums):
-        for z, egae in e_cosets(translation(datum, mu), y).items():
-            bound = mul_add(raw.setdefault(z, {}), p, egae, bound)
+    sums = combine(datum, b_cosets(x), lambda mu: e_cosets(translation(datum, mu), y))
     # The one exactness gate: each entry over D_x must divide out fully.
-    entries = {
-        z: RationalFunction(
-            datum, GroupAlgebraElement.from_packed(datum.rank, terms, bound), den
-        ).to_polynomial()
-        for z, terms in raw.items()
-        if terms
-    }
+    entries = {z: c.to_polynomial() for z, c in sums.items()}
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
 
 
@@ -238,16 +217,9 @@ def pontryagin_constants_linear(x: AffineWeylElement, y: AffineWeylElement) -> S
 
 @lru_cache(maxsize=None)
 def _finite_localization_row(w: AffineWeylElement) -> MappingProxyType:
-    datum = w.datum
-    out: dict[AffineWeylElement, GroupAlgebraElement] = {}
-    for v in finite_elements(datum):
-        total = GroupAlgebraElement.zero(datum.rank)
-        for u, e in e_row(v).items():
-            if bruhat_leq(w, u):
-                total = total + e
-        if total:
-            out[v] = total
-    return MappingProxyType(out)
+    """L[w][v] over finite v: the T_w coefficient of v, read from its T-row."""
+    rows = ((v, t_row(v)) for v in finite_elements(w.datum))
+    return MappingProxyType({v: row[w] for v, row in rows if w in row})
 
 
 def _inverse_diag_e(v: AffineWeylElement) -> RationalFunction:
@@ -505,8 +477,6 @@ def _diff_tables(datum, expected, computed) -> str:
 
 
 def _check_class(datum, name, kind, w_str, expected_entries, records) -> None:
-    from kschubert.nilhecke import k_class, l_class
-
     w = parse_element(w_str, datum)
     expected = {
         parse_element(el, datum): RationalFunction.from_gae(

@@ -11,7 +11,10 @@ in the localized ring, tagged with one of two bases:
 Products are taken in ``loc``; the only basis change is one way,
 localization -> T (``t_expansion``), through the idempotent basis y_x built
 from y_i = 1 + T_i, which is never stored: u = sum_v e_{u,v} y_v and
-y_v = sum_{w <= v} T_w.
+y_v = sum_{w <= v} T_w.  The memoized ``t_row(u)`` is u in the T-basis, the
+e row of u spread over lower intervals, and ``t_expansion`` sums rational
+multiples of those rows with ``ring.combine``, so a class is reduced once
+per T-coefficient rather than once per term.
 
 The change-of-basis data are the b and e coefficient matrices
 
@@ -37,8 +40,9 @@ product formula reads only these coset rows, for x a translation t_mu and
 y its second factor: s_i y_{w0} = y_{w0} for finite s_i, so
 kappa(y_y) y_{w0} = y_y y_{w0}, and the rows of t_mu y_y y_{w0} carry the
 whole y-side sum of the formula.  Full e rows are built only for
-``ecoeff``, the class layer and the tests.  e entries are genuinely
-polynomial and are stored as group-algebra elements.
+``ecoeff``, the T-rows that the class layer and the classical oracle read,
+and the tests.  e entries are genuinely polynomial and are stored as
+group-algebra elements.
 
 The closed subword sums and the word products in the localization basis
 that the tests compare both kernels against live in ``tests/oracles.py``.
@@ -53,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from kschubert.ring import GroupAlgebraElement, RationalFunction
+from kschubert.ring import GroupAlgebraElement, RationalFunction, combine
 from kschubert.rootsys import CartanDatum, level_zero_root
 from kschubert.weyl import (
     AffineWeylElement,
@@ -211,23 +215,24 @@ def e_cosets(x: AffineWeylElement, y: AffineWeylElement) -> MappingProxyType:
 # Expansion in the T-basis ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def t_row(u: AffineWeylElement) -> MappingProxyType:
+    """The group element u in the T-basis, read-only: u = sum_v e_{u,v} y_v
+    and y_v = sum_{w <= v} T_w, so the coefficient of T_w is the upper sum
+    of e_{u,v} over v >= w, a group-algebra element."""
+    out: dict[AffineWeylElement, GroupAlgebraElement] = {}
+    for v, e in e_row(u).items():
+        for w in lower_interval(v):
+            out[w] = out[w] + e if w in out else e
+    return MappingProxyType({w: c for w, c in out.items() if c})
+
+
 def t_expansion(a: KElement) -> KElement:
-    """a, given in the localization basis, expanded in the T-basis: each
-    group element is u = sum_v e_{u,v} y_v (its e-row), and
-    y_v = sum_{w <= v} T_w."""
+    """a, given in the localization basis, expanded in the T-basis: the sum
+    of its coefficients times the T-rows of its group elements."""
     if a.basis != LOC:
         raise ValueError("t_expansion needs its argument in the localization basis")
-    ys: dict[AffineWeylElement, RationalFunction] = {}
-    for u, c in a.terms.items():
-        for v, e in e_row(u).items():
-            val = c * e
-            ys[v] = ys[v] + val if v in ys else val
-    out: dict[AffineWeylElement, RationalFunction] = {}
-    for v, c in ys.items():
-        if c:
-            for w in lower_interval(v):
-                out[w] = out[w] + c if w in out else c
-    return KElement(a.datum, TBASIS, out)
+    return KElement(a.datum, TBASIS, combine(a.datum, a.terms, t_row))
 
 
 # The Schubert-class images ----------------------------------------------------

@@ -16,6 +16,9 @@ multiset of positive roots, each entry standing for one denominator factor
 which keeps reduction to exact division along a single lattice direction and
 avoids multivariate gcd.
 
+``combine`` is the one routine that sums rational multiples of polynomial
+rows: it works over one common denominator and reduces once per entry.
+
 Values are read-only: a group-algebra element's terms are a read-only view,
 and operations always build new objects, so the memoized rows of the other
 layers can hand the same values to every caller.
@@ -449,6 +452,25 @@ def common_denominator(datum: CartanDatum, fs) -> tuple[dict[Weight, int], list[
         for root, mult in f.den:
             lcm[root] = max(lcm.get(root, 0), mult)
     return lcm, [f.num * _den_complement(datum, lcm, f._den_map()) for f in fs]
+
+
+def combine(datum: CartanDatum, coeffs: Mapping, rows) -> dict:
+    """sum over k of coeffs[k] * rows(k), for rational coefficients and rows
+    k -> {key: GroupAlgebraElement}, as key -> nonzero RationalFunction.
+    The coefficients are lifted to their lcm denominator D, each numerator is
+    multiplied into its row in place (``mul_add``), and each entry is reduced
+    once over D."""
+    den, nums = common_denominator(datum, coeffs.values())
+    raw: dict = {}
+    bound = 0
+    for k, p in zip(coeffs, nums):
+        for key, g in rows(k).items():
+            bound = mul_add(raw.setdefault(key, {}), p, g, bound)
+    return {
+        key: RationalFunction(datum, GroupAlgebraElement.from_packed(datum.rank, terms, bound), den)
+        for key, terms in raw.items()
+        if terms
+    }
 
 
 def _den_complement(datum, target: dict, have: dict) -> GroupAlgebraElement:

@@ -251,23 +251,15 @@ def finite_part(x: AffineWeylElement) -> AffineWeylElement:
 
 
 @lru_cache(maxsize=None)
-def _s_theta(datum: CartanDatum) -> Matrix:
-    theta, theta_vee = datum.highest_root, datum.highest_coroot
-    return tuple(
-        tuple(int(r == c) - theta_vee[c] * theta[r] for c in range(datum.rank))
-        for r in range(datum.rank)
-    )
-
-
-@lru_cache(maxsize=None)
 def affine_simple(datum: CartanDatum, i: int) -> AffineWeylElement:
     """The generator s_i of the affine Weyl group, s_0 = s_theta t_{-theta^vee}."""
     if i == 0:
-        return AffineWeylElement(
-            datum,
-            weyl_group(datum).index[_s_theta(datum)],
-            tuple(-c for c in datum.highest_coroot),
+        theta, theta_vee = datum.highest_root, datum.highest_coroot
+        s_theta = tuple(
+            tuple(int(r == c) - theta_vee[c] * theta[r] for c in range(datum.rank))
+            for r in range(datum.rank)
         )
+        return AffineWeylElement(datum, weyl_group(datum).index[s_theta], tuple(-c for c in theta_vee))
     if 1 <= i <= datum.rank:
         return AffineWeylElement(datum, i, (0,) * datum.rank)
     raise ValueError(f"affine index {i} out of range 0..{datum.rank}")
@@ -317,22 +309,6 @@ def reduced_word(x: AffineWeylElement) -> ReducedWord:
         word.append(i)
         current = aff_multiply(affine_simple(current.datum, i), current)
     return tuple(word)
-
-
-@lru_cache(maxsize=None)
-def bruhat_leq(u: AffineWeylElement, v: AffineWeylElement) -> bool:
-    """Bruhat order via the lifting property, recursing on left descents."""
-    if u == v:
-        return True
-    if length(u) >= length(v):
-        return False
-    i = left_descent(v)
-    s = affine_simple(u.datum, i)
-    sv = aff_multiply(s, v)
-    su = aff_multiply(s, u)
-    if length(su) < length(u):
-        return bruhat_leq(su, sv)
-    return bruhat_leq(u, sv)
 
 
 @lru_cache(maxsize=None)

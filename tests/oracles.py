@@ -3,10 +3,11 @@ them: second computations of Weyl-group data, of the b and e rows, of row
 coset sums and of the closed product formula, which the tests compare the
 library against, and small conveniences for writing the tests (word
 evaluation, the pairing, scaling, T-sums back in the localization basis,
-expanded denominators, the translation law); the tuple-keyed group algebra
-that the packed one in ``kschubert.ring`` is compared against; and the
-matrix route for affine Weyl elements that the index route of
-``kschubert.weyl`` is compared against."""
+expanded denominators, the translation law); Bruhat order by the lifting
+property, which lower intervals are compared against; the tuple-keyed
+group algebra that the packed one in ``kschubert.ring`` is compared
+against; and the matrix route for affine Weyl elements that the index
+route of ``kschubert.weyl`` is compared against."""
 
 import operator
 from functools import lru_cache
@@ -107,6 +108,23 @@ def translation_product_check(x, nu):
     table = pontryagin_constants(x, t)
     expected = {aff_multiply(x, t): GroupAlgebraElement.one(datum.rank)}
     return table.entries == expected, table
+
+
+@lru_cache(maxsize=None)
+def bruhat_leq(u, v):
+    """Bruhat order via the lifting property, recursing on left descents: the
+    oracle that ``weyl.lower_interval`` is compared against."""
+    if u == v:
+        return True
+    if length(u) >= length(v):
+        return False
+    i = left_descent(v)
+    s = affine_simple(u.datum, i)
+    sv = aff_multiply(s, v)
+    su = aff_multiply(s, u)
+    if length(su) < length(u):
+        return bruhat_leq(su, sv)
+    return bruhat_leq(u, sv)
 
 
 def finite_coset(x):

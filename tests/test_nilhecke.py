@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     b_row_subword,
+    bruhat_leq,
     coset_sums,
     demazure_product,
     e_row_subword,
@@ -38,13 +39,13 @@ from kschubert.nilhecke import (
     l_class,
     loc_row,
     t_expansion,
+    t_row,
     y_expansion,
 )
 from kschubert.weyl import (
     affine_ball,
     affine_simple,
     aff_multiply,
-    bruhat_leq,
     coset_min,
     finite_element,
     grassmannian_ball,
@@ -328,6 +329,7 @@ def test_memoized_rows_are_read_only(a1):
         (lambda w: loc_row(w, False, True), g, g),
         (lambda w: k_class(w).terms, g, g),
         (lambda w: l_class(w).terms, g, g),
+        (t_row, x, one),
         (_finite_localization_row, s1, s1),
     ]
     for read, arg, key in reads:
@@ -341,6 +343,7 @@ def test_memoized_rows_are_read_only(a1):
         e_row(x)[one],
         e_cosets(x, one)[coset_min(g)],
         b_cosets(x)[(1,)].num,
+        t_row(x)[one],
         _finite_localization_row(s1)[s1],
     ]
     for value in values:
@@ -418,6 +421,48 @@ def test_t_expansion_over_balls(spec, bound):
             assert t.coefficient(w) == RationalFunction.from_gae(datum, total), (u, w)
     with pytest.raises(ValueError):
         t_expansion(KElement(datum, TBASIS, {identity(datum): one}))
+
+
+def test_class_expansions_make_no_rational_additions(monkeypatch):
+    # t_expansion sums rational multiples of polynomial T-rows over one
+    # common denominator (ring.combine): a RationalFunction sum per term, with
+    # its lcm lift and trial divisions, would show here as an __add__ call.
+    inputs = [
+        KElement(datum, LOC, loc_row(w, y_side, True))
+        for datum, bound in ((build_root_system("A1"), 6), (build_root_system("A2"), 4))
+        for w in grassmannian_ball(datum, bound)
+        for y_side in (False, True)
+    ]
+    calls = []
+    add = RationalFunction.__add__
+
+    def counting(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(RationalFunction, "__add__", counting)
+    for a in inputs:
+        assert t_expansion(a).terms
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "spec", ["A2", "A3", B2, C2, G2], ids=["A2", "A3", "B2", "C2", "G2"]
+)
+def test_finite_localization_rows_are_upper_sums(spec):
+    # The classical oracle reads its localization rows off the T-rows; the
+    # upper sums over Bruhat order they replace, by the lifting property.
+    datum = build_root_system(spec)
+    elements = [finite_element(datum, m) for m in weyl_group(datum).elements]
+    for w in elements:
+        expected = {}
+        for v in elements:
+            total = sum(
+                (e for u, e in e_row(v).items() if bruhat_leq(w, u)), G.zero(datum.rank)
+            )
+            if total:
+                expected[v] = total
+        assert _finite_localization_row(w) == expected, w
 
 
 # -- kappa and the Schubert-class images -------------------------------------------

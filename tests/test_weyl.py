@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bruhat_leq,
     demazure_product,
     evaluate_word,
     finite_coset,
@@ -24,7 +25,6 @@ from kschubert.weyl import (
     aff_multiply,
     affine_ball,
     affine_simple,
-    bruhat_leq,
     coset_min,
     coset_translation,
     finite_element,
