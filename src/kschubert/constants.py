@@ -26,8 +26,9 @@ the y-expansion of t_mu y_{y w0}, its key v read as z = v w0).  Why:
 The sum is finite because the coset b-sums vanish outside the Bruhat lower
 interval of x.  Only the b coset sums carry denominators, products of
 (1 - e^beta), so the engine writes those of x over one common denominator
-D_x, forms the whole sum in the group algebra, and makes one exact division
-per output entry.  Every constant must land in the group algebra; a
+D_x once (``nilhecke.b_lift``), forms the whole sum in the group algebra,
+and divides all output entries by D_x together, one factor at a time
+(``ring.combine``).  Every constant must land in the group algebra; a
 surviving denominator signals a bug.
 
 The independent route expands the same product in the translation
@@ -69,7 +70,7 @@ from kschubert.weyl import (
     reflection_roots,
     translation,
 )
-from kschubert.nilhecke import b_cosets, e_cosets, k_class, l_class, t_row
+from kschubert.nilhecke import b_cosets, b_lift, e_cosets, k_class, l_class, t_row
 
 
 class SingularSystemError(ArithmeticError):
@@ -127,14 +128,15 @@ def _support_warnings(x, y, entries) -> list[str]:
 def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> StructureConstantTable:
     """Structure constants of O_x . O_y as sum_mu b_{x,[mu]} E_{mu,y}[z]
     (module docstring), over one common denominator (``ring.combine``): the
-    b coset sums of x become numerators over their lcm denominator D_x, each
-    is multiplied into the coset row of t_mu y_y in the group algebra, and
-    each entry is divided once by D_x.  The route is deliberately asymmetric
-    in x and y, so commutativity stays a real check."""
+    b coset sums of x, lifted once to numerators over their lcm denominator
+    D_x (``nilhecke.b_lift``), are multiplied into the coset rows of
+    t_mu y_y in one flat accumulator, and all entries are divided by D_x
+    together, one factor per pass.  The route is deliberately asymmetric in
+    x and y, so commutativity stays a real check."""
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise ValueError("both factors must be affine Grassmannian elements")
     datum = x.datum
-    sums = combine(datum, b_cosets(x), lambda mu: e_cosets(translation(datum, mu), y))
+    sums = combine(datum, b_lift(x), lambda mu: e_cosets(translation(datum, mu), y))
     # The one exactness gate: each entry over D_x must divide out fully.
     entries = {z: c.to_polynomial() for z, c in sums.items()}
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
@@ -312,8 +314,11 @@ def conjecture_check(
     """Compare the affine constants c_{x,y}^z against quantum data: z = w t
     with t = (translation of x) + (translation of y) + eta, and a matching
     datum has finite parts (u, v, w) and q-degree eta in simple-coroot
-    coordinates.  Data that share (u, v, w, eta) must agree: equal ones are
-    compared once, conflicting ones raise MalformedDatumError."""
+    coordinates.  Only the data whose (u, v) are the pair's finite parts
+    are read; data of other pairs are skipped unread, so a conflict among
+    them goes unnoticed here.  The pair's own data that share (w, eta) must
+    agree: equal ones are compared once, conflicting ones raise
+    MalformedDatumError."""
     datum = x.datum
     table = pontryagin_constants(x, y)
     nu = tuple(a + b for a, b in zip(x.trans, y.trans))
@@ -321,7 +326,9 @@ def conjecture_check(
 
     index: dict[tuple, QuantumDatum] = {}
     for d in quantum_data:
-        seen = index.setdefault((d.u, d.v, d.w, d.degree), d)
+        if d.u != u_fin or d.v != v_fin:
+            continue
+        seen = index.setdefault((d.w, d.degree), d)
         if seen is not d and seen.value != d.value:
             raise MalformedDatumError(
                 f"conflicting data for {format_element(d.u)}, {format_element(d.v)}, "
@@ -336,7 +343,7 @@ def conjecture_check(
         if any(e < 0 for e in eta):
             entries.append(ConjectureEntry(z, c, w_fin, eta, None, "no-data"))
             continue
-        key = (u_fin, v_fin, w_fin, eta)
+        key = (w_fin, eta)
         seen_keys.add(key)
         datum_hit = index.get(key)
         if datum_hit is None:
@@ -347,9 +354,9 @@ def conjecture_check(
     # Data-side completeness: a datum for this pair whose z is absent from
     # the table asserts c = 0.
     for key, d in index.items():
-        if key[:2] != (u_fin, v_fin) or key in seen_keys:
+        if key in seen_keys:
             continue
-        eta = key[3]
+        eta = key[1]
         z = aff_multiply(
             finite_part(d.w),
             translation(datum, tuple(a + b for a, b in zip(nu, eta))),

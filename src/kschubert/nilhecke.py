@@ -42,7 +42,11 @@ kappa(y_y) y_{w0} = y_y y_{w0}, and the rows of t_mu y_y y_{w0} carry the
 whole y-side sum of the formula.  Full e rows are built only for
 ``ecoeff``, the T-rows that the class layer and the classical oracle read,
 and the tests.  e entries are genuinely polynomial and are stored as
-group-algebra elements.
+group-algebra elements; the kernel scatters into raw packed dicts and
+wraps each entry once.
+
+``b_lift(x)`` memoizes the b coset sums of x lifted to their common
+denominator D_x, which the product reads for every pair with x first.
 
 The closed subword sums and the word products in the localization basis
 that the tests compare both kernels against live in ``tests/oracles.py``.
@@ -57,7 +61,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from kschubert.ring import GroupAlgebraElement, RationalFunction, combine
+from kschubert.ring import (
+    COORD_LIMIT,
+    GroupAlgebraElement,
+    RationalFunction,
+    combine,
+    exact_product_bound,
+    lift,
+    pack,
+)
 from kschubert.rootsys import CartanDatum, level_zero_root
 from kschubert.weyl import (
     AffineWeylElement,
@@ -156,25 +168,45 @@ def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyT
     maximum, such as the longest finite element w0, every row lives on coset
     maxima, because y_v y_{w0} = y_{max vW}."""
     datum = x.datum
+    rank = datum.rank
     if x.is_identity:
-        return MappingProxyType({start: GroupAlgebraElement.one(datum.rank)})
+        return MappingProxyType({start: GroupAlgebraElement.one(rank)})
     i = left_descent(x)
     s = affine_simple(datum, i)
     action = weyl_group(datum).action[s.index]
-    e_alpha = GroupAlgebraElement.monomial(level_zero_root(datum, i))
-    one_minus = GroupAlgebraElement.one(datum.rank) - e_alpha
-    out: dict[AffineWeylElement, GroupAlgebraElement] = {}
+    alpha = level_zero_root(datum, i)
+    e_alpha, step = GroupAlgebraElement.monomial(alpha), pack(alpha)
+    # Raw packed terms per entry, wrapped once at the end under one bound.
+    out: dict[AffineWeylElement, dict[int, int]] = {}
+    bound = 0
     # One pass over the row of u, scattering c_{u,v} to the entries that read it.
     for v, c in y_expansion(aff_multiply(s, x), start).items():
         sc = c.act(action)
+        terms = sc.terms
         sv = aff_multiply(s, v)
         if length(sv) < length(v):
-            out[v] = out[v] + sc if v in out else sc
+            acc = out.setdefault(v, {})
+            get = acc.get
+            for k, a in terms.items():
+                acc[k] = get(k, 0) + a
+            bound = max(bound, sc.bound)
         else:
-            out[v] = e_alpha * sc  # no other entry writes to v when s_i v > v
-            val = one_minus * sc
-            out[sv] = out[sv] + val if sv in out else val
-    return MappingProxyType({v: c for v, c in out.items() if c})
+            shifted = e_alpha.bound + sc.bound
+            bound = max(bound, shifted if shifted <= COORD_LIMIT else exact_product_bound(e_alpha, sc))
+            # e^{alpha_i} s_i(c) at v, which no other entry writes to, and
+            # (1 - e^{alpha_i}) s_i(c) at s_i v.
+            out[v] = {k + step: a for k, a in terms.items()}
+            acc = out.setdefault(sv, {})
+            get = acc.get
+            for k, a in terms.items():
+                acc[k] = get(k, 0) + a
+                acc[k + step] = get(k + step, 0) - a
+    wrapped = {}
+    for v, acc in out.items():
+        terms = {k: a for k, a in acc.items() if a}
+        if terms:
+            wrapped[v] = GroupAlgebraElement.from_packed(rank, terms, bound)
+    return MappingProxyType(wrapped)
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +224,16 @@ def b_cosets(x: AffineWeylElement) -> MappingProxyType:
     by the coroot coordinate of the unique translation in each coset: the
     coefficients of kappa(y_x) = sum_mu b_{x,[mu]} t_mu."""
     return MappingProxyType({t.trans: c for t, c in loc_row(x, True, True).items()})
+
+
+@lru_cache(maxsize=None)
+def b_lift(x: AffineWeylElement) -> tuple[tuple, MappingProxyType]:
+    """The b coset sums of x lifted to their lcm denominator D_x
+    (``ring.lift``): D_x and the numerators keyed like ``b_cosets(x)``,
+    read-only.  ``pontryagin_constants`` reads it for every pair with x
+    first, so each x is lifted once."""
+    den, nums = lift(x.datum, b_cosets(x))
+    return den, MappingProxyType(nums)
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +274,7 @@ def t_expansion(a: KElement) -> KElement:
     of its coefficients times the T-rows of its group elements."""
     if a.basis != LOC:
         raise ValueError("t_expansion needs its argument in the localization basis")
-    return KElement(a.datum, TBASIS, combine(a.datum, a.terms, t_row))
+    return KElement(a.datum, TBASIS, combine(a.datum, lift(a.datum, a.terms), t_row))
 
 
 # The Schubert-class images ----------------------------------------------------

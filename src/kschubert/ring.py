@@ -17,7 +17,10 @@ which keeps reduction to exact division along a single lattice direction and
 avoids multivariate gcd.
 
 ``combine`` is the one routine that sums rational multiples of polynomial
-rows: it works over one common denominator and reduces once per entry.
+rows: over one common denominator D (``lift``), in one flat packed dict for
+all entries, which it then divides by D one factor at a time.  Exact
+division has one coset pass (``_coset_pass``), which the reduction of a
+``RationalFunction`` and ``combine`` share.
 
 Values are read-only: a group-algebra element's terms are a read-only view,
 and operations always build new objects, so the memoized rows of the other
@@ -87,9 +90,10 @@ def _in_range(bound: int) -> int:
     return bound
 
 
-def _exact_bound(g: "GroupAlgebraElement") -> int:
-    """The largest |coordinate| among the weights of g, read off its keys."""
-    return max((max(map(abs, unpack(k, g.rank))) for k in g.terms), default=0)
+def _exact_bound(terms: Mapping, rank: int) -> int:
+    """The largest |coordinate| among the weights of packed keys, slot bits
+    (``combine``) ignored."""
+    return max((max(map(abs, unpack(k, rank))) for k in terms), default=0)
 
 
 class GroupAlgebraElement:
@@ -209,7 +213,7 @@ class GroupAlgebraElement:
         columns, norm = action.columns, action.norm
         bound = self.bound * norm
         if bound > COORD_LIMIT:
-            bound = _in_range(_exact_bound(self) * norm)
+            bound = _in_range(_exact_bound(self.terms, self.rank) * norm)
         digits = list(zip(range(0, DIGIT_BITS * self.rank, DIGIT_BITS), columns))
         offset, base = _offset(self.rank), _HALF * sum(columns)
         out: dict[int, int] = {}
@@ -243,7 +247,7 @@ def mul_add(acc: dict, a: GroupAlgebraElement, b: GroupAlgebraElement, bound: in
         raise ValueError("rank mismatch")
     product_bound = a.bound + b.bound
     if product_bound > COORD_LIMIT:
-        product_bound = _in_range(_exact_bound(a) + _exact_bound(b))
+        product_bound = exact_product_bound(a, b)
     get = acc.get
     inner = tuple(b.terms.items())
     for k1, c1 in a.terms.items():
@@ -257,41 +261,90 @@ def mul_add(acc: dict, a: GroupAlgebraElement, b: GroupAlgebraElement, bound: in
     return max(bound, product_bound)
 
 
-def divide_one_minus_exp(f: GroupAlgebraElement, beta: Weight):
-    """Exact quotient f / (1 - e^beta), or None if it does not divide.
+def exact_product_bound(a: GroupAlgebraElement, b: GroupAlgebraElement) -> int:
+    """The coordinate bound of a*b from the factors' actual coordinates, for
+    when their ``bound``s add up past COORD_LIMIT; raises ValueError if the
+    product still does not fit."""
+    return _in_range(_exact_bound(a.terms, a.rank) + _exact_bound(b.terms, b.rank))
 
-    Terms are grouped by coset of the lattice modulo Z*beta; on each coset
-    the quotient is the univariate long division of sum c_k x^k by (1 - x),
-    whose coefficients are the partial sums from below.  Divisibility means
-    every coset sums to zero.  On packed keys a coset representative is
-    k - q pack(beta), q read off the first nonzero coordinate of beta.
-    """
+
+def divide_one_minus_exp(f: GroupAlgebraElement, beta: Weight):
+    """Exact quotient f / (1 - e^beta), or None if it does not divide: one
+    pass of ``_coset_pass`` over the element alone."""
     if len(beta) != f.rank:
         raise ValueError("rank mismatch")
-    if not f:
-        return f
+    if f.augmentation():  # e^lambda -> 1 sends (1 - e^beta) to 0
+        return None
+    quotient, failed = _coset_pass(f.terms, beta, f.rank, f.bound)
+    return None if failed else GroupAlgebraElement.from_packed(f.rank, quotient, f.bound)
+
+
+def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int):
+    """Divide every entry of a flat accumulator by (1 - e^beta) in one pass.
+
+    ``terms`` maps (slot << DIGIT_BITS * rank) + weight key to a nonzero
+    coefficient, one slot per entry (a lone element is slot 0), and
+    ``bound`` bounds its coordinates.  Terms are grouped by coset of the
+    lattice modulo Z*beta; on each coset the quotient is the univariate long
+    division of sum c_k x^k by (1 - x), whose coefficients are the partial
+    sums from below, and divisibility means every coset sums to zero.  A
+    coset representative is k - q pack(beta), q read off the first nonzero
+    coordinate of beta; the slot rides above the weight digits, so cosets
+    never mix entries.  Returns the quotient terms of the slots that
+    divide and the set of the slots that do not.
+    """
     # Coset representatives stay inside (1 + max|beta_i|) * bound.
     reach = 1 + max(map(abs, beta))
-    if f.bound * reach > COORD_LIMIT:
-        _in_range(_exact_bound(f) * reach)
+    if bound * reach > COORD_LIMIT:
+        _in_range(_exact_bound(terms, rank) * reach)
     j = next(idx for idx, b in enumerate(beta) if b)
-    step, shift, offset = pack(beta), DIGIT_BITS * j, _offset(f.rank)
+    bj, step, shift, offset = beta[j], pack(beta), DIGIT_BITS * j, _offset(rank)
     groups: dict[int, list[tuple[int, int]]] = {}
-    for key, c in f.terms.items():
-        q = ((((key + offset) >> shift) & _MASK) - _HALF) // beta[j]
-        groups.setdefault(key - q * step, []).append((q, c))
-    out: dict[int, int] = {}
-    for rep, entries in groups.items():
-        entries.sort()
-        if sum(c for _, c in entries) != 0:
-            return None
+    for key, c in terms.items():
+        q = ((((key + offset) >> shift) & _MASK) - _HALF) // bj
+        rep = key - q * step
+        group = groups.get(rep)
+        if group is None:
+            groups[rep] = [(q, c)]
+        else:
+            group.append((q, c))
+    slot_bits = DIGIT_BITS * rank
+    failed = {(rep + offset) >> slot_bits for rep, group in groups.items() if sum(c for _, c in group)}
+    quotient: dict[int, int] = {}
+    for rep, group in groups.items():
+        if failed and (rep + offset) >> slot_bits in failed:
+            continue
+        group.sort()
         running = 0
-        for (q, c), (q_next, _) in zip(entries, entries[1:]):
+        for (q, c), (q_next, _) in zip(group, group[1:]):
             running += c
             if running:
                 for qq in range(q, q_next):
-                    out[rep + qq * step] = running
-    return GroupAlgebraElement.from_packed(f.rank, out, f.bound)
+                    quotient[rep + qq * step] = running
+    return quotient, failed
+
+
+def _divide_slots(terms: Mapping, rank: int, bound: int, den) -> tuple[dict, dict]:
+    """Divide every entry of a flat accumulator (``_coset_pass``) by as many
+    factors of ``den`` as divide it, root by root in the order of ``den``,
+    one pass per factor; an entry leaves a root at its first failed pass, as
+    in ``RationalFunction``'s own reduction.  Returns the quotient terms and
+    slot -> the (root, multiplicity) pairs that slot keeps."""
+    offset, slot_bits = _offset(rank), DIGIT_BITS * rank
+    keeps: dict[int, list[tuple[Weight, int]]] = {}
+    for root, mult in den:
+        done: dict[int, int] = {}
+        for left in range(mult, 0, -1):
+            quotient, failed = _coset_pass(terms, root, rank, bound)
+            if failed:
+                done.update((k, c) for k, c in terms.items() if (k + offset) >> slot_bits in failed)
+                for slot in failed:
+                    keeps.setdefault(slot, []).append((root, left))
+            terms = quotient
+            if not terms:
+                break
+        terms.update(done)  # a fresh dict: at least one pass ran
+    return terms, keeps
 
 
 class RationalFunction:
@@ -330,12 +383,8 @@ class RationalFunction:
         num = self.num
         new_den = []
         for root, mult in self.den:
-            while mult > 0:
-                q = divide_one_minus_exp(num, root)
-                if q is None:
-                    break
-                num = q
-                mult -= 1
+            while mult and (q := divide_one_minus_exp(num, root)) is not None:
+                num, mult = q, mult - 1
             if mult:
                 new_den.append((root, mult))
         self.num = num
@@ -454,22 +503,61 @@ def common_denominator(datum: CartanDatum, fs) -> tuple[dict[Weight, int], list[
     return lcm, [f.num * _den_complement(datum, lcm, f._den_map()) for f in fs]
 
 
-def combine(datum: CartanDatum, coeffs: Mapping, rows) -> dict:
-    """sum over k of coeffs[k] * rows(k), for rational coefficients and rows
+def lift(datum: CartanDatum, coeffs: Mapping) -> tuple[tuple, dict]:
+    """Rational coefficients k -> f_k over their lcm denominator D: returns D
+    as sorted (root, multiplicity) pairs and the numerators k -> f_k D."""
+    lcm, nums = common_denominator(datum, coeffs.values())
+    return tuple(sorted(lcm.items())), dict(zip(coeffs, nums))
+
+
+def combine(datum: CartanDatum, lifted: tuple[tuple, Mapping], rows) -> dict:
+    """sum over k of f_k * rows(k), for rational coefficients f_k given
+    lifted to one denominator D (``lift``: D and k -> f_k D) and rows
     k -> {key: GroupAlgebraElement}, as key -> nonzero RationalFunction.
-    The coefficients are lifted to their lcm denominator D, each numerator is
-    multiplied into its row in place (``mul_add``), and each entry is reduced
-    once over D."""
-    den, nums = common_denominator(datum, coeffs.values())
-    raw: dict = {}
+
+    All entries accumulate in one flat packed dict: the n-th key seen gets
+    slot n, and its terms are keyed (n << DIGIT_BITS * rank) + weight key.
+    The whole dict is then divided by D one factor at a time
+    (``_divide_slots``), so each entry equals its canonical
+    ``RationalFunction`` reduction."""
+    den, nums = lifted
+    rank = datum.rank
+    slot_bits = DIGIT_BITS * rank
+    acc: dict[int, int] = {}
+    get = acc.get
+    slots: dict = {}
     bound = 0
-    for k, p in zip(coeffs, nums):
+    for k, p in nums.items():
+        outer = tuple(p.terms.items())
         for key, g in rows(k).items():
-            bound = mul_add(raw.setdefault(key, {}), p, g, bound)
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(slots)
+            product_bound = p.bound + g.bound
+            if product_bound > bound:
+                if product_bound > COORD_LIMIT:
+                    product_bound = exact_product_bound(p, g)
+                bound = max(bound, product_bound)
+            base = slot << slot_bits
+            inner = tuple(g.terms.items())
+            for k1, c1 in outer:
+                k1 += base
+                for k2, c2 in inner:
+                    kk = k1 + k2
+                    acc[kk] = get(kk, 0) + c1 * c2
+    terms = {kk: c for kk, c in acc.items() if c}
+    terms, keeps = _divide_slots(terms, rank, bound, den)
+    offset = _offset(rank)
+    split: list[dict[int, int]] = [{} for _ in slots]
+    for kk, c in terms.items():
+        slot = (kk + offset) >> slot_bits
+        split[slot][kk - (slot << slot_bits)] = c
     return {
-        key: RationalFunction(datum, GroupAlgebraElement.from_packed(datum.rank, terms, bound), den)
-        for key, terms in raw.items()
-        if terms
+        key: RationalFunction(
+            datum, GroupAlgebraElement.from_packed(rank, split[slot], bound), keeps.get(slot, ()), reduce=False
+        )
+        for key, slot in slots.items()
+        if split[slot]
     }
 
 

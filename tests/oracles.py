@@ -1,7 +1,8 @@
 """Test-only helpers, kept out of the library because nothing in it calls
 them: second computations of Weyl-group data, of the b and e rows, of row
 coset sums and of the closed product formula, which the tests compare the
-library against, and small conveniences for writing the tests (word
+library against, the per-entry sum of rational multiples of rows that
+``ring.combine`` is compared against, and small conveniences for writing the tests (word
 evaluation, the pairing, scaling, T-sums back in the localization basis,
 expanded denominators, the translation law); Bruhat order by the lifting
 property, which lower intervals are compared against; the tuple-keyed
@@ -20,7 +21,13 @@ from kschubert.constants import (
     pontryagin_constants,
 )
 from kschubert.nilhecke import LOC, KElement, e_cosets
-from kschubert.ring import GroupAlgebraElement, RationalFunction, format_gae
+from kschubert.ring import (
+    GroupAlgebraElement,
+    RationalFunction,
+    common_denominator,
+    format_gae,
+    mul_add,
+)
 from kschubert.rootsys import Matrix, Weight, identity_matrix, level_zero_root, matmul, matvec
 from kschubert.weyl import (
     AffineWeylElement,
@@ -177,6 +184,26 @@ def pontryagin_constants_rf(x, y):
             raw[z] = raw[z] + val if z in raw else val
     entries = {z: c.to_polynomial() for z, c in raw.items() if c}
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
+
+
+def combine_per_entry(datum, coeffs, rows):
+    """sum over k of coeffs[k] * rows(k) as key -> nonzero RationalFunction,
+    one entry at a time: the coefficients lifted to their lcm denominator D,
+    one ``mul_add`` per (k, key) into that key's own dict, and one
+    ``RationalFunction`` reduction per entry over D.  The reference for
+    ``ring.combine``, which accumulates all entries in one flat dict and
+    divides them together."""
+    den, nums = common_denominator(datum, coeffs.values())
+    raw: dict = {}
+    bound = 0
+    for k, p in zip(coeffs, nums):
+        for key, g in rows(k).items():
+            bound = mul_add(raw.setdefault(key, {}), p, g, bound)
+    return {
+        key: RationalFunction(datum, GroupAlgebraElement.from_packed(datum.rank, terms, bound), den)
+        for key, terms in raw.items()
+        if terms
+    }
 
 
 # The full-row route ------------------------------------------------------------

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from oracles import pontryagin_constants_rf, translation_product_check
-from kschubert import ring
-from kschubert.ring import GroupAlgebraElement, mul_add
+from kschubert import constants, nilhecke, ring
+from kschubert.ring import GroupAlgebraElement, combine
 from kschubert.rootsys import build_root_system
 from kschubert.constants import (
     MalformedDatumError,
@@ -153,22 +153,57 @@ def test_product_routes_non_simply_laced(cartan):
             assert sum(c.augmentation() for c in entries.values()) == 1
 
 
+def counting_combine(monkeypatch, seen: list) -> None:
+    """Route ``pontryagin_constants`` through a ``ring.combine`` that
+    appends, for each row it reads, the term products its flat kernel makes
+    on that row: |lifted numerator| times the terms of the row."""
+
+    def counting(datum, lifted, rows):
+        nums = lifted[1]
+
+        def counted(k):
+            row = rows(k)
+            seen.append(len(nums[k].terms) * sum(len(g.terms) for g in row.values()))
+            return row
+
+        return combine(datum, lifted, counted)
+
+    monkeypatch.setattr(constants, "combine", counting)
+
+
 def test_square_work_count(monkeypatch, a2):
-    # Term products of the ring's multiply-adds for one A2 t[-2,-2] square
-    # once its memoized rows are warm: 11,268 on the coset-row route, the
-    # lift to one denominator included; the convolution and e stage
-    # it replaced made 893,724.  A count, so it holds however noisy the clock.
+    # Term products of the flat kernel for one A2 t[-2,-2] square once its
+    # memoized rows and lift are warm: 10,635 on the coset-row route (11,268
+    # while the lift was redone per pair); the convolution and e stage it
+    # replaced made 893,724.  A count, so it holds however noisy the clock.
     x = el(a2, "t[-2,-2]")
     first = pontryagin_constants(x, x).entries
     seen = []
-
-    def counting(acc, a, b, bound=0):
-        seen.append(len(a.terms) * len(b.terms))
-        return mul_add(acc, a, b, bound)
-
-    monkeypatch.setattr(ring, "mul_add", counting)
+    counting_combine(monkeypatch, seen)
     assert pontryagin_constants(x, x).entries == first
-    assert sum(seen) < 50_000
+    assert 0 < sum(seen) < 50_000
+    assert sum(seen) == 10_635
+
+
+def test_scan_work_guard(monkeypatch, a2):
+    # The 136 pairs x <= y of the A2 Grassmannian ball of length <= 6, with
+    # warm rows: each of the 16 x is lifted to D_x once, the lifted numerators
+    # make 51,691 term products, and the division is at most one pass per
+    # factor of D_x and pair (566), where the per-entry reduction made 1,228
+    # exact divisions.  Counts, so they hold however noisy the clock.
+    ball = grassmannian_ball(a2, 6)
+    pairs = [(x, y) for i, x in enumerate(ball) for y in ball[i:]]
+    tables = [pontryagin_constants(x, y).entries for x, y in pairs]
+    nilhecke.b_lift.cache_clear()
+    lifts, passes, products = [], [], []
+    lift, coset_pass = nilhecke.lift, ring._coset_pass
+    monkeypatch.setattr(nilhecke, "lift", lambda *a: lifts.append(1) or lift(*a))
+    monkeypatch.setattr(ring, "_coset_pass", lambda *a: passes.append(1) or coset_pass(*a))
+    counting_combine(monkeypatch, products)
+    assert [pontryagin_constants(x, y).entries for x, y in pairs] == tables
+    degree_sum = sum(sum(m for _, m in nilhecke.b_lift(x)[0]) for x, _ in pairs)
+    assert (len(pairs), len(lifts), sum(products)) == (136, 16, 51_691)
+    assert 0 < len(passes) <= degree_sum == 566
 
 
 def test_translation_product_check(a1, a2):
@@ -345,6 +380,23 @@ def test_conjecture_rejects_conflicting_data(a1):
     for data in (fixture + [conflict], [conflict] + classical):
         with pytest.raises(MalformedDatumError):
             conjecture_check(x, x, data)
+
+
+def test_conjecture_reads_only_the_pairs_data(a1):
+    # Data of other pairs are skipped before indexing: a conflict among them
+    # does not raise, and the report is the same as without them.
+    x, s1, e = el(a1, "s1 t[-1]"), el(a1, "s1"), identity(a1)
+    own = classical_quantum_data(a1, [(s1, s1)])
+    others = [
+        QuantumDatum(u=e, v=s1, w=s1, degree=(0,), value=G.one(1)),
+        QuantumDatum(u=e, v=s1, w=s1, degree=(0,), value=-G.one(1)),
+    ]
+    report = conjecture_check(x, x, others + own + others)
+    expected = conjecture_check(x, x, own)
+    assert [(r.z, r.c_value, r.n_value, r.verdict) for r in report.entries] == [
+        (r.z, r.c_value, r.n_value, r.verdict) for r in expected.entries
+    ]
+    assert report.mismatches == 0 and report.matches > 0
 
 
 def test_malformed_datum():

@@ -33,6 +33,7 @@ from kschubert.nilhecke import (
     KElement,
     ShapeViolationError,
     b_cosets,
+    b_lift,
     e_cosets,
     e_row,
     k_class,
@@ -323,6 +324,7 @@ def test_memoized_rows_are_read_only(a1):
         (lambda u: y_expansion(u, one), x, one),
         (lambda u: e_cosets(u, one), x, coset_min(g)),
         (b_cosets, x, (1,)),
+        (lambda u: b_lift(u)[1], x, (1,)),
         (lambda u: loc_row(u, True, False), x, one),
         (lambda u: loc_row(u, False, False), x, one),
         (lambda u: loc_row(u, True, True), x, translation(a1, (1,))),
@@ -343,6 +345,7 @@ def test_memoized_rows_are_read_only(a1):
         e_row(x)[one],
         e_cosets(x, one)[coset_min(g)],
         b_cosets(x)[(1,)].num,
+        b_lift(x)[1][(1,)],
         t_row(x)[one],
         _finite_localization_row(s1)[s1],
     ]

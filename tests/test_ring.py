@@ -2,22 +2,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import TupleGroupAlgebraElement, den_gae, matrix_rf_act, tuple_divide_one_minus_exp
-from kschubert.nilhecke import b_cosets, e_cosets
+from oracles import (
+    TupleGroupAlgebraElement,
+    combine_per_entry,
+    den_gae,
+    matrix_rf_act,
+    tuple_divide_one_minus_exp,
+)
+from kschubert.nilhecke import b_cosets, b_lift, e_cosets, loc_row, t_row
 from kschubert.ring import (
     COORD_LIMIT,
     GroupAlgebraElement,
     NonPolynomialError,
     RationalFunction,
+    combine,
     common_denominator,
     divide_one_minus_exp,
     format_gae,
     gae_to_json,
+    lift,
     pack,
+    rf_to_json,
     unpack,
 )
 from kschubert.rootsys import build_root_system
-from kschubert.weyl import grassmannian_ball, identity, weyl_group
+from kschubert.weyl import grassmannian_ball, identity, translation, weyl_group
 
 G = GroupAlgebraElement
 
@@ -388,3 +397,60 @@ def test_act_matches_matrix_route(spec, max_len):
                 assert f.act(action) == matrix_rf_act(f, matrix)
                 flipped.update(action.roots[root][1] for root, _ in f.den)
     assert flipped == {True, False}
+
+
+def same_sums(got: dict, expected: dict) -> bool:
+    """Equal entries in the same order, with equal JSON: byte-identical."""
+    return list(got) == list(expected) and [rf_to_json(c) for c in got.values()] == [
+        rf_to_json(c) for c in expected.values()
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 6), ("A2", 5), ([[2, -2], [-1, 2]], 4), ([[2, -1], [-2, 2]], 4), ([[2, -1], [-3, 2]], 4)],
+    ids=["A1", "A2", "B2", "C2", "G2"],
+)
+def test_flat_combine_matches_per_entry_oracle_on_whole_balls(spec, max_len):
+    """The flat accumulator of ``combine`` against the per-entry sum it
+    replaced: the product sums of every ordered pair of the ball, and the
+    T-expansions of the k and l class inputs, before any exactness gate."""
+    datum = build_root_system(spec)
+    ball = grassmannian_ball(datum, max_len)
+    for x in ball:
+        for y in ball:
+            def rows(mu, y=y):
+                return e_cosets(translation(datum, mu), y)
+
+            assert same_sums(combine(datum, b_lift(x), rows), combine_per_entry(datum, b_cosets(x), rows))
+        for y_side in (False, True):
+            a = loc_row(x, y_side, True)
+            assert same_sums(combine(datum, lift(datum, a), t_row), combine_per_entry(datum, a, t_row))
+
+
+def test_combine_keeps_non_polynomial_entries_apart(a1):
+    """Entries that keep different denominator factors come out as each
+    would reduce alone, even when they share weights."""
+    alpha = a1.positive_roots[0]
+    one, e = G.one(1), G.monomial(alpha)
+    coeffs = {
+        "a": RationalFunction(a1, one, ((alpha, 2),)),
+        "b": RationalFunction(a1, e, ((alpha, 1),)),
+    }
+    rows = {"a": {0: one - e, 1: one, 2: (one - e) * (one - e)}, "b": {0: one, 1: one - e}}
+    got = combine(a1, lift(a1, coeffs), rows.__getitem__)
+    assert same_sums(got, combine_per_entry(a1, coeffs, rows.__getitem__))
+    assert [len(c.den) and c.den[0][1] for c in got.values()] == [1, 2, 0]
+
+
+def test_combine_refuses_coordinates_past_the_packing_range(a1):
+    """A product term whose coordinate would pass COORD_LIMIT raises instead
+    of carrying into the slot bits of the next entry."""
+    half = G.monomial((COORD_LIMIT // 2 + 1,))
+    lifted = ((), {0: half})
+    with pytest.raises(ValueError, match="packing range"):
+        combine(a1, lifted, lambda k: {"z": half})
+    below = G.monomial((COORD_LIMIT // 2,))
+    sums = combine(a1, ((), {0: below}), lambda k: {"z": below, "w": G.one(1)})
+    assert sums["z"].num == G.monomial((2 * (COORD_LIMIT // 2),))
+    assert sums["w"].num == below

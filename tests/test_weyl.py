@@ -64,6 +64,18 @@ def test_s0_is_s1_t_minus_alpha_vee(a1):
     assert format_element(s0) == "s1 t[-1]"
 
 
+def test_elements_are_immutable(a2):
+    # Elements key the memos, so their fields cannot be reassigned.
+    x = parse_element("s1 t[-1,0]", a2)
+    for name, value in (("index", 0), ("trans", (0, 0)), ("datum", a2), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    with pytest.raises(AttributeError):
+        del x.index
+    assert format_element(x) == "s1 t[-1,0]" and x == parse_element("s1 t[-1,0]", a2)
+    assert hash(x) == hash(parse_element("s1 t[-1,0]", a2))
+
+
 def test_s1_s0_is_translation(a1):
     s0, s1 = affine_simple(a1, 0), affine_simple(a1, 1)
     assert aff_multiply(s1, s0) == translation(a1, (-1,))
