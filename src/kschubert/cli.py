@@ -307,13 +307,19 @@ def _cmd_conjecture(args) -> int:
         for y in reps
     }
     data.extend(classical_quantum_data(datum, sorted(finite_pairs, key=lambda p: (element_sort_key(p[0]), element_sort_key(p[1])))))
+    # Each pair reads only the data of its own finite parts (u, v): group
+    # them once, in their order, instead of every pair scanning all data.
+    by_pair: dict[tuple, list] = {}
+    for d in data:
+        by_pair.setdefault((d.u, d.v), []).append(d)
     records = []
     mismatches = matches = nodata = 0
     for x in reps:
         for y in reps:
             if element_sort_key(y) < element_sort_key(x):
                 continue
-            report: ConjectureReport = conjecture_check(x, y, data)
+            own = by_pair.get((finite_part(x), finite_part(y)), [])
+            report: ConjectureReport = conjecture_check(x, y, own)
             for e in report.entries:
                 records.append(
                     {

@@ -12,7 +12,7 @@ once, inside the nilHecke ring, and computes
 
     c_{x,y}^z = sum over mu of b_{x,[mu]} * E_{mu,y}[z],
 
-with E_{mu,y} the coset row of t_mu y_y (``nilhecke.e_cosets(t_mu, y)``,
+with E_{mu,y} the coset row of t_mu y_y (``nilhecke.translation_cosets(mu, y)``,
 the y-expansion of t_mu y_{y w0}, its key v read as z = v w0).  Why:
 
 * for finite i, s_i = e^{alpha_i} + (1 - e^{alpha_i}) y_i and
@@ -27,8 +27,8 @@ The sum is finite because the coset b-sums vanish outside the Bruhat lower
 interval of x.  Only the b coset sums carry denominators, products of
 (1 - e^beta), so the engine writes those of x over one common denominator
 D_x once (``nilhecke.b_lift``), forms the whole sum in the group algebra,
-and divides all output entries by D_x together, one factor at a time
-(``ring.combine``).  Every constant must land in the group algebra; a
+and divides all output entries by D_x together, one coset grouping per
+root of D_x (``ring.combine``).  Every constant must land in the group algebra; a
 surviving denominator signals a bug.
 
 The independent route expands the same product in the translation
@@ -70,7 +70,7 @@ from kschubert.weyl import (
     reflection_roots,
     translation,
 )
-from kschubert.nilhecke import b_cosets, b_lift, e_cosets, k_class, l_class, t_row
+from kschubert.nilhecke import b_cosets, b_lift, k_class, l_class, t_row, translation_cosets
 
 
 class SingularSystemError(ArithmeticError):
@@ -130,13 +130,14 @@ def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> Structur
     (module docstring), over one common denominator (``ring.combine``): the
     b coset sums of x, lifted once to numerators over their lcm denominator
     D_x (``nilhecke.b_lift``), are multiplied into the coset rows of
-    t_mu y_y in one flat accumulator, and all entries are divided by D_x
-    together, one factor per pass.  The route is deliberately asymmetric in
+    t_mu y_y (``nilhecke.translation_cosets``, read by mu) in one flat
+    accumulator, and all entries are divided by D_x together, one coset
+    grouping per root.  The route is deliberately asymmetric in
     x and y, so commutativity stays a real check."""
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise ValueError("both factors must be affine Grassmannian elements")
     datum = x.datum
-    sums = combine(datum, b_lift(x), lambda mu: e_cosets(translation(datum, mu), y))
+    sums = combine(datum, b_lift(x), lambda mu: translation_cosets(mu, y))
     # The one exactness gate: each entry over D_x must divide out fully.
     entries = {z: c.to_polynomial() for z, c in sums.items()}
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
@@ -326,7 +327,9 @@ def conjecture_check(
 
     index: dict[tuple, QuantumDatum] = {}
     for d in quantum_data:
-        if d.u != u_fin or d.v != v_fin:
+        # The finite indices first: integer tests that reject almost every
+        # datum of another pair before the element comparison.
+        if d.u.index != x.index or d.v.index != y.index or d.u != u_fin or d.v != v_fin:
             continue
         seen = index.setdefault((d.w, d.degree), d)
         if seen is not d and seen.value != d.value:

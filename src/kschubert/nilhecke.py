@@ -43,7 +43,10 @@ whole y-side sum of the formula.  Full e rows are built only for
 ``ecoeff``, the T-rows that the class layer and the classical oracle read,
 and the tests.  e entries are genuinely polynomial and are stored as
 group-algebra elements; the kernel scatters into raw packed dicts and
-wraps each entry once.
+wraps each entry once.  The kernel keys rows and entries by codes
+(``weyl.Code``, the tuple (finite index, translation)); only the public
+rows turn codes into elements.  ``translation_cosets(mu, y)`` is the coset
+row of t_mu y_y read by the coroot mu, as the product reads it.
 
 ``b_lift(x)`` memoizes the b coset sums of x lifted to their common
 denominator D_x, which the product reads for every pair with x first.
@@ -70,13 +73,13 @@ from kschubert.ring import (
     lift,
     pack,
 )
-from kschubert.rootsys import CartanDatum, level_zero_root
+from kschubert.rootsys import CartanDatum, Coroot, level_zero_root, matvec
 from kschubert.weyl import (
     AffineWeylElement,
+    Code,
     aff_multiply,
     affine_simple,
     coset_translation,
-    finite_elements,
     identity,
     is_grassmannian,
     left_descent,
@@ -153,38 +156,73 @@ def loc_row(x: AffineWeylElement, y_side: bool, cosets: bool) -> MappingProxyTyp
     return MappingProxyType({u: c for u, c in out.items() if c})
 
 
+class _Kernel:
+    """Per-datum state of the e kernel, built on its first call: the group
+    (whose ``left`` and ``code_length`` step codes), the step data of each
+    letter i (the action of the finite part of s_i, pack(alpha_i) and the
+    monomial e^{alpha_i}), the row memo keyed by (x code, start code), the
+    coset rows keyed by (x code, y code), and the ``AffineWeylElement`` of
+    each code that a public row returns, built once per code."""
+
+    __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "cosets", "elements", "minima")
+
+    def __init__(self, datum: CartanDatum):
+        group = weyl_group(datum)
+        self.datum, self.group = datum, group
+        letters = []
+        for i in range(datum.rank + 1):
+            alpha = level_zero_root(datum, i)
+            action = group.action[affine_simple(datum, i).index]
+            letters.append((action, pack(alpha), GroupAlgebraElement.monomial(alpha)))
+        self.letters = tuple(letters)
+        self.one = (0, (0,) * datum.rank)
+        self.w0 = group.longest
+        self.rows: dict[tuple[Code, Code], dict[Code, GroupAlgebraElement]] = {}
+        self.cosets: dict[tuple[Code, Code], MappingProxyType] = {}
+        self.elements: dict[Code, AffineWeylElement] = {}
+        self.minima: dict[Code, AffineWeylElement] = {}
+
+    def element(self, code: Code) -> AffineWeylElement:
+        x = self.elements.get(code)
+        if x is None:
+            x = self.elements[code] = AffineWeylElement(self.datum, *code)
+        return x
+
+    def times_w0(self, code: Code) -> Code:
+        """The code of x w0 for x of code ``code``."""
+        k, lam = code
+        group = self.group
+        return group.product[k][self.w0], matvec(group.cmat[group.inverse[self.w0]], lam)
+
+
 @lru_cache(maxsize=None)
-def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyType:
-    """The y-basis coefficients of x . y_start, as group-algebra elements.
-    Computed by peeling the smallest left descent i off x = s_i u, from the
-    base row {start: 1} at x = id: since s_i = e^{alpha_i} + (1 - e^{alpha_i})
-    y_i and y_i y_v = y_{s_i * v} (Demazure product),
+def _kernel(datum: CartanDatum) -> _Kernel:
+    return _Kernel(datum)
 
-        c_{s_i u, v} = s_i(c_{u,v}) + (1 - e^{alpha_i}) s_i(c_{u, s_i v})
-                                                      if s_i v < v,
-        c_{s_i u, v} = e^{alpha_i} s_i(c_{u,v})       if s_i v > v.
 
-    Started at the identity this is the e-row of x; started at a coset
-    maximum, such as the longest finite element w0, every row lives on coset
-    maxima, because y_v y_{w0} = y_{max vW}."""
-    datum = x.datum
-    rank = datum.rank
-    if x.is_identity:
-        return MappingProxyType({start: GroupAlgebraElement.one(rank)})
-    i = left_descent(x)
-    s = affine_simple(datum, i)
-    action = weyl_group(datum).action[s.index]
-    alpha = level_zero_root(datum, i)
-    e_alpha, step = GroupAlgebraElement.monomial(alpha), pack(alpha)
+def _y_row(kernel: _Kernel, x: Code, start: Code) -> dict:
+    """The y-basis coefficients of x . y_start on codes, memoized in
+    ``kernel.rows``; one frame per letter of x (see ``y_expansion``)."""
+    key = (x, start)
+    row = kernel.rows.get(key)
+    if row is not None:
+        return row
+    group = kernel.group
+    if x == kernel.one:
+        row = kernel.rows[key] = {start: GroupAlgebraElement.one(kernel.datum.rank)}
+        return row
+    i = group.code_descent(x)
+    action, step, e_alpha = kernel.letters[i]
+    left_code, length_of = group.left_code, group.code_length
     # Raw packed terms per entry, wrapped once at the end under one bound.
-    out: dict[AffineWeylElement, dict[int, int]] = {}
+    out: dict[Code, dict[int, int]] = {}
     bound = 0
     # One pass over the row of u, scattering c_{u,v} to the entries that read it.
-    for v, c in y_expansion(aff_multiply(s, x), start).items():
+    for v, c in _y_row(kernel, left_code(i, x), start).items():
         sc = c.act(action)
         terms = sc.terms
-        sv = aff_multiply(s, v)
-        if length(sv) < length(v):
+        sv = left_code(i, v)
+        if length_of(sv) < length_of(v):
             acc = out.setdefault(v, {})
             get = acc.get
             for k, a in terms.items():
@@ -201,12 +239,34 @@ def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyT
             for k, a in terms.items():
                 acc[k] = get(k, 0) + a
                 acc[k + step] = get(k + step, 0) - a
-    wrapped = {}
+    row = kernel.rows[key] = {}
+    rank = kernel.datum.rank
     for v, acc in out.items():
         terms = {k: a for k, a in acc.items() if a}
         if terms:
-            wrapped[v] = GroupAlgebraElement.from_packed(rank, terms, bound)
-    return MappingProxyType(wrapped)
+            row[v] = GroupAlgebraElement.from_packed(rank, terms, bound)
+    return row
+
+
+def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyType:
+    """The y-basis coefficients of x . y_start, as group-algebra elements,
+    read-only.  Computed by peeling the smallest left descent i off
+    x = s_i u, from the base row {start: 1} at x = id: since
+    s_i = e^{alpha_i} + (1 - e^{alpha_i}) y_i and y_i y_v = y_{s_i * v}
+    (Demazure product),
+
+        c_{s_i u, v} = s_i(c_{u,v}) + (1 - e^{alpha_i}) s_i(c_{u, s_i v})
+                                                      if s_i v < v,
+        c_{s_i u, v} = e^{alpha_i} s_i(c_{u,v})       if s_i v > v.
+
+    Started at the identity this is the e-row of x; started at a coset
+    maximum, such as the longest finite element w0, every row lives on coset
+    maxima, because y_v y_{w0} = y_{max vW}.  The kernel (``_y_row``) keys
+    rows and entries by codes (``weyl.Code``) and reads the coded tables of
+    ``weyl.WeylGroup``, so a step builds no ``AffineWeylElement``."""
+    kernel = _kernel(x.datum)
+    row = _y_row(kernel, (x.index, x.trans), (start.index, start.trans))
+    return MappingProxyType({kernel.element(v): c for v, c in row.items()})
 
 
 @lru_cache(maxsize=None)
@@ -236,22 +296,44 @@ def b_lift(x: AffineWeylElement) -> tuple[tuple, MappingProxyType]:
     return den, MappingProxyType(nums)
 
 
-@lru_cache(maxsize=None)
+def _coset_row(kernel: _Kernel, x: Code, y: AffineWeylElement) -> MappingProxyType:
+    """``e_cosets`` for x given by its code, memoized in ``kernel.cosets``."""
+    key = (x, (y.index, y.trans))
+    row = kernel.cosets.get(key)
+    if row is None:
+        if not is_grassmannian(y):
+            raise ValueError(f"{y!r} is not an affine Grassmannian element")
+        minima = kernel.minima
+        out = {}
+        for v, c in _y_row(kernel, x, kernel.times_w0(key[1])).items():
+            z = minima.get(v)
+            if z is None:
+                z = minima[v] = kernel.element(kernel.times_w0(v))
+            out[z] = c
+        row = kernel.cosets[key] = MappingProxyType(out)
+    return row
+
+
 def e_cosets(x: AffineWeylElement, y: AffineWeylElement) -> MappingProxyType:
     """Coset sums of the y-expansion of x . y_y, for Grassmannian y, keyed by
-    the Grassmannian element z of each coset.  Read from the y-expansion of
-    x . y_{y w0} = x . y_y . y_{w0}: its row holds one entry per coset, at the
-    coset maximum v, whose coset minimum is v w0, so no full row is built.
-    At y = id these are the coset sums e_{x,[z]} = sum over v in z W of
-    e_{x,v}.  At a translation x = t_mu, since w y_{w0} = y_{w0} for finite
-    w, t_mu y_y y_{w0} = sum_nu b_{y,[nu]} t_{mu+nu} y_{w0}: the row is
+    the Grassmannian element z of each coset, read-only.  Read from the
+    y-expansion of x . y_{y w0} = x . y_y . y_{w0}: its row holds one entry
+    per coset, at the coset maximum v, whose coset minimum is v w0, so no
+    full row is built.  At y = id these are the coset sums
+    e_{x,[z]} = sum over v in z W of e_{x,v}.  At a translation x = t_mu,
+    since w y_{w0} = y_{w0} for finite w, t_mu y_y y_{w0} =
+    sum_nu b_{y,[nu]} t_{mu+nu} y_{w0}: the row is
     sum_nu b_{y,[nu]} e_cosets(t_{mu+nu}, id), the y-side sum of the
-    product formula done once."""
-    if not is_grassmannian(y):
-        raise ValueError(f"{y!r} is not an affine Grassmannian element")
-    w0 = finite_elements(x.datum)[weyl_group(x.datum).longest]
-    row = y_expansion(x, aff_multiply(y, w0))
-    return MappingProxyType({aff_multiply(v, w0): c for v, c in row.items()})
+    product formula done once.  Memoized by (x code, y code); each z is
+    built once per code."""
+    return _coset_row(_kernel(x.datum), (x.index, x.trans), y)
+
+
+def translation_cosets(mu: Coroot, y: AffineWeylElement) -> MappingProxyType:
+    """``e_cosets(t_mu, y)``, read by the coroot mu without building t_mu:
+    the row E_{mu,y} that the product formula reads for every mu of x's
+    b coset sums."""
+    return _coset_row(_kernel(y.datum), (0, mu), y)
 
 
 # Expansion in the T-basis ----------------------------------------------------

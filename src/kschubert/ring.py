@@ -18,9 +18,10 @@ avoids multivariate gcd.
 
 ``combine`` is the one routine that sums rational multiples of polynomial
 rows: over one common denominator D (``lift``), in one flat packed dict for
-all entries, which it then divides by D one factor at a time.  Exact
-division has one coset pass (``_coset_pass``), which the reduction of a
-``RationalFunction`` and ``combine`` share.
+all entries, which it then divides by D with one coset grouping per root
+of D.  Exact division has one coset loop (``_coset_pass``, which divides by
+(1 - e^beta)^m in one grouping), and the reduction of a ``RationalFunction``
+and ``combine`` share it.
 
 Values are read-only: a group-algebra element's terms are a read-only view,
 and operations always build new objects, so the memoized rows of the other
@@ -30,6 +31,7 @@ layers can hand the same values to every caller.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -268,31 +270,27 @@ def exact_product_bound(a: GroupAlgebraElement, b: GroupAlgebraElement) -> int:
     return _in_range(_exact_bound(a.terms, a.rank) + _exact_bound(b.terms, b.rank))
 
 
-def divide_one_minus_exp(f: GroupAlgebraElement, beta: Weight):
-    """Exact quotient f / (1 - e^beta), or None if it does not divide: one
-    pass of ``_coset_pass`` over the element alone."""
-    if len(beta) != f.rank:
-        raise ValueError("rank mismatch")
-    if f.augmentation():  # e^lambda -> 1 sends (1 - e^beta) to 0
-        return None
-    quotient, failed = _coset_pass(f.terms, beta, f.rank, f.bound)
-    return None if failed else GroupAlgebraElement.from_packed(f.rank, quotient, f.bound)
-
-
-def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int):
-    """Divide every entry of a flat accumulator by (1 - e^beta) in one pass.
+def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int, mult: int):
+    """Divide every entry of a flat accumulator by (1 - e^beta) up to
+    ``mult`` times, in one grouping.
 
     ``terms`` maps (slot << DIGIT_BITS * rank) + weight key to a nonzero
     coefficient, one slot per entry (a lone element is slot 0), and
-    ``bound`` bounds its coordinates.  Terms are grouped by coset of the
-    lattice modulo Z*beta; on each coset the quotient is the univariate long
-    division of sum c_k x^k by (1 - x), whose coefficients are the partial
-    sums from below, and divisibility means every coset sums to zero.  A
-    coset representative is k - q pack(beta), q read off the first nonzero
-    coordinate of beta; the slot rides above the weight digits, so cosets
-    never mix entries.  Returns the quotient terms of the slots that
-    divide and the set of the slots that do not.
+    ``bound`` bounds its coordinates.  Terms are grouped once by coset of
+    the lattice modulo Z*beta; on each coset, laid out densely from its
+    lowest power, a division is the univariate long division of
+    sum c_k x^k by (1 - x), whose coefficients are the partial sums from
+    below, and divisibility means the coset sums to zero.  A slot takes
+    division d only if all its cosets allow it, so it divides k times, k the
+    smallest number of divisions its cosets allow (at most ``mult``): the
+    same as ``mult`` passes of one division each.  A coset representative
+    is k - q pack(beta), q read off the first nonzero coordinate of beta;
+    the slot rides above the weight digits, so cosets never mix entries.
+    Returns the quotient terms and slot -> mult - k for the slots with
+    k < mult.
     """
+    if len(beta) != rank:
+        raise ValueError("rank mismatch")
     # Coset representatives stay inside (1 + max|beta_i|) * bound.
     reach = 1 + max(map(abs, beta))
     if bound * reach > COORD_LIMIT:
@@ -309,41 +307,49 @@ def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int):
         else:
             group.append((q, c))
     slot_bits = DIGIT_BITS * rank
-    failed = {(rep + offset) >> slot_bits for rep, group in groups.items() if sum(c for _, c in group)}
-    quotient: dict[int, int] = {}
+    cosets = []  # [slot, rep, lowest power, dense coefficients]
     for rep, group in groups.items():
-        if failed and (rep + offset) >> slot_bits in failed:
-            continue
         group.sort()
-        running = 0
-        for (q, c), (q_next, _) in zip(group, group[1:]):
-            running += c
-            if running:
-                for qq in range(q, q_next):
-                    quotient[rep + qq * step] = running
-    return quotient, failed
+        low = group[0][0]
+        dense = [0] * (group[-1][0] - low + 1)
+        for q, c in group:
+            dense[q - low] = c
+        cosets.append([(rep + offset) >> slot_bits, rep, low, dense])
+    keeps: dict[int, int] = {}
+    for done in range(mult):
+        divided = []
+        for coset in cosets:
+            if coset[0] in keeps:
+                continue
+            sums = list(accumulate(coset[3]))
+            if sums.pop():
+                keeps[coset[0]] = mult - done
+            else:
+                divided.append((coset, sums))
+        for coset, sums in divided:
+            if coset[0] not in keeps:
+                coset[3] = sums
+        if not divided:
+            break
+    quotient: dict[int, int] = {}
+    for _, rep, low, dense in cosets:
+        for q, c in enumerate(dense, low):
+            if c:
+                quotient[rep + q * step] = c
+    return quotient, keeps
 
 
 def _divide_slots(terms: Mapping, rank: int, bound: int, den) -> tuple[dict, dict]:
-    """Divide every entry of a flat accumulator (``_coset_pass``) by as many
-    factors of ``den`` as divide it, root by root in the order of ``den``,
-    one pass per factor; an entry leaves a root at its first failed pass, as
-    in ``RationalFunction``'s own reduction.  Returns the quotient terms and
-    slot -> the (root, multiplicity) pairs that slot keeps."""
-    offset, slot_bits = _offset(rank), DIGIT_BITS * rank
+    """Divide every entry of a flat accumulator by as many factors of
+    ``den`` as divide it, with one ``_coset_pass`` grouping per root, in
+    the order of ``den``, as in ``RationalFunction``'s own reduction.
+    Returns the quotient terms and slot -> the (root, multiplicity) pairs
+    that slot keeps."""
     keeps: dict[int, list[tuple[Weight, int]]] = {}
     for root, mult in den:
-        done: dict[int, int] = {}
-        for left in range(mult, 0, -1):
-            quotient, failed = _coset_pass(terms, root, rank, bound)
-            if failed:
-                done.update((k, c) for k, c in terms.items() if (k + offset) >> slot_bits in failed)
-                for slot in failed:
-                    keeps.setdefault(slot, []).append((root, left))
-            terms = quotient
-            if not terms:
-                break
-        terms.update(done)  # a fresh dict: at least one pass ran
+        terms, left = _coset_pass(terms, root, rank, bound, mult)
+        for slot, m in left.items():
+            keeps.setdefault(slot, []).append((root, m))
     return terms, keeps
 
 
@@ -383,10 +389,14 @@ class RationalFunction:
         num = self.num
         new_den = []
         for root, mult in self.den:
-            while mult and (q := divide_one_minus_exp(num, root)) is not None:
-                num, mult = q, mult - 1
-            if mult:
+            if num.augmentation():  # e^lambda -> 1 sends (1 - e^beta) to 0
                 new_den.append((root, mult))
+                continue
+            terms, left = _coset_pass(num.terms, root, num.rank, num.bound, mult)
+            if left.get(0) != mult:  # at least one factor divided
+                num = GroupAlgebraElement.from_packed(num.rank, terms, num.bound)
+            if left:
+                new_den.append((root, left[0]))
         self.num = num
         self.den = tuple(new_den)
 
@@ -517,7 +527,7 @@ def combine(datum: CartanDatum, lifted: tuple[tuple, Mapping], rows) -> dict:
 
     All entries accumulate in one flat packed dict: the n-th key seen gets
     slot n, and its terms are keyed (n << DIGIT_BITS * rank) + weight key.
-    The whole dict is then divided by D one factor at a time
+    The whole dict is then divided by D, one coset grouping per root
     (``_divide_slots``), so each entry equals its canonical
     ``RationalFunction`` reduction."""
     den, nums = lifted

@@ -22,14 +22,21 @@ coroot ``matvec``; a length reads which positive roots the finite part
 sends negative; and a finite element acts on ring values through its
 tabulated ``ring.WeylAction``.  ``wmat`` still reads the weight-lattice
 matrix.
+
+The e-side kernel of ``nilhecke`` walks elements as codes, the tuples
+(finite index, translation), without building an ``AffineWeylElement`` per
+step.  ``WeylGroup.left`` is left multiplication by each affine generator
+on codes, and ``WeylGroup.code_length`` is the one length memo, keyed by
+codes, that ``length`` and ``left_descent`` read.  Both are built on first
+use, never by ``weyl_group`` itself.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import mul
+from functools import cached_property, lru_cache
+from operator import add, mul
 from types import MappingProxyType
 
 from kschubert.ring import WeylAction, pack
@@ -45,6 +52,7 @@ from kschubert.rootsys import (
 )
 
 ReducedWord = tuple[int, ...]
+Code = tuple[int, Coroot]  # (finite index, translation) of w t_lam
 
 
 class ParseError(ValueError):
@@ -155,6 +163,7 @@ class WeylGroup:
         self.action = _Tabulated(len(mats), self._action)
         self.longest = len(mats) - 1
         assert self.length.count(self.length[-1]) == 1
+        self._lengths: dict[Code, int] = {}
 
     def _fold(self, letters) -> int:
         k = 0
@@ -179,6 +188,44 @@ class WeylGroup:
             max(sum(map(abs, row)) for row in m),
             MappingProxyType({beta: signed(matvec(m, beta)) for beta in self.datum.positive_roots}),
         )
+
+    @cached_property
+    def left(self) -> tuple[tuple[tuple[int, ...], tuple[Coroot, ...] | None], ...]:
+        """Entry i is (row, shifts) for the affine generator s_i = a t_tau:
+        s_i (k, lam) = (row[k], shifts[k] + lam), where row is the Cayley
+        row of a and shifts[k] = w_k^{-1}(tau); ``shifts`` is None for
+        finite i, whose tau is 0.  Built on first read."""
+        out = []
+        for i in range(self.datum.rank + 1):
+            s = affine_simple(self.datum, i)
+            shifts = None
+            if i == 0:
+                shifts = tuple(matvec(self.cmat[self.inverse[k]], s.trans) for k in range(len(self.elements)))
+            out.append((self.product[s.index], shifts))
+        return tuple(out)
+
+    def left_code(self, i: int, code: Code) -> Code:
+        """s_i times the element with code ``code``, as a code."""
+        row, shifts = self.left[i]
+        k, lam = code
+        return (row[k], lam) if shifts is None else (row[k], tuple(map(add, shifts[k], lam)))
+
+    def code_length(self, code: Code) -> int:
+        """Iwahori-Matsumoto length of w t_lam via the closed formula over
+        positive roots (validated against word enumeration in the tests),
+        memoized by code."""
+        n = self._lengths.get(code)
+        if n is None:
+            k, lam = code
+            n = self._lengths[code] = sum(
+                abs(sum(map(mul, lam, beta)) + flipped) for beta, (_, flipped) in self.action[k].roots.items()
+            )
+        return n
+
+    def code_descent(self, code: Code) -> int:
+        """The smallest i with l(s_i x) < l(x); x must not be the identity."""
+        n = self.code_length(code)
+        return next(i for i in range(len(self.left)) if self.code_length(self.left_code(i, code)) < n)
 
 
 @lru_cache(maxsize=None)
@@ -278,24 +325,14 @@ def aff_multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElemen
     return AffineWeylElement(datum, group.product[x.index][y.index], trans)
 
 
-@lru_cache(maxsize=None)
 def length(x: AffineWeylElement) -> int:
-    """Iwahori-Matsumoto length of w t_lam via the closed formula over
-    positive roots (validated against word enumeration in the tests)."""
-    roots = weyl_group(x.datum).action[x.index].roots
-    return sum(
-        abs(sum(map(mul, x.trans, beta)) + flipped) for beta, (_, flipped) in roots.items()
-    )
+    """Iwahori-Matsumoto length of w t_lam (``WeylGroup.code_length``)."""
+    return weyl_group(x.datum).code_length((x.index, x.trans))
 
 
 def left_descent(x: AffineWeylElement) -> int:
     """The smallest i with l(s_i x) < l(x); x must not be the identity."""
-    lx = length(x)
-    return next(
-        i
-        for i in range(x.datum.rank + 1)
-        if length(aff_multiply(affine_simple(x.datum, i), x)) < lx
-    )
+    return weyl_group(x.datum).code_descent((x.index, x.trans))
 
 
 @lru_cache(maxsize=None)

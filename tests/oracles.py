@@ -27,6 +27,7 @@ from kschubert.ring import (
     common_denominator,
     format_gae,
     mul_add,
+    unpack,
 )
 from kschubert.rootsys import Matrix, Weight, identity_matrix, level_zero_root, matmul, matvec
 from kschubert.weyl import (
@@ -189,21 +190,72 @@ def pontryagin_constants_rf(x, y):
 def combine_per_entry(datum, coeffs, rows):
     """sum over k of coeffs[k] * rows(k) as key -> nonzero RationalFunction,
     one entry at a time: the coefficients lifted to their lcm denominator D,
-    one ``mul_add`` per (k, key) into that key's own dict, and one
-    ``RationalFunction`` reduction per entry over D.  The reference for
-    ``ring.combine``, which accumulates all entries in one flat dict and
-    divides them together."""
+    one ``mul_add`` per (k, key) into that key's own dict, and each entry
+    divided by the factors of D one at a time, root by root in sorted order,
+    with the tuple-keyed ``tuple_divide_one_minus_exp``; an entry keeps a
+    root's remaining factors at its first failed division.  The reference
+    for ``ring.combine``, which accumulates all entries in one flat dict and
+    divides them together with one coset grouping per root, and for the
+    ``RationalFunction`` reduction, which shares that grouping."""
     den, nums = common_denominator(datum, coeffs.values())
     raw: dict = {}
-    bound = 0
     for k, p in zip(coeffs, nums):
         for key, g in rows(k).items():
-            bound = mul_add(raw.setdefault(key, {}), p, g, bound)
-    return {
-        key: RationalFunction(datum, GroupAlgebraElement.from_packed(datum.rank, terms, bound), den)
-        for key, terms in raw.items()
-        if terms
-    }
+            mul_add(raw.setdefault(key, {}), p, g)
+    out = {}
+    for key, terms in raw.items():
+        if terms:
+            num, kept = reduce_one_factor_at_a_time(datum.rank, terms, sorted(den.items()))
+            out[key] = RationalFunction(datum, num, kept, reduce=False)
+    return out
+
+
+def reduce_one_factor_at_a_time(rank, terms, den):
+    """Packed ``terms`` over the (root, multiplicity) pairs ``den``, divided
+    by one factor (1 - e^root) at a time in the tuple-keyed group algebra:
+    the numerator as a ``GroupAlgebraElement`` and the pairs left over."""
+    num = TupleGroupAlgebraElement(rank, {unpack(k, rank): c for k, c in terms.items()})
+    kept = []
+    for root, mult in den:
+        while mult and (q := tuple_divide_one_minus_exp(num, root)) is not None:
+            num, mult = q, mult - 1
+        if mult:
+            kept.append((root, mult))
+    return GroupAlgebraElement(rank, dict(num.terms)), tuple(kept)
+
+
+# The element-keyed e kernel ------------------------------------------------------
+#
+# The y-expansion kernel as the library ran it before its rows were keyed by
+# codes: one recursion per letter over ``AffineWeylElement`` keys, each step
+# through ``aff_multiply`` and ``length``.  The reference for
+# ``nilhecke.y_expansion`` and ``nilhecke.e_cosets``.
+
+
+@lru_cache(maxsize=None)
+def y_expansion_by_elements(x, start):
+    """The y-basis coefficients of x . y_start, keyed by elements: peel the
+    smallest left descent i off x = s_i u, then
+    c_{s_i u, v} = s_i(c_{u,v}) + (1 - e^{alpha_i}) s_i(c_{u, s_i v}) if
+    s_i v < v and e^{alpha_i} s_i(c_{u,v}) otherwise."""
+    datum = x.datum
+    if x.is_identity:
+        return MappingProxyType({start: GroupAlgebraElement.one(datum.rank)})
+    i = left_descent(x)
+    s = affine_simple(datum, i)
+    action = weyl_group(datum).action[s.index]
+    e_alpha = GroupAlgebraElement.monomial(level_zero_root(datum, i))
+    out: dict = {}
+    for v, c in y_expansion_by_elements(aff_multiply(s, x), start).items():
+        sc = c.act(action)
+        sv = aff_multiply(s, v)
+        if length(sv) < length(v):
+            out[v] = out[v] + sc if v in out else sc
+        else:
+            out[v] = e_alpha * sc
+            rest = sc - e_alpha * sc
+            out[sv] = out[sv] + rest if sv in out else rest
+    return MappingProxyType({v: c for v, c in out.items() if c})
 
 
 # The full-row route ------------------------------------------------------------

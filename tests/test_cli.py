@@ -311,19 +311,19 @@ def test_engine_division_is_the_exactness_gate(capsys, monkeypatch):
     # error.  The skewed row must be one the engine reads for A1 t[-1]^2.
     a1 = build_root_system("A1")
     x = parse_element("t[-1]", a1)
-    skewed_at = (translation(a1, (-1,)), x)
-    real_e_cosets = constants.e_cosets
+    skewed_at = ((-1,), x)
+    real_rows = constants.translation_cosets
     reads = []
 
-    def skewed(t, y):
-        reads.append((t, y))
-        row = dict(real_e_cosets(t, y))
-        if (t, y) == skewed_at:
+    def skewed(mu, y):
+        reads.append((mu, y))
+        row = dict(real_rows(mu, y))
+        if (mu, y) == skewed_at:
             z = next(iter(row))
             row[z] = row[z] + GroupAlgebraElement.monomial((0,))
         return row
 
-    monkeypatch.setattr(constants, "e_cosets", skewed)
+    monkeypatch.setattr(constants, "translation_cosets", skewed)
     with pytest.raises(NonPolynomialError):
         pontryagin_constants(x, x)
     assert skewed_at in reads

@@ -187,23 +187,30 @@ def test_square_work_count(monkeypatch, a2):
 
 def test_scan_work_guard(monkeypatch, a2):
     # The 136 pairs x <= y of the A2 Grassmannian ball of length <= 6, with
-    # warm rows: each of the 16 x is lifted to D_x once, the lifted numerators
-    # make 51,691 term products, and the division is at most one pass per
-    # factor of D_x and pair (566), where the per-entry reduction made 1,228
-    # exact divisions.  Counts, so they hold however noisy the clock.
+    # warm b rows: each of the 16 x is lifted to D_x once, the lifted
+    # numerators make 51,691 term products, and the division is exactly one
+    # coset grouping per (pair, root of D_x), 330 (566 one-factor passes
+    # before, and 1,228 exact divisions for the per-entry reduction before
+    # that).  From cold coset rows the e kernel takes 454 steps, one row per
+    # letter peeled or base row, holding 2,204 entries: the counts of the
+    # element-keyed kernel, so keying rows by codes moved keys, not work.
+    # Counts, so they hold however noisy the clock.
     ball = grassmannian_ball(a2, 6)
     pairs = [(x, y) for i, x in enumerate(ball) for y in ball[i:]]
     tables = [pontryagin_constants(x, y).entries for x, y in pairs]
     nilhecke.b_lift.cache_clear()
-    lifts, passes, products = [], [], []
+    nilhecke._kernel.cache_clear()
+    lifts, groupings, products = [], [], []
     lift, coset_pass = nilhecke.lift, ring._coset_pass
     monkeypatch.setattr(nilhecke, "lift", lambda *a: lifts.append(1) or lift(*a))
-    monkeypatch.setattr(ring, "_coset_pass", lambda *a: passes.append(1) or coset_pass(*a))
+    monkeypatch.setattr(ring, "_coset_pass", lambda *a: groupings.append(1) or coset_pass(*a))
     counting_combine(monkeypatch, products)
     assert [pontryagin_constants(x, y).entries for x, y in pairs] == tables
-    degree_sum = sum(sum(m for _, m in nilhecke.b_lift(x)[0]) for x, _ in pairs)
+    roots = sum(len(nilhecke.b_lift(x)[0]) for x, _ in pairs)
     assert (len(pairs), len(lifts), sum(products)) == (136, 16, 51_691)
-    assert 0 < len(passes) <= degree_sum == 566
+    assert len(groupings) == roots == 330
+    rows = nilhecke._kernel(a2).rows
+    assert (len(rows), sum(map(len, rows.values()))) == (454, 2_204)
 
 
 def test_translation_product_check(a1, a2):

@@ -22,8 +22,10 @@ from oracles import (
     t_sum_in_loc,
     weyl_act,
     y_element,
+    y_expansion_by_elements,
     y_in_loc,
 )
+from kschubert import nilhecke
 from kschubert.constants import _finite_localization_row
 from kschubert.ring import GroupAlgebraElement, RationalFunction, common_denominator
 from kschubert.rootsys import build_root_system, level_zero_root
@@ -180,6 +182,30 @@ def test_e_rows_are_polynomial_by_type(a2):
 B2 = [[2, -2], [-1, 2]]
 C2 = [[2, -1], [-2, 2]]
 G2 = [[2, -1], [-3, 2]]
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 8), ("A2", 6), ("A3", 4), (B2, 6), (C2, 6), (G2, 6)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_coded_kernel_matches_the_element_kernel(spec, max_len):
+    # The e kernel on codes against the element-keyed recursion it
+    # replaced: the full e row of every x of the ball, and its coset row at
+    # every Grassmannian start y of the ball, keyed by z = v w0.
+    datum = build_root_system(spec)
+    group = weyl_group(datum)
+    w0 = finite_element(datum, group.elements[group.longest])
+    one = identity(datum)
+    ball = affine_ball(datum, max_len)
+    starts = [y for y in ball if is_grassmannian(y)]
+    for x in ball:
+        assert e_row(x) == y_expansion_by_elements(x, one)
+        for y in starts:
+            row = y_expansion_by_elements(x, aff_multiply(y, w0))
+            assert e_cosets(x, y) == {aff_multiply(v, w0): c for v, c in row.items()}
+            if x.index == 0:
+                assert nilhecke.translation_cosets(x.trans, y) == e_cosets(x, y)
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,11 @@ from oracles import (
     combine_per_entry,
     den_gae,
     matrix_rf_act,
+    reduce_one_factor_at_a_time,
     tuple_divide_one_minus_exp,
 )
 from kschubert.nilhecke import b_cosets, b_lift, e_cosets, loc_row, t_row
+from kschubert import ring
 from kschubert.ring import (
     COORD_LIMIT,
     GroupAlgebraElement,
@@ -17,7 +19,6 @@ from kschubert.ring import (
     RationalFunction,
     combine,
     common_denominator,
-    divide_one_minus_exp,
     format_gae,
     gae_to_json,
     lift,
@@ -29,6 +30,14 @@ from kschubert.rootsys import build_root_system
 from kschubert.weyl import grassmannian_ball, identity, translation, weyl_group
 
 G = GroupAlgebraElement
+
+
+def divide_one_minus_exp(f, beta):
+    """f / (1 - e^beta), or None if it does not divide: one grouping of the
+    library's coset pass (``ring._coset_pass``) over f alone, the division
+    that ``RationalFunction`` reduction and ``combine`` run."""
+    quotient, keeps = ring._coset_pass(f.terms, beta, f.rank, f.bound, 1)
+    return None if keeps else G.from_packed(f.rank, quotient, f.bound)
 
 
 def weights(rank):
@@ -441,6 +450,67 @@ def test_combine_keeps_non_polynomial_entries_apart(a1):
     got = combine(a1, lift(a1, coeffs), rows.__getitem__)
     assert same_sums(got, combine_per_entry(a1, coeffs, rows.__getitem__))
     assert [len(c.den) and c.den[0][1] for c in got.values()] == [1, 2, 0]
+
+
+def power(g, n):
+    out = G.one(g.rank)
+    for _ in range(n):
+        out = out * g
+    return out
+
+
+def test_combine_divides_each_entry_up_to_the_multiplicity():
+    """One combine call over D = (1 - e^beta)^3 with entries that divide
+    exactly 0, 1, 2 and 3 times, and one whose two cosets modulo Z*beta
+    allow 3 and 1 divisions, so the entry divides once: one grouping per
+    root gives what one factor per pass gave."""
+    a2 = build_root_system("A2")
+    beta = (2, -1)
+    one, e = G.one(2), G.monomial(beta)
+    f = one - e
+    h = one + G.monomial((0, 1))  # augmentation 2: (1 - e^beta) does not divide it
+    entries = {k: h * power(f, k) for k in range(4)}
+    entries[4] = power(f, 3) * G.monomial((0, 1)) + f * G.monomial((0, 2))
+    coeffs = {0: RationalFunction(a2, one, ((beta, 3),))}
+    got = combine(a2, lift(a2, coeffs), lambda k: entries)
+    assert same_sums(got, combine_per_entry(a2, coeffs, lambda k: entries))
+    assert [c.den for c in got.values()] == [((beta, 3),), ((beta, 2),), ((beta, 1),), (), ((beta, 2),)]
+    assert [c.num for c in got.values()][:4] == [h] * 4
+    assert got[4].num == power(f, 2) * G.monomial((0, 1)) + G.monomial((0, 2))
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A2", 4), ([[2, -2], [-1, 2]], 3), ([[2, -1], [-3, 2]], 3)],
+    ids=["A2", "B2", "G2"],
+)
+def test_rf_reduction_with_multiplicity_matches_one_factor_oracle(spec, max_len):
+    """``RationalFunction`` reduction, one coset grouping per root, against
+    division one factor at a time in the tuple-keyed oracle: every e coset
+    value of a Grassmannian ball times (1 - e^beta)^a over (1 - e^beta)^m
+    and over a second root, a and m up to 3, with outcomes from no division
+    to full cancellation."""
+    datum = build_root_system(spec)
+    one = G.one(datum.rank)
+    roots = datum.positive_roots
+    values = {
+        tuple(g.sorted_terms()): g
+        for x in grassmannian_ball(datum, max_len)
+        for g in e_cosets(x, identity(datum)).values()
+    }
+    kept = set()
+    for g in values.values():
+        for beta, gamma in zip(roots, roots[1:] + roots[:1]):
+            factor = one - G.monomial(beta)
+            for a in range(4):
+                num = g * power(factor, a)
+                for m in range(1, 4):
+                    for den in (((beta, m),), tuple(sorted({beta: m, gamma: 1}.items()))):
+                        got = RationalFunction(datum, num, den)
+                        expected = reduce_one_factor_at_a_time(datum.rank, num.terms, den)
+                        assert (got.num, got.den) == expected
+                        kept.add(sum(m for _, m in got.den))
+    assert {0, 1, 2, 3} <= kept
 
 
 def test_combine_refuses_coordinates_past_the_packing_range(a1):

@@ -358,22 +358,26 @@ def test_group_order_and_tables(a2):
 )
 def test_index_route_matches_matrix_route(label, max_len):
     """Over a whole affine ball: products with every affine generator on both
-    sides, length, left descent, the Grassmannian test, the coset
-    translation, and the element grammar's round trip."""
+    sides, the left product on codes (index, translation), length, left
+    descent, the Grassmannian test, the coset translation, and the element
+    grammar's round trip."""
     datum = build_root_system(SPECS[label])
+    group = weyl_group(datum)
     gens = [affine_simple(datum, i) for i in range(datum.rank + 1)]
     gens_m = [matrix_simple(datum, i) for i in range(datum.rank + 1)]
     assert [matrix_pair(s) for s in gens] == gens_m
     for x in affine_ball(datum, max_len):
         xm = matrix_pair(x)
         lx = matrix_length(datum, xm)
-        assert length(x) == lx
+        assert length(x) == group.code_length((x.index, x.trans)) == lx
         assert coset_translation(x) == matrix_coset_translation(xm)
         left, right = [], []
-        for s, sm in zip(gens, gens_m):
+        for i, (s, sm) in enumerate(zip(gens, gens_m)):
             sx, xs = matrix_multiply(sm, xm), matrix_multiply(xm, sm)
-            assert matrix_pair(aff_multiply(s, x)) == sx
+            product = aff_multiply(s, x)
+            assert matrix_pair(product) == sx
             assert matrix_pair(aff_multiply(x, s)) == xs
+            assert group.left_code(i, (x.index, x.trans)) == (product.index, product.trans)
             left.append(matrix_length(datum, sx))
             right.append(matrix_length(datum, xs))
         if not x.is_identity:
@@ -464,3 +468,15 @@ def test_weyl_group_setup_matmul_guard(monkeypatch, label):
         assert group.product[2][group.inverse[2]] == 0
         assert group.action[group.longest].norm > 0
     assert (calls["row"], calls["action"]) == (1, 1)
+
+
+@pytest.mark.parametrize("label", sorted(MATMUL_CALLS_BEFORE_INDEX_TABLES))
+def test_weyl_group_builds_no_coded_tables(label):
+    # The coded product table and the length memo are built on first use,
+    # so set-up (``setup_s``) pays for neither.
+    datum = build_root_system(SPECS[label])
+    group = weyl.WeylGroup(datum)
+    assert "left" not in vars(group) and not group._lengths
+    assert group.code_length((group.longest, (0,) * datum.rank)) == group.length[group.longest]
+    assert "left" not in vars(group) and len(group._lengths) == 1
+    assert len(group.left) == datum.rank + 1 and group.left[1][1] is None
