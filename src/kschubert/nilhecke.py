@@ -8,53 +8,50 @@ in the localized ring, tagged with one of two bases:
 * ``t``: the basis T_x built from T_i = (1 - e^{alpha_i})^{-1} (s_i - 1),
   which satisfy T_i^2 = -T_i and the braid relations.
 
-Products are taken in ``loc``; the only basis change is one way,
-localization -> T (``t_expansion``), through the idempotent basis y_x built
-from y_i = 1 + T_i, which is never stored: u = sum_v e_{u,v} y_v and
-y_v = sum_{w <= v} T_w.  The memoized ``t_row(u)`` is u in the T-basis, the
-e row of u spread over lower intervals, and ``t_expansion`` sums rational
-multiples of those rows with ``ring.combine``, so a class is reduced once
-per T-coefficient rather than once per term.
+Products are taken in ``loc``; the only basis change is localization -> T
+(``t_expansion``), through the idempotent basis y_x built from
+y_i = 1 + T_i, never stored: u = sum_v e_{u,v} y_v and
+y_v = sum_{w <= v} T_w.  The memoized ``t_row(u)`` is u in the T-basis, and
+``t_expansion`` sums rational multiples of those rows with ``ring.combine``.
 
 The change-of-basis data are the b and e coefficient matrices
 
     y_w = sum_u b_{w,u} u,        w = sum_u e_{w,u} y_u,
 
-mutually inverse.  Each side has one memoized scatter kernel that peels the
-smallest left descent i off x = s_i u and makes one pass over the row of u.
+mutually inverse.  Each side has one memoized scatter kernel on codes
+(``weyl.Code``, the tuple (finite index, translation)) that peels the
+smallest left descent i off x = s_i u and makes one pass over the row of
+u; only the public rows turn codes into elements.
 
 b side: ``loc_row(x, y_side, cosets)`` is y_x, or T_x, in the localization
 basis; the y-row is the b-row of x.  With ``cosets`` it is the image under
 the projection kappa onto translations (t_lam w -> t_lam for finite w),
-built by the same recursion on translations alone, so no full row is
-built and the row is up to |W| times shorter.  ``b_cosets(x)`` reads
-kappa(y_x), the class layer reads kappa(y_w) and kappa(T_w), and only
-``bcoeff`` and the tests read a full row.
+built on translations alone, up to |W| times shorter: ``b_cosets(x)`` and
+the class layer read these, only ``bcoeff`` and the tests a full row.  The
+b entries are the only rational data, and the kernel (``_loc_row``, a loop)
+never divides: a row is packed numerators N_u over one running denominator
+D.  Write 1/(1 - e^{alpha_i}) = n_i/(1 - e^{beta_i}), beta_i = +-alpha_i
+positive, and s_i(D) = eps D' with eps a signed monomial
+(``WeylAction.roots``).  A step takes D to (1 - e^{beta_i}) lcm(D, D') and
+sends N u to N (-e^{alpha_i} n_i, or -n_i) (lcm/D) at u and
+s_i(N) n_i eps^{-1} (lcm/D') at s_i u, or at the translation in its coset.
+A public row is divided once, as one flat accumulator, into canonical
+entries; ``b_lift(x)`` lifts the b coset sums to their lcm D_x, which the
+product reads for every pair with x first.
 
-e side: ``y_expansion(x, start)`` is the y-expansion of x . y_start.
-Started at the identity it gives the full e row.  Started at y w0 for
-Grassmannian y (w0 the longest finite element) it gives
-x . y_y . y_{w0}, whose row has one entry per coset, at the coset maximum
-v; ``e_cosets(x, y)`` keys that entry by the coset minimum v w0.  The
-product formula reads only these coset rows, for x a translation t_mu and
-y its second factor: s_i y_{w0} = y_{w0} for finite s_i, so
+e side: ``y_expansion(x, start)`` is the y-expansion of x . y_start: the
+e row from the identity; from y w0, for Grassmannian y (w0 the longest
+finite element), x . y_y . y_{w0}, whose row has one entry per coset, at
+the coset maximum v, which ``e_cosets(x, y)`` keys by the coset minimum
+v w0.  The product reads only these rows, for x a translation t_mu
+(``translation_cosets(mu, y)``): s_i y_{w0} = y_{w0} for finite s_i, so
 kappa(y_y) y_{w0} = y_y y_{w0}, and the rows of t_mu y_y y_{w0} carry the
-whole y-side sum of the formula.  Full e rows are built only for
-``ecoeff``, the T-rows that the class layer and the classical oracle read,
-and the tests.  e entries are genuinely polynomial and are stored as
-group-algebra elements; the kernel scatters into raw packed dicts and
-wraps each entry once.  The kernel keys rows and entries by codes
-(``weyl.Code``, the tuple (finite index, translation)); only the public
-rows turn codes into elements.  ``translation_cosets(mu, y)`` is the coset
-row of t_mu y_y read by the coroot mu, as the product reads it.
+whole y-side sum of the formula.  e entries are polynomial; the kernel
+scatters into raw packed dicts and wraps each entry once.
 
-``b_lift(x)`` memoizes the b coset sums of x lifted to their common
-denominator D_x, which the product reads for every pair with x first.
-
-The closed subword sums and the word products in the localization basis
-that the tests compare both kernels against live in ``tests/oracles.py``.
-Rows and coset sums are returned read-only, since they are the memoized
-values themselves.
+The subword sums and the word products that the tests compare both kernels
+against live in ``tests/oracles.py``.  Rows and coset sums are returned
+read-only, since they are the memoized values themselves.
 """
 
 from __future__ import annotations
@@ -68,24 +65,22 @@ from kschubert.ring import (
     COORD_LIMIT,
     GroupAlgebraElement,
     RationalFunction,
+    _den_complement,
     combine,
     exact_product_bound,
     lift,
+    mul_add,
     pack,
 )
 from kschubert.rootsys import CartanDatum, Coroot, level_zero_root, matvec
 from kschubert.weyl import (
     AffineWeylElement,
     Code,
-    aff_multiply,
     affine_simple,
-    coset_translation,
     identity,
     is_grassmannian,
-    left_descent,
     length,
     lower_interval,
-    translation,
     weyl_group,
 )
 
@@ -122,49 +117,15 @@ class KElement:
         return f"KElement[{self.basis}]({body or '0'})"
 
 
-@lru_cache(maxsize=None)
-def loc_row(x: AffineWeylElement, y_side: bool, cosets: bool) -> MappingProxyType:
-    """y_x (``y_side``) or T_x in the localization basis, read-only; with
-    ``cosets``, its image under kappa, keyed by translations.  Computed by
-    peeling the smallest left descent i off x = s_i u, from the base row
-    {id: 1} at x = id: y_i = c0 + c1 s_i and T_i = -c1 + c1 s_i with
-    c1 = 1/(1 - e^{alpha_i}) and c0 = -e^{alpha_i} c1, so
-
-        p u  |->  c0 p u (or -c1 p u)  +  c1 s_i(p) s_i u.
-
-    kappa is left Q(T)-linear and kappa(s_i t_lam w) = kappa(s_i t_lam) for
-    finite w, so a projected row follows the same recursion with the key
-    s_i t_lam replaced by the translation in its coset."""
-    datum = x.datum
-    if x.is_identity:
-        return MappingProxyType({x: RationalFunction.one(datum)})
-    i = left_descent(x)
-    s = affine_simple(datum, i)
-    action = weyl_group(datum).action[s.index]
-    alpha = level_zero_root(datum, i)
-    c1 = RationalFunction.inverse_one_minus_exp(datum, alpha)
-    stay = c1 * GroupAlgebraElement.monomial(alpha, -1) if y_side else -c1
-    out: dict[AffineWeylElement, RationalFunction] = {}
-    for u, p in loc_row(aff_multiply(s, x), y_side, cosets).items():
-        val = stay * p
-        out[u] = out[u] + val if u in out else val
-        su = aff_multiply(s, u)
-        if cosets:
-            su = translation(datum, coset_translation(su))
-        val = c1 * p.act(action)
-        out[su] = out[su] + val if su in out else val
-    return MappingProxyType({u: c for u, c in out.items() if c})
-
-
 class _Kernel:
-    """Per-datum state of the e kernel, built on its first call: the group
-    (whose ``left`` and ``code_length`` step codes), the step data of each
-    letter i (the action of the finite part of s_i, pack(alpha_i) and the
-    monomial e^{alpha_i}), the row memo keyed by (x code, start code), the
-    coset rows keyed by (x code, y code), and the ``AffineWeylElement`` of
-    each code that a public row returns, built once per code."""
+    """Per-datum state of both kernels, built on first use: the group (whose
+    ``left`` and ``code_length`` step codes), the step data of each letter i
+    (the action of s_i's finite part, pack(alpha_i), e^{alpha_i}, beta_i, n_i
+    and the T- and y-side stay factors), the memos of e rows, coset rows and
+    b prefixes (``loc``, keyed by (x code, y_side, cosets)), and the element
+    of each code that a public row returns, built once per code."""
 
-    __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "cosets", "elements", "minima")
+    __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "cosets", "loc", "elements", "minima")
 
     def __init__(self, datum: CartanDatum):
         group = weyl_group(datum)
@@ -173,12 +134,19 @@ class _Kernel:
         for i in range(datum.rank + 1):
             alpha = level_zero_root(datum, i)
             action = group.action[affine_simple(datum, i).index]
-            letters.append((action, pack(alpha), GroupAlgebraElement.monomial(alpha)))
+            e_alpha = GroupAlgebraElement.monomial(alpha)
+            # 1/(1 - e^alpha) = n/(1 - e^beta): n = 1, or -e^beta for alpha = -beta.
+            beta = alpha if alpha in datum.positive_root_set else tuple(-c for c in alpha)
+            n = GroupAlgebraElement.one(datum.rank) if beta == alpha else GroupAlgebraElement.monomial(beta, -1)
+            letters.append((action, pack(alpha), e_alpha, beta, n, (-n, -(e_alpha * n))))
         self.letters = tuple(letters)
         self.one = (0, (0,) * datum.rank)
         self.w0 = group.longest
         self.rows: dict[tuple[Code, Code], dict[Code, GroupAlgebraElement]] = {}
         self.cosets: dict[tuple[Code, Code], MappingProxyType] = {}
+        base = GroupAlgebraElement.one(datum.rank)
+        bases = ((y, c, self.one[1] if c else self.one) for y in (False, True) for c in (False, True))
+        self.loc: dict[tuple[Code, bool, bool], tuple[dict, dict]] = {(self.one, y, c): ({}, {k: base}) for y, c, k in bases}
         self.elements: dict[Code, AffineWeylElement] = {}
         self.minima: dict[Code, AffineWeylElement] = {}
 
@@ -200,6 +168,57 @@ def _kernel(datum: CartanDatum) -> _Kernel:
     return _Kernel(datum)
 
 
+def _loc_row(kernel: _Kernel, x: Code, y_side: bool, cosets: bool) -> tuple[dict, dict]:
+    """``loc_row`` undivided, keyed by codes, or by translations with
+    ``cosets``: D (root -> multiplicity) and key -> N_u, entry u being
+    N_u / D.  Walks the left-descent chain of x down to the first memoized
+    prefix, then builds upward in a loop, memoizing every prefix."""
+    group, memo, rank, chain = kernel.group, kernel.loc, kernel.datum.rank, []
+    while (x, y_side, cosets) not in memo:
+        i = group.code_descent(x)
+        chain.append((i, x))
+        x = group.left_code(i, x)
+    den, nums = memo[x, y_side, cosets]
+    for i, x in reversed(chain):
+        action, _, _, beta, n, stays = kernel.letters[i]
+        image, moved = {}, n  # s_i(D) = eps D'; eps^{-1} joins the moved factor
+        for root, mult in den.items():
+            pos, flipped = action.roots[root]
+            image[pos] = mult
+            if flipped:
+                moved = moved * GroupAlgebraElement.monomial(tuple(mult * c for c in pos), (-1) ** mult)
+        lcm = {r: max(den.get(r, 0), image.get(r, 0)) for r in {**den, **image}}
+        stay = stays[y_side] * _den_complement(kernel.datum, lcm, den)
+        moved = moved * _den_complement(kernel.datum, lcm, image)
+        lcm[beta] = lcm.get(beta, 0) + 1
+        out, bound = {}, 0
+        for u, num in nums.items():
+            bound = mul_add(out.setdefault(u, {}), num, stay, bound)
+            su = group.left_code(i, (0, u) if cosets else u)
+            su = matvec(group.cmat[su[0]], su[1]) if cosets else su
+            bound = mul_add(out.setdefault(su, {}), num.act(action), moved, bound)
+        den, nums = lcm, {u: GroupAlgebraElement.from_packed(rank, acc, bound) for u, acc in out.items() if acc}
+        memo[x, y_side, cosets] = (den, nums)
+    return den, nums
+
+
+@lru_cache(maxsize=None)
+def loc_row(x: AffineWeylElement, y_side: bool, cosets: bool) -> MappingProxyType:
+    """y_x (``y_side``) or T_x in the localization basis, read-only; with
+    ``cosets``, its image under kappa, keyed by translations.  From {id: 1},
+    peeling the smallest left descent i off x = s_i u: y_i = c0 + c1 s_i and
+    T_i = -c1 + c1 s_i with c1 = 1/(1 - e^{alpha_i}), c0 = -e^{alpha_i} c1,
+    so p u |-> c0 p u (or -c1 p u) + c1 s_i(p) s_i u; kappa(s_i t_lam w) =
+    kappa(s_i t_lam) for finite w, so a projected row keys s_i t_lam by the
+    translation in its coset.  ``_loc_row`` keeps the row over a running
+    denominator (module notes); it is divided once, through ``combine``."""
+    kernel = _kernel(x.datum)
+    den, nums = _loc_row(kernel, (x.index, x.trans), y_side, cosets)
+    one = {0: GroupAlgebraElement.one(x.datum.rank)}
+    rows = combine(x.datum, (tuple(sorted(den.items())), one), lambda _: nums).items()
+    return MappingProxyType({kernel.element((0, u) if cosets else u): f for u, f in rows})
+
+
 def _y_row(kernel: _Kernel, x: Code, start: Code) -> dict:
     """The y-basis coefficients of x . y_start on codes, memoized in
     ``kernel.rows``; one frame per letter of x (see ``y_expansion``)."""
@@ -212,7 +231,7 @@ def _y_row(kernel: _Kernel, x: Code, start: Code) -> dict:
         row = kernel.rows[key] = {start: GroupAlgebraElement.one(kernel.datum.rank)}
         return row
     i = group.code_descent(x)
-    action, step, e_alpha = kernel.letters[i]
+    action, step, e_alpha = kernel.letters[i][:3]
     left_code, length_of = group.left_code, group.code_length
     # Raw packed terms per entry, wrapped once at the end under one bound.
     out: dict[Code, dict[int, int]] = {}
@@ -261,9 +280,7 @@ def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyT
 
     Started at the identity this is the e-row of x; started at a coset
     maximum, such as the longest finite element w0, every row lives on coset
-    maxima, because y_v y_{w0} = y_{max vW}.  The kernel (``_y_row``) keys
-    rows and entries by codes (``weyl.Code``) and reads the coded tables of
-    ``weyl.WeylGroup``, so a step builds no ``AffineWeylElement``."""
+    maxima, because y_v y_{w0} = y_{max vW}.  The kernel is ``_y_row``."""
     kernel = _kernel(x.datum)
     row = _y_row(kernel, (x.index, x.trans), (start.index, start.trans))
     return MappingProxyType({kernel.element(v): c for v, c in row.items()})

@@ -441,9 +441,6 @@ class RationalFunction:
             and self.num == other.num
         )
 
-    def _den_map(self) -> dict[Weight, int]:
-        return dict(self.den)
-
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         lcm, (a, b) = common_denominator(self.datum, (self, other))
@@ -457,7 +454,7 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
-        den = self._den_map()
+        den = dict(self.den)
         for root, mult in other.den:
             den[root] = den.get(root, 0) + mult
         return RationalFunction(self.datum, self.num * other.num, den)
@@ -484,20 +481,6 @@ class RationalFunction:
             )
         return self.num
 
-    def act(self, action: WeylAction) -> "RationalFunction":
-        """Image under a finite Weyl group element.  Denominator roots map to
-        roots; factors sent to negative roots are renormalized via
-        (1 - e^{-beta}) = (-e^{-beta})(1 - e^beta), the unit being absorbed
-        into the numerator."""
-        num = self.num.act(action)
-        den: dict[Weight, int] = {}
-        for root, mult in self.den:
-            pos, flipped = action.roots[root]
-            den[pos] = den.get(pos, 0) + mult
-            if flipped:
-                num = num * GroupAlgebraElement.monomial(tuple(mult * x for x in pos), (-1) ** mult)
-        return RationalFunction(self.datum, num, den)
-
     def __repr__(self):
         return f"RationalFunction({format_rf(self)})"
 
@@ -510,7 +493,7 @@ def common_denominator(datum: CartanDatum, fs) -> tuple[dict[Weight, int], list[
     for f in fs:
         for root, mult in f.den:
             lcm[root] = max(lcm.get(root, 0), mult)
-    return lcm, [f.num * _den_complement(datum, lcm, f._den_map()) for f in fs]
+    return lcm, [f.num * _den_complement(datum, lcm, dict(f.den)) for f in fs]
 
 
 def lift(datum: CartanDatum, coeffs: Mapping) -> tuple[tuple, dict]:

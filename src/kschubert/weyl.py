@@ -23,7 +23,7 @@ sends negative; and a finite element acts on ring values through its
 tabulated ``ring.WeylAction``.  ``wmat`` still reads the weight-lattice
 matrix.
 
-The e-side kernel of ``nilhecke`` walks elements as codes, the tuples
+Both kernels of ``nilhecke`` walk elements as codes, the tuples
 (finite index, translation), without building an ``AffineWeylElement`` per
 step.  ``WeylGroup.left`` is left multiplication by each affine generator
 on codes, and ``WeylGroup.code_length`` is the one length memo, keyed by

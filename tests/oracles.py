@@ -52,7 +52,27 @@ def weyl_act(x, f):
     """Level-zero action of an affine element on a ring value: the finite
     part acts on exponents, the translation part acts trivially.  Values are
     read-only, so the identity hands f back itself."""
-    return f.act(weyl_group(x.datum).action[x.index]) if x.index else f
+    if not x.index:
+        return f
+    action = weyl_group(x.datum).action[x.index]
+    return rf_act(f, action) if isinstance(f, RationalFunction) else f.act(action)
+
+
+def rf_act(f, action):
+    """Image of a ``RationalFunction`` under a finite Weyl group element
+    (``ring.WeylAction``).  Denominator roots map to roots; factors sent to
+    negative roots are renormalized via
+    (1 - e^{-beta}) = (-e^{-beta})(1 - e^beta), the unit being absorbed into
+    the numerator.  The library's b kernel applies the same rule to its
+    running denominator without dividing (``nilhecke._loc_row``)."""
+    num = f.num.act(action)
+    den: dict[Weight, int] = {}
+    for root, mult in f.den:
+        pos, flipped = action.roots[root]
+        den[pos] = den.get(pos, 0) + mult
+        if flipped:
+            num = num * GroupAlgebraElement.monomial(tuple(mult * x for x in pos), (-1) ** mult)
+    return RationalFunction(f.datum, num, den)
 
 
 def demazure_extend(x, i):
@@ -606,7 +626,7 @@ def matrix_coset_translation(x):
 
 
 def matrix_rf_act(f, matrix):
-    """``RationalFunction.act`` on a weight-lattice matrix: every exponent and
+    """``rf_act`` on a weight-lattice matrix: every exponent and
     every denominator root through ``matvec``, a factor sent to a negative
     root renormalized by (1 - e^{-beta}) = (-e^{-beta})(1 - e^beta)."""
     num = GroupAlgebraElement(

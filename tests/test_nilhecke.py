@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +30,10 @@ from oracles import (
     y_expansion_by_elements,
     y_in_loc,
 )
-from kschubert import nilhecke
+import kschubert
+from kschubert import nilhecke, ring
 from kschubert.constants import _finite_localization_row
-from kschubert.ring import GroupAlgebraElement, RationalFunction, common_denominator
+from kschubert.ring import GroupAlgebraElement, RationalFunction, common_denominator, lift, rf_to_json
 from kschubert.rootsys import build_root_system, level_zero_root
 from kschubert.nilhecke import (
     LOC,
@@ -235,6 +241,101 @@ def test_loc_rows_match_the_full_row_route(spec, max_len):
         assert loc_row(x, True, True) == kappa(full_y).terms, x
         assert loc_row(x, False, True) == kappa(full_t).terms, x
         assert bool(loc_row(x, False, True)) == is_grassmannian(x), x
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 8), ("A2", 6), ("A3", 4), (B2, 6), (C2, 6), (G2, 6)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_b_lift_is_the_lift_of_the_divided_coset_sums(spec, max_len):
+    # b_lift reads the divided b coset sums and lifts them to their lcm D_x:
+    # the same D, key order and numerators as ring.lift, on whole balls.
+    datum = build_root_system(spec)
+    for x in affine_ball(datum, max_len):
+        den, nums = b_lift(x)
+        ref_den, ref_nums = lift(datum, b_cosets(x))
+        assert den == ref_den, x
+        assert list(nums.items()) == list(ref_nums.items()), x
+
+
+@pytest.mark.parametrize(
+    "spec,max_len,equal,total",
+    [("A1", 10, 11, 11), ("A2", 9, 30, 30), ("A3", 6, 18, 23), (B2, 8, 7, 18), (C2, 8, 7, 18),
+     (G2, 8, 6, 13)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_running_denominator_carries_D_x(spec, max_len, equal, total):
+    # The b kernel's running denominator D is a multiple of D_x, the lcm of
+    # the divided coset sums, on every Grassmannian element of these balls,
+    # and equal to it on all of A1 and A2 but on only some of A3, B2, C2 and
+    # G2.  A larger D would cost the pair stage term products and coset
+    # passes, which is why b_lift lifts the divided sums instead.
+    datum = build_root_system(spec)
+    kernel = nilhecke._kernel(datum)
+    ball = grassmannian_ball(datum, max_len)
+    same = 0
+    for x in ball:
+        lifted = dict(b_lift(x)[0])
+        running, _ = nilhecke._loc_row(kernel, (x.index, x.trans), True, True)
+        assert all(running.get(root, 0) >= m for root, m in lifted.items()), x
+        same += running == lifted
+    assert (same, len(ball)) == (equal, total)
+
+
+def test_b_rows_from_cold_take_no_rational_arithmetic(monkeypatch, a2):
+    # The 16 first factors of the scan ball (A2 Grassmannian, length <= 6),
+    # b rows rebuilt from cold: no RationalFunction sum or product, one flat
+    # division (ring._divide_slots) per public row, and 15 prefix rows built
+    # (each x peels to the one before it) with 864 term products in the
+    # kernel.  Counts, not times.
+    xs = grassmannian_ball(a2, 6)
+    warm = [b_cosets(x) for x in xs]
+    nilhecke.loc_row.cache_clear()
+    nilhecke.b_cosets.cache_clear()
+    nilhecke._kernel.cache_clear()
+    rational, divisions, products = [], [], []
+    for name in ("__add__", "__mul__"):
+        op = getattr(RationalFunction, name)
+        monkeypatch.setattr(RationalFunction, name, lambda a, b, op=op: rational.append(1) or op(a, b))
+    divide, mul_add = ring._divide_slots, nilhecke.mul_add
+    monkeypatch.setattr(ring, "_divide_slots", lambda *a: divisions.append(1) or divide(*a))
+
+    def counting(acc, a, b, bound=0):
+        products.append(len(a.terms) * len(b.terms))
+        return mul_add(acc, a, b, bound)
+
+    monkeypatch.setattr(nilhecke, "mul_add", counting)
+    assert [b_cosets(x) for x in xs] == warm
+    prefixes = len(nilhecke._kernel(a2).loc) - 4  # the four base rows
+    assert (len(xs), len(rational), len(divisions)) == (16, 0, 16)
+    assert (prefixes, sum(products)) == (15, 864)
+
+
+def test_b_kernel_takes_no_stack_frame_per_letter(a1):
+    # The b kernel walks the word in a loop: under a recursion limit of 100,
+    # a fresh process still gets the b coset sums of an A1 translation of
+    # length 120, the same as this one.
+    x = translation(a1, (-60,))
+    assert length(x) == 120
+    script = (
+        "import json, sys\n"
+        "from kschubert.nilhecke import b_cosets\n"
+        "from kschubert.ring import rf_to_json\n"
+        "from kschubert.rootsys import build_root_system\n"
+        "from kschubert.weyl import translation\n"
+        "x = translation(build_root_system('A1'), (-60,))\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(json.dumps([[list(mu), rf_to_json(f)] for mu, f in b_cosets(x).items()]))\n"
+    )
+    src = str(Path(kschubert.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    expected = [[list(mu), rf_to_json(f)] for mu, f in b_cosets(x).items()]
+    assert json.loads(done.stdout) == expected
 
 
 @pytest.mark.parametrize("fixture_name,max_len", [("a1", 5), ("a2", 4)])
