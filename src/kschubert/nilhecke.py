@@ -20,8 +20,9 @@ The change-of-basis data are the b and e coefficient matrices
 
 mutually inverse.  Each side has one memoized scatter kernel on codes
 (``weyl.Code``, the tuple (finite index, translation)) that peels the
-smallest left descent i off x = s_i u and makes one pass over the row of
-u; only the public rows turn codes into elements.
+smallest left descent i (read off one root, ``WeylGroup.descends``) off
+x = s_i u and makes one pass over the row of u; only the public rows turn
+codes into elements.
 
 b side: ``loc_row(x, y_side, cosets)`` is y_x, or T_x, in the localization
 basis; the y-row is the b-row of x.  With ``cosets`` it is the image under
@@ -36,8 +37,8 @@ positive, and s_i(D) = eps D' with eps a signed monomial
 sends N u to N (-e^{alpha_i} n_i, or -n_i) (lcm/D) at u and
 s_i(N) n_i eps^{-1} (lcm/D') at s_i u, or at the translation in its coset.
 A public row is divided once, as one flat accumulator, into canonical
-entries; ``b_lift(x)`` lifts the b coset sums to their lcm D_x, which the
-product reads for every pair with x first.
+entries; ``b_lift(x)``, read by the product for every pair with x first,
+divides the projected y-row jointly, down to the lcm D_x of its entries.
 
 e side: ``y_expansion(x, start)`` is the y-expansion of x . y_start: the
 e row from the identity; from y w0, for Grassmannian y (w0 the longest
@@ -46,8 +47,11 @@ the coset maximum v, which ``e_cosets(x, y)`` keys by the coset minimum
 v w0.  The product reads only these rows, for x a translation t_mu
 (``translation_cosets(mu, y)``): s_i y_{w0} = y_{w0} for finite s_i, so
 kappa(y_y) y_{w0} = y_y y_{w0}, and the rows of t_mu y_y y_{w0} carry the
-whole y-side sum of the formula.  e entries are polynomial; the kernel
-scatters into raw packed dicts and wraps each entry once.
+whole y-side sum of the formula.  e entries are polynomial, scattered into
+raw packed dicts, and kept in the frame of x: entry v is w^{-1}(c_{x,v}),
+w the finite part of x, so a step copies entries instead of applying s_i,
+and e^{alpha_i} becomes a shift by w^{-1}(alpha_i).  A public row moves
+back once per entry; the product's rows, of translations, need no move.
 
 The subword sums and the word products that the tests compare both kernels
 against live in ``tests/oracles.py``.  Rows and coset sums are returned
@@ -67,10 +71,10 @@ from kschubert.ring import (
     RationalFunction,
     _den_complement,
     combine,
+    divide_jointly,
     exact_product_bound,
     lift,
     mul_add,
-    pack,
 )
 from kschubert.rootsys import CartanDatum, Coroot, level_zero_root, matvec
 from kschubert.weyl import (
@@ -119,11 +123,11 @@ class KElement:
 
 class _Kernel:
     """Per-datum state of both kernels, built on first use: the group (whose
-    ``left`` and ``code_length`` step codes), the step data of each letter i
-    (the action of s_i's finite part, pack(alpha_i), e^{alpha_i}, beta_i, n_i
-    and the T- and y-side stay factors), the memos of e rows, coset rows and
-    b prefixes (``loc``, keyed by (x code, y_side, cosets)), and the element
-    of each code that a public row returns, built once per code."""
+    ``left`` steps codes and whose ``left_roots`` give descents and e
+    shifts), the b-side data of each letter i (the action of s_i's finite
+    part, beta_i, n_i and the T- and y-side stay factors), the memos of e
+    rows, coset rows and b prefixes (``loc``, keyed by (x code, y_side,
+    cosets)), and the element of each code that a public row returns."""
 
     __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "cosets", "loc", "elements", "minima")
 
@@ -138,7 +142,7 @@ class _Kernel:
             # 1/(1 - e^alpha) = n/(1 - e^beta): n = 1, or -e^beta for alpha = -beta.
             beta = alpha if alpha in datum.positive_root_set else tuple(-c for c in alpha)
             n = GroupAlgebraElement.one(datum.rank) if beta == alpha else GroupAlgebraElement.monomial(beta, -1)
-            letters.append((action, pack(alpha), e_alpha, beta, n, (-n, -(e_alpha * n))))
+            letters.append((action, beta, n, (-n, -(e_alpha * n))))
         self.letters = tuple(letters)
         self.one = (0, (0,) * datum.rank)
         self.w0 = group.longest
@@ -180,7 +184,7 @@ def _loc_row(kernel: _Kernel, x: Code, y_side: bool, cosets: bool) -> tuple[dict
         x = group.left_code(i, x)
     den, nums = memo[x, y_side, cosets]
     for i, x in reversed(chain):
-        action, _, _, beta, n, stays = kernel.letters[i]
+        action, beta, n, stays = kernel.letters[i]
         image, moved = {}, n  # s_i(D) = eps D'; eps^{-1} joins the moved factor
         for root, mult in den.items():
             pos, flipped = action.roots[root]
@@ -220,8 +224,8 @@ def loc_row(x: AffineWeylElement, y_side: bool, cosets: bool) -> MappingProxyTyp
 
 
 def _y_row(kernel: _Kernel, x: Code, start: Code) -> dict:
-    """The y-basis coefficients of x . y_start on codes, memoized in
-    ``kernel.rows``; one frame per letter of x (see ``y_expansion``)."""
+    """The y-basis coefficients of x . y_start on codes in the frame of x
+    (module notes), memoized in ``kernel.rows``; one frame per letter of x."""
     key = (x, start)
     row = kernel.rows.get(key)
     if row is not None:
@@ -231,29 +235,31 @@ def _y_row(kernel: _Kernel, x: Code, start: Code) -> dict:
         row = kernel.rows[key] = {start: GroupAlgebraElement.one(kernel.datum.rank)}
         return row
     i = group.code_descent(x)
-    action, step, e_alpha = kernel.letters[i][:3]
-    left_code, length_of = group.left_code, group.code_length
+    # x = s_i u has finite part s_i w_u: s_i(c) in the frame of u is c in the
+    # frame of x, and e^{alpha_i} is e^gamma, gamma = w_x^{-1}(alpha_i).
+    gamma, _, step = group.left_roots[i][x[0]]
+    reach, left_code, descends = max(map(abs, gamma)), group.left_code, group.descends
     # Raw packed terms per entry, wrapped once at the end under one bound.
     out: dict[Code, dict[int, int]] = {}
     bound = 0
     # One pass over the row of u, scattering c_{u,v} to the entries that read it.
     for v, c in _y_row(kernel, left_code(i, x), start).items():
-        sc = c.act(action)
-        terms = sc.terms
-        sv = left_code(i, v)
-        if length_of(sv) < length_of(v):
+        terms = c.terms
+        if descends(i, v):
             acc = out.setdefault(v, {})
             get = acc.get
             for k, a in terms.items():
                 acc[k] = get(k, 0) + a
-            bound = max(bound, sc.bound)
+            bound = max(bound, c.bound)
         else:
-            shifted = e_alpha.bound + sc.bound
-            bound = max(bound, shifted if shifted <= COORD_LIMIT else exact_product_bound(e_alpha, sc))
-            # e^{alpha_i} s_i(c) at v, which no other entry writes to, and
-            # (1 - e^{alpha_i}) s_i(c) at s_i v.
+            shifted = reach + c.bound
+            if shifted > COORD_LIMIT:
+                shifted = exact_product_bound(GroupAlgebraElement.monomial(gamma), c)
+            bound = max(bound, shifted)
+            # e^gamma c at v, which no other entry writes to, and
+            # (1 - e^gamma) c at s_i v.
             out[v] = {k + step: a for k, a in terms.items()}
-            acc = out.setdefault(sv, {})
+            acc = out.setdefault(left_code(i, v), {})
             get = acc.get
             for k, a in terms.items():
                 acc[k] = get(k, 0) + a
@@ -282,8 +288,9 @@ def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyT
     maximum, such as the longest finite element w0, every row lives on coset
     maxima, because y_v y_{w0} = y_{max vW}.  The kernel is ``_y_row``."""
     kernel = _kernel(x.datum)
+    action = kernel.group.action[x.index]
     row = _y_row(kernel, (x.index, x.trans), (start.index, start.trans))
-    return MappingProxyType({kernel.element(v): c for v, c in row.items()})
+    return MappingProxyType({kernel.element(v): c.act(action) if x.index else c for v, c in row.items()})
 
 
 @lru_cache(maxsize=None)
@@ -305,11 +312,10 @@ def b_cosets(x: AffineWeylElement) -> MappingProxyType:
 
 @lru_cache(maxsize=None)
 def b_lift(x: AffineWeylElement) -> tuple[tuple, MappingProxyType]:
-    """The b coset sums of x lifted to their lcm denominator D_x
-    (``ring.lift``): D_x and the numerators keyed like ``b_cosets(x)``,
-    read-only.  ``pontryagin_constants`` reads it for every pair with x
-    first, so each x is lifted once."""
-    den, nums = lift(x.datum, b_cosets(x))
+    """``ring.lift(x.datum, b_cosets(x))``, read-only, read off the kernel's
+    running denominator by one joint division.  ``pontryagin_constants``
+    reads it for every pair with x first, so each x is lifted once."""
+    den, nums = divide_jointly(x.datum, *_loc_row(_kernel(x.datum), (x.index, x.trans), True, True))
     return den, MappingProxyType(nums)
 
 
@@ -320,13 +326,12 @@ def _coset_row(kernel: _Kernel, x: Code, y: AffineWeylElement) -> MappingProxyTy
     if row is None:
         if not is_grassmannian(y):
             raise ValueError(f"{y!r} is not an affine Grassmannian element")
-        minima = kernel.minima
-        out = {}
+        minima, action, out = kernel.minima, kernel.group.action[x[0]], {}
         for v, c in _y_row(kernel, x, kernel.times_w0(key[1])).items():
             z = minima.get(v)
             if z is None:
                 z = minima[v] = kernel.element(kernel.times_w0(v))
-            out[z] = c
+            out[z] = c.act(action) if x[0] else c  # back from the frame of x
         row = kernel.cosets[key] = MappingProxyType(out)
     return row
 

@@ -20,8 +20,9 @@ avoids multivariate gcd.
 rows: over one common denominator D (``lift``), in one flat packed dict for
 all entries, which it then divides by D with one coset grouping per root
 of D.  Exact division has one coset loop (``_coset_pass``, which divides by
-(1 - e^beta)^m in one grouping), and the reduction of a ``RationalFunction``
-and ``combine`` share it.
+(1 - e^beta)^m in one grouping), and the reduction of a ``RationalFunction``,
+``combine`` and ``divide_jointly`` (a row over one denominator, divided
+jointly down to the lcm of its reduced entries) share it.
 
 Values are read-only: a group-algebra element's terms are a read-only view,
 and operations always build new objects, so the memoized rows of the other
@@ -270,7 +271,7 @@ def exact_product_bound(a: GroupAlgebraElement, b: GroupAlgebraElement) -> int:
     return _in_range(_exact_bound(a.terms, a.rank) + _exact_bound(b.terms, b.rank))
 
 
-def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int, mult: int):
+def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int, mult: int, joint: bool = False):
     """Divide every entry of a flat accumulator by (1 - e^beta) up to
     ``mult`` times, in one grouping.
 
@@ -287,7 +288,8 @@ def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int, mult: int):
     is k - q pack(beta), q read off the first nonzero coordinate of beta;
     the slot rides above the weight digits, so cosets never mix entries.
     Returns the quotient terms and slot -> mult - k for the slots with
-    k < mult.
+    k < mult.  With ``joint``, all entries count as slot 0: they divide
+    together, and the first coset that does not divide stops the root.
     """
     if len(beta) != rank:
         raise ValueError("rank mismatch")
@@ -314,7 +316,7 @@ def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int, mult: int):
         dense = [0] * (group[-1][0] - low + 1)
         for q, c in group:
             dense[q - low] = c
-        cosets.append([(rep + offset) >> slot_bits, rep, low, dense])
+        cosets.append([0 if joint else (rep + offset) >> slot_bits, rep, low, dense])
     keeps: dict[int, int] = {}
     for done in range(mult):
         divided = []
@@ -540,11 +542,7 @@ def combine(datum: CartanDatum, lifted: tuple[tuple, Mapping], rows) -> dict:
                     acc[kk] = get(kk, 0) + c1 * c2
     terms = {kk: c for kk, c in acc.items() if c}
     terms, keeps = _divide_slots(terms, rank, bound, den)
-    offset = _offset(rank)
-    split: list[dict[int, int]] = [{} for _ in slots]
-    for kk, c in terms.items():
-        slot = (kk + offset) >> slot_bits
-        split[slot][kk - (slot << slot_bits)] = c
+    split = _split(terms, rank, len(slots))
     return {
         key: RationalFunction(
             datum, GroupAlgebraElement.from_packed(rank, split[slot], bound), keeps.get(slot, ()), reduce=False
@@ -552,6 +550,34 @@ def combine(datum: CartanDatum, lifted: tuple[tuple, Mapping], rows) -> dict:
         for key, slot in slots.items()
         if split[slot]
     }
+
+
+def _split(terms: Mapping, rank: int, count: int) -> list[dict[int, int]]:
+    """A flat accumulator of ``count`` slots as one packed dict per slot."""
+    bits, offset, split = DIGIT_BITS * rank, _offset(rank), [{} for _ in range(count)]
+    for kk, c in terms.items():
+        u = kk + offset  # slot above the digits, weight key + offset below
+        split[u >> bits][(u & ((1 << bits) - 1)) - offset] = c
+    return split
+
+
+def divide_jointly(datum: CartanDatum, den: Mapping, nums: Mapping) -> tuple[tuple, dict]:
+    """A nonempty row N_k / D (nonzero N_k, D a root -> multiplicity map)
+    lifted to its lcm as by ``lift``, unreduced: distinct roots' (1 - e^beta)
+    are coprime, so all N_k divide at once by each root as often as every
+    one allows (``_coset_pass`` in joint mode, first on the fewest-term N_k)."""
+    rank, bits, out = datum.rank, DIGIT_BITS * datum.rank, []
+    terms = {(slot << bits) + k: c for slot, g in enumerate(nums.values()) for k, c in g.terms.items()}
+    bound, smallest = max(g.bound for g in nums.values()), min(nums.values(), key=lambda g: len(g.terms))
+    for root, mult in sorted(den.items()):
+        j = mult - _coset_pass(smallest.terms, root, rank, smallest.bound, mult, True)[1].get(0, 0)
+        if j:
+            terms, keep = _coset_pass(terms, root, rank, bound, j, True)
+            j -= keep.get(0, 0)
+        if j < mult:
+            out.append((root, mult - j))
+    parts = _split(terms, rank, len(nums))
+    return tuple(out), {k: GroupAlgebraElement.from_packed(rank, p, bound) for k, p in zip(nums, parts)}
 
 
 def _den_complement(datum, target: dict, have: dict) -> GroupAlgebraElement:

@@ -26,9 +26,9 @@ matrix.
 Both kernels of ``nilhecke`` walk elements as codes, the tuples
 (finite index, translation), without building an ``AffineWeylElement`` per
 step.  ``WeylGroup.left`` is left multiplication by each affine generator
-on codes, and ``WeylGroup.code_length`` is the one length memo, keyed by
-codes, that ``length`` and ``left_descent`` read.  Both are built on first
-use, never by ``weyl_group`` itself.
+on codes, and ``WeylGroup.left_roots`` decides a left descent by one root
+(``descends``), with no length.  Both are built on first use, never by
+``weyl_group`` itself.  ``code_length`` is the one length memo, by codes.
 """
 
 from __future__ import annotations
@@ -210,6 +210,21 @@ class WeylGroup:
         k, lam = code
         return (row[k], lam) if shifts is None else (row[k], tuple(map(add, shifts[k], lam)))
 
+    @cached_property
+    def left_roots(self) -> tuple[tuple[tuple[Weight, bool, int], ...], ...]:
+        """Entry [i][k] is (gamma, gamma < 0, pack(gamma)) for the level-zero
+        root gamma = w_k^{-1}(alpha_i), alpha_0 = -theta; built on first read."""
+        datum, inverses = self.datum, [self.elements[j] for j in self.inverse]
+        gammas = ([matvec(m, level_zero_root(datum, i)) for m in inverses] for i in range(datum.rank + 1))
+        return tuple(tuple((g, g not in datum.positive_root_set, pack(g)) for g in row) for row in gammas)
+
+    def descends(self, i: int, code: Code) -> bool:
+        """l(s_i x) < l(x) for x = w_k t_lam: x^{-1}(alpha_i) = gamma + m delta,
+        gamma = w_k^{-1}(alpha_i), m = [i = 0] + <lam, gamma>, is negative."""
+        gamma, negative, _ = self.left_roots[i][code[0]]
+        m = (i == 0) + sum(map(mul, code[1], gamma))
+        return m < 0 or (m == 0 and negative)
+
     def code_length(self, code: Code) -> int:
         """Iwahori-Matsumoto length of w t_lam via the closed formula over
         positive roots (validated against word enumeration in the tests),
@@ -224,8 +239,7 @@ class WeylGroup:
 
     def code_descent(self, code: Code) -> int:
         """The smallest i with l(s_i x) < l(x); x must not be the identity."""
-        n = self.code_length(code)
-        return next(i for i in range(len(self.left)) if self.code_length(self.left_code(i, code)) < n)
+        return next(i for i in range(self.datum.rank + 1) if self.descends(i, code))
 
 
 @lru_cache(maxsize=None)

@@ -186,28 +186,32 @@ def test_square_work_count(monkeypatch, a2):
 
 
 def test_scan_work_guard(monkeypatch, a2):
-    # The 136 pairs x <= y of the A2 Grassmannian ball of length <= 6, with
-    # warm b rows: each of the 16 x is lifted to D_x once, the lifted
-    # numerators make 51,691 term products, and the division is exactly one
-    # coset grouping per (pair, root of D_x), 330 (566 one-factor passes
-    # before, and 1,228 exact divisions for the per-entry reduction before
-    # that).  From cold coset rows the e kernel takes 454 steps, one row per
-    # letter peeled or base row, holding 2,204 entries: the counts of the
-    # element-keyed kernel, so keying rows by codes moved keys, not work.
-    # Counts, so they hold however noisy the clock.
+    # The 136 pairs x <= y of the A2 Grassmannian ball of length <= 6, from
+    # cold kernels: each of the 16 x is lifted to D_x once (b_lift misses),
+    # read off the running denominator D with 62 joint coset passes, one on
+    # the fewest-term numerator per root of D (D is D_x on all of A2, so no
+    # pass over all entries follows).  The lifted numerators make 51,691
+    # term products, and the pair stage's division is exactly one coset
+    # grouping per (pair, root of D_x), 330 (566 one-factor passes before,
+    # and 1,228 exact divisions for the per-entry reduction before that).
+    # The e kernel takes 454 steps, one row per letter peeled or base row,
+    # holding 2,204 entries: the counts of the element-keyed kernel, so
+    # keying rows by codes moved keys, not work.  Counts, so they hold
+    # however noisy the clock.
     ball = grassmannian_ball(a2, 6)
     pairs = [(x, y) for i, x in enumerate(ball) for y in ball[i:]]
     tables = [pontryagin_constants(x, y).entries for x, y in pairs]
     nilhecke.b_lift.cache_clear()
     nilhecke._kernel.cache_clear()
-    lifts, groupings, products = [], [], []
-    lift, coset_pass = nilhecke.lift, ring._coset_pass
-    monkeypatch.setattr(nilhecke, "lift", lambda *a: lifts.append(1) or lift(*a))
-    monkeypatch.setattr(ring, "_coset_pass", lambda *a: groupings.append(1) or coset_pass(*a))
+    joint, groupings, products = [], [], []
+    coset_pass = ring._coset_pass
+    # A joint pass is the one call given a sixth, ``joint``, argument.
+    monkeypatch.setattr(ring, "_coset_pass", lambda *a: (joint if a[5:] else groupings).append(1) or coset_pass(*a))
     counting_combine(monkeypatch, products)
     assert [pontryagin_constants(x, y).entries for x, y in pairs] == tables
+    lifts = nilhecke.b_lift.cache_info().misses
     roots = sum(len(nilhecke.b_lift(x)[0]) for x, _ in pairs)
-    assert (len(pairs), len(lifts), sum(products)) == (136, 16, 51_691)
+    assert (len(pairs), lifts, len(joint), sum(products)) == (136, 16, 62, 51_691)
     assert len(groupings) == roots == 330
     rows = nilhecke._kernel(a2).rows
     assert (len(rows), sum(map(len, rows.values()))) == (454, 2_204)

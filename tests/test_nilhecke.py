@@ -249,8 +249,9 @@ def test_loc_rows_match_the_full_row_route(spec, max_len):
     ids=["A1", "A2", "A3", "B2", "C2", "G2"],
 )
 def test_b_lift_is_the_lift_of_the_divided_coset_sums(spec, max_len):
-    # b_lift reads the divided b coset sums and lifts them to their lcm D_x:
-    # the same D, key order and numerators as ring.lift, on whole balls.
+    # b_lift divides the kernel's numerators jointly down to D_x: the same
+    # D, key order and numerators as ring.lift of the divided coset sums,
+    # on whole balls.
     datum = build_root_system(spec)
     for x in affine_ball(datum, max_len):
         den, nums = b_lift(x)
@@ -270,17 +271,40 @@ def test_running_denominator_carries_D_x(spec, max_len, equal, total):
     # the divided coset sums, on every Grassmannian element of these balls,
     # and equal to it on all of A1 and A2 but on only some of A3, B2, C2 and
     # G2.  A larger D would cost the pair stage term products and coset
-    # passes, which is why b_lift lifts the divided sums instead.
+    # passes, which is why b_lift divides down to D_x, by one joint division
+    # of the running numerators: its D, key order and numerators equal
+    # ring.lift of the reduced coset sums on every element, the ones with a
+    # larger running D included.
     datum = build_root_system(spec)
     kernel = nilhecke._kernel(datum)
     ball = grassmannian_ball(datum, max_len)
     same = 0
     for x in ball:
-        lifted = dict(b_lift(x)[0])
+        den, nums = b_lift(x)
+        ref_den, ref_nums = lift(datum, b_cosets(x))
+        assert den == ref_den and list(nums.items()) == list(ref_nums.items()), x
+        lifted = dict(den)
         running, _ = nilhecke._loc_row(kernel, (x.index, x.trans), True, True)
         assert all(running.get(root, 0) >= m for root, m in lifted.items()), x
         same += running == lifted
     assert (same, len(ball)) == (equal, total)
+
+
+def test_coset_rows_take_no_weyl_action_and_no_length(monkeypatch, a2):
+    # The e kernel keeps rows in the frame of x and reads descents off one
+    # root, so from a cold kernel the coset rows of the scan (A2 Grassmannian
+    # ball of length <= 6, pairs x <= y, every mu of x's b coset sums) apply
+    # no Weyl action and compute no length.  Counts, not times.
+    ball = grassmannian_ball(a2, 6)
+    reads = [(mu, y) for i, x in enumerate(ball) for mu in b_lift(x)[1] for y in ball[i:]]
+    warm = [nilhecke.translation_cosets(mu, y) for mu, y in reads]
+    nilhecke._kernel.cache_clear()
+    lengths, acts, act = {}, [], G.act
+    monkeypatch.setattr(weyl_group(a2), "_lengths", lengths)  # a cold length memo
+    monkeypatch.setattr(G, "act", lambda g, action: acts.append(1) or act(g, action))
+    assert [nilhecke.translation_cosets(mu, y) for mu, y in reads] == warm
+    assert (len(acts), len(lengths)) == (0, 0)
+    assert len(nilhecke._kernel(a2).rows) == 454
 
 
 def test_b_rows_from_cold_take_no_rational_arithmetic(monkeypatch, a2):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -388,6 +390,23 @@ def test_index_route_matches_matrix_route(label, max_len):
         assert aff_multiply(finite_element(datum, xm[0]), translation(datum, x.trans)) == x
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2"])
+def test_descent_by_one_root_matches_lengths(label):
+    # s_i x < x read off the one root w^{-1}(alpha_i) (``descends``) against
+    # two closed-formula lengths, for every letter i, every finite part and
+    # every translation in [-3, 3]^rank; the left descent is the first hit.
+    datum = build_root_system(SPECS[label])
+    group = weyl_group(datum)
+    for lam in itertools.product(range(-3, 4), repeat=datum.rank):
+        for k in range(len(group.elements)):
+            code = (k, lam)
+            lx = group.code_length(code)
+            shorter = [group.code_length(group.left_code(i, code)) < lx for i in range(datum.rank + 1)]
+            assert [group.descends(i, code) for i in range(datum.rank + 1)] == shorter, code
+            if lx:
+                assert group.code_descent(code) == shorter.index(True), code
+
+
 # -- properties on random words -------------------------------------------------------
 
 
@@ -472,11 +491,14 @@ def test_weyl_group_setup_matmul_guard(monkeypatch, label):
 
 @pytest.mark.parametrize("label", sorted(MATMUL_CALLS_BEFORE_INDEX_TABLES))
 def test_weyl_group_builds_no_coded_tables(label):
-    # The coded product table and the length memo are built on first use,
-    # so set-up (``setup_s``) pays for neither.
+    # The coded product table, the one-root descent table and the length
+    # memo are built on first use, so set-up (``setup_s``) pays for none;
+    # a descent reads neither the product table nor a length.
     datum = build_root_system(SPECS[label])
     group = weyl.WeylGroup(datum)
-    assert "left" not in vars(group) and not group._lengths
+    assert "left" not in vars(group) and "left_roots" not in vars(group) and not group._lengths
     assert group.code_length((group.longest, (0,) * datum.rank)) == group.length[group.longest]
+    assert "left" not in vars(group) and len(group._lengths) == 1
+    assert group.code_descent((group.longest, (0,) * datum.rank)) == 1
     assert "left" not in vars(group) and len(group._lengths) == 1
     assert len(group.left) == datum.rank + 1 and group.left[1][1] is None
