@@ -32,10 +32,15 @@ root of D_x (``ring.combine``).  Every constant must land in the group algebra; 
 surviving denominator signals a bug.
 
 The independent route expands the same product in the translation
-localization coordinates and solves the triangular system against the
+localization coordinates, the convolution of the two b coset sums as one
+``combine`` over D_x D_y, and solves the triangular system against the
 coset-b rows of candidate Grassmannian elements instead of using the
 e-matrix.  Both routes must agree, and they are tested against each other
-and against the embedded SL2/SL3 reference tables.
+and against the embedded SL2/SL3 reference tables.  The one triangular
+solver, ``_triangular_solve``, takes the division as a callback: the
+independent route multiplies by the inverse of b_{z,z}, and the classical
+finite-type oracle solves on polynomials, dividing each pivot value exactly
+by e_{w,w}, so a value that does not divide raises NonPolynomialError.
 """
 
 from __future__ import annotations
@@ -46,13 +51,8 @@ from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
-from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae
-from kschubert.rootsys import (
-    CartanDatum,
-    Coroot,
-    build_root_system,
-    root_lattice_weight,
-)
+from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae, lift
+from kschubert.rootsys import CartanDatum, build_root_system, root_lattice_weight
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
@@ -101,15 +101,20 @@ class StructureConstantTable:
 def _translation_convolution(x: AffineWeylElement, y: AffineWeylElement) -> dict:
     """P(sigma) = sum over t1 + t2 = sigma of b_{x,[t1]} b_{y,[t2]}.
     Translations act trivially at level zero, so the coefficients multiply
-    as plain scalars."""
-    bx, by = b_cosets(x), b_cosets(y)
-    out: dict[Coroot, RationalFunction] = {}
-    for mu, bmu in bx.items():
-        for nu, bnu in by.items():
-            sigma = tuple(a + b for a, b in zip(mu, nu))
-            val = bmu * bnu
-            out[sigma] = out[sigma] + val if sigma in out else val
-    return {sigma: v for sigma, v in out.items() if v}
+    as plain scalars: with both sides lifted to their lcm denominators D_x
+    and D_y (``ring.lift``), P is one ``combine`` over D_x D_y of x's
+    numerators times the rows mu -> {mu + nu: y's numerator at nu}."""
+    datum = x.datum
+    den_x, nums_x = lift(datum, b_cosets(x))
+    den_y, nums_y = lift(datum, b_cosets(y))
+    den = dict(den_x)
+    for root, mult in den_y:
+        den[root] = den.get(root, 0) + mult
+
+    def shifted(mu):
+        return {tuple(a + b for a, b in zip(mu, nu)): g for nu, g in nums_y.items()}
+
+    return combine(datum, (tuple(sorted(den.items())), nums_x), shifted)
 
 
 def _support_warnings(x, y, entries) -> list[str]:
@@ -154,19 +159,18 @@ def _inverse_leading_b(z: AffineWeylElement) -> GroupAlgebraElement:
     return out
 
 
-def _triangular_solve(residual: dict, order, pivot, inverse_diag, row) -> dict:
+def _triangular_solve(residual: dict, order, pivot, divide, row) -> dict:
     """Peel a triangular system one unknown at a time, in ``order``: the
-    coefficient of z is the residual at ``pivot(z)`` times ``inverse_diag(z)``,
-    and that coefficient times ``row(z)`` is subtracted from ``residual`` in
-    place.  Returns the coefficients found; the caller checks that nothing is
-    left in ``residual``."""
+    coefficient of z is ``divide(z, value)`` of the residual value at
+    ``pivot(z)``, and that coefficient times ``row(z)`` is subtracted from
+    ``residual`` in place.  Returns the coefficients found; the caller
+    checks that nothing is left in ``residual``."""
     solved = {}
     for z in order:
         value = residual.get(pivot(z))
         if not value:
             continue
-        coeff = value * inverse_diag(z)
-        solved[z] = coeff
+        coeff = solved[z] = divide(z, value)
         for key, entry in row(z).items():
             dec = coeff * entry
             residual[key] = residual[key] - dec if key in residual else -dec
@@ -192,7 +196,7 @@ def pontryagin_constants_linear(x: AffineWeylElement, y: AffineWeylElement) -> S
         residual,
         sorted(candidates, key=element_sort_key, reverse=True),
         coset_translation,
-        _inverse_leading_b,
+        lambda z, value: value * _inverse_leading_b(z),
         b_cosets,
     )
     for key, leftover in residual.items():
@@ -211,8 +215,9 @@ def pontryagin_constants_linear(x: AffineWeylElement, y: AffineWeylElement) -> S
 # inside this package's own formalism, by pairing duality: the localization
 # row of the w-th opposite class is L[w][v] = sum over u >= w of e_{v,u},
 # taken in the finite nilHecke ring.  Classes multiply pointwise in these
-# coordinates and the basis expansion is triangular with invertible diagonal
-# e_{v,v} = prod (1 - e^{gamma}) over the inversion roots of v.  The embedded
+# coordinates and the basis expansion is triangular with diagonal
+# e_{v,v} = prod (1 - e^{gamma}) over the inversion roots of v, which every
+# pivot value divides exactly in the group algebra.  The embedded
 # quantum fixtures use the dual character identification e^lambda <-> inverse
 # character, so the result is flipped through e^lambda -> e^{-lambda} at the
 # end to land in the same convention as the affine tables.
@@ -225,35 +230,31 @@ def _finite_localization_row(w: AffineWeylElement) -> MappingProxyType:
     return MappingProxyType({v: row[w] for v, row in rows if w in row})
 
 
-def _inverse_diag_e(v: AffineWeylElement) -> RationalFunction:
-    """Inverse of e_{v,v} = prod (1 - e^{gamma_k}) over the reflection roots."""
-    out = RationalFunction.one(v.datum)
-    for gamma in reflection_roots(v.datum, reduced_word(v)):
-        out = out * RationalFunction.inverse_one_minus_exp(v.datum, gamma)
-    return out
-
-
 def classical_k_constants(u: AffineWeylElement, v: AffineWeylElement) -> dict:
     """Structure constants N_{u,v}^{w,0} of the torus-equivariant K-theory of
     the finite flag variety in the opposite Schubert basis, by pointwise
-    multiplication of localization rows and a triangular solve."""
+    multiplication of localization rows and a triangular solve on
+    polynomials: each pivot value divides exactly by e_{w,w}, and one that
+    does not raises NonPolynomialError."""
     datum = u.datum
     if not (u.is_finite and v.is_finite):
         raise ValueError("classical constants take finite Weyl elements")
     elements = finite_elements(datum)
     row_u = _finite_localization_row(u)
     row_v = _finite_localization_row(v)
-    product = {
+    residual = {
         x: row_u[x] * row_v[x] for x in elements if x in row_u and x in row_v
     }
-    residual: dict[AffineWeylElement, RationalFunction] = {
-        x: RationalFunction.from_gae(datum, g) for x, g in product.items()
-    }
+
+    def divide(w, value):
+        den = [(gamma, 1) for gamma in reflection_roots(datum, reduced_word(w))]
+        return RationalFunction(datum, value, den).to_polynomial()
+
     solved = _triangular_solve(
         residual,
         sorted(elements, key=element_sort_key),
         lambda w: w,
-        _inverse_diag_e,
+        divide,
         _finite_localization_row,
     )
     for xx, leftover in residual.items():
@@ -261,7 +262,7 @@ def classical_k_constants(u: AffineWeylElement, v: AffineWeylElement) -> dict:
             raise SingularSystemError(
                 f"nonzero localization residual at {format_element(xx)}"
             )
-    return {w: c.to_polynomial().flip() for w, c in solved.items() if c}
+    return {w: c.flip() for w, c in solved.items()}
 
 
 # Quantum data and the conjecture comparison -----------------------------------

@@ -302,11 +302,11 @@ def e_row(x: AffineWeylElement) -> MappingProxyType:
 # Coset sums -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def b_cosets(x: AffineWeylElement) -> MappingProxyType:
     """Sums of the b-row of x over cosets v W, read from kappa(y_x) and keyed
     by the coroot coordinate of the unique translation in each coset: the
-    coefficients of kappa(y_x) = sum_mu b_{x,[mu]} t_mu."""
+    coefficients of kappa(y_x) = sum_mu b_{x,[mu]} t_mu.  Re-keyed from
+    ``loc_row``'s memo on every call, not held a second time."""
     return MappingProxyType({t.trans: c for t, c in loc_row(x, True, True).items()})
 
 

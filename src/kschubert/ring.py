@@ -20,9 +20,11 @@ avoids multivariate gcd.
 rows: over one common denominator D (``lift``), in one flat packed dict for
 all entries, which it then divides by D with one coset grouping per root
 of D.  Exact division has one coset loop (``_coset_pass``, which divides by
-(1 - e^beta)^m in one grouping), and the reduction of a ``RationalFunction``,
-``combine`` and ``divide_jointly`` (a row over one denominator, divided
-jointly down to the lcm of its reduced entries) share it.
+(1 - e^beta)^m in one grouping) and one per-slot division over a
+denominator (``_divide_slots``, one pass per root): ``combine`` and the
+reduction of a ``RationalFunction`` (a lone element) are one call each, and
+``divide_jointly`` (a row over one denominator, divided jointly down to the
+lcm of its reduced entries) runs the loop in joint mode.
 
 Values are read-only: a group-algebra element's terms are a read-only view,
 and operations always build new objects, so the memoized rows of the other
@@ -344,9 +346,9 @@ def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int, mult: int, 
 def _divide_slots(terms: Mapping, rank: int, bound: int, den) -> tuple[dict, dict]:
     """Divide every entry of a flat accumulator by as many factors of
     ``den`` as divide it, with one ``_coset_pass`` grouping per root, in
-    the order of ``den``, as in ``RationalFunction``'s own reduction.
-    Returns the quotient terms and slot -> the (root, multiplicity) pairs
-    that slot keeps."""
+    the order of ``den``; a ``RationalFunction`` reduces by this call on
+    its numerator alone, as slot 0.  Returns the quotient terms and
+    slot -> the (root, multiplicity) pairs that slot keeps."""
     keeps: dict[int, list[tuple[Weight, int]]] = {}
     for root, mult in den:
         terms, left = _coset_pass(terms, root, rank, bound, mult)
@@ -386,21 +388,14 @@ class RationalFunction:
         if not self.num:
             self.den = ()
             return
-        if not self.den:
+        # e^lambda -> 1 sends (1 - e^beta) to 0, so no factor divides a
+        # numerator of nonzero augmentation.
+        if not self.den or self.num.augmentation():
             return
         num = self.num
-        new_den = []
-        for root, mult in self.den:
-            if num.augmentation():  # e^lambda -> 1 sends (1 - e^beta) to 0
-                new_den.append((root, mult))
-                continue
-            terms, left = _coset_pass(num.terms, root, num.rank, num.bound, mult)
-            if left.get(0) != mult:  # at least one factor divided
-                num = GroupAlgebraElement.from_packed(num.rank, terms, num.bound)
-            if left:
-                new_den.append((root, left[0]))
-        self.num = num
-        self.den = tuple(new_den)
+        terms, keeps = _divide_slots(num.terms, num.rank, num.bound, self.den)
+        self.num = GroupAlgebraElement.from_packed(num.rank, terms, num.bound)
+        self.den = tuple(keeps.get(0, ()))
 
     @classmethod
     def zero(cls, datum: CartanDatum) -> "RationalFunction":
@@ -413,18 +408,6 @@ class RationalFunction:
     @classmethod
     def from_gae(cls, datum: CartanDatum, g: GroupAlgebraElement) -> "RationalFunction":
         return cls(datum, g, (), reduce=False)
-
-    @classmethod
-    def inverse_one_minus_exp(cls, datum: CartanDatum, lam: Weight) -> "RationalFunction":
-        """1 / (1 - e^lam) for lam a root of either sign, normalized so the
-        stored denominator root is positive:
-        1/(1 - e^{-beta}) = -e^beta / (1 - e^beta)."""
-        if lam in datum.positive_root_set:
-            return cls(datum, GroupAlgebraElement.one(datum.rank), ((lam, 1),), reduce=False)
-        pos = tuple(-x for x in lam)
-        if pos not in datum.positive_root_set:
-            raise ValueError(f"{lam} is not a root of {datum.label}")
-        return cls(datum, GroupAlgebraElement.monomial(pos, -1), ((pos, 1),), reduce=False)
 
     def __bool__(self) -> bool:
         return bool(self.num)

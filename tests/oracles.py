@@ -1,10 +1,12 @@
 """Test-only helpers, kept out of the library because nothing in it calls
 them: second computations of Weyl-group data, of the b and e rows, of row
-coset sums and of the closed product formula, which the tests compare the
-library against, the per-entry sum of rational multiples of rows that
-``ring.combine`` is compared against, and small conveniences for writing the tests (word
-evaluation, the pairing, scaling, T-sums back in the localization basis,
-expanded denominators, the translation law); Bruhat order by the lifting
+coset sums, of the closed product formula and its convolution, and of
+the classical constants by the rational solve, which the tests compare
+the library against, the per-entry sum of rational multiples of rows that
+``ring.combine`` is compared against, and small conveniences for writing
+the tests (word evaluation, the pairing, scaling, 1/(1 - e^lam), T-sums
+back in the localization basis, expanded denominators, the translation
+law, skewed localization rows); Bruhat order by the lifting
 property, which lower intervals are compared against; the tuple-keyed
 group algebra that the packed one in ``kschubert.ring`` is compared
 against; and the matrix route for affine Weyl elements that the index
@@ -16,11 +18,14 @@ from types import MappingProxyType
 
 from kschubert.constants import (
     StructureConstantTable,
+    SingularSystemError,
+    _finite_localization_row,
     _support_warnings,
-    _translation_convolution,
+    _triangular_solve,
+    element_sort_key,
     pontryagin_constants,
 )
-from kschubert.nilhecke import LOC, KElement, e_cosets
+from kschubert.nilhecke import LOC, KElement, b_cosets, e_cosets
 from kschubert.ring import (
     GroupAlgebraElement,
     RationalFunction,
@@ -37,6 +42,7 @@ from kschubert.weyl import (
     coset_min,
     coset_translation,
     finite_element,
+    finite_elements,
     identity,
     is_grassmannian,
     left_descent,
@@ -73,6 +79,18 @@ def rf_act(f, action):
         if flipped:
             num = num * GroupAlgebraElement.monomial(tuple(mult * x for x in pos), (-1) ** mult)
     return RationalFunction(f.datum, num, den)
+
+
+def rf_inverse_one_minus_exp(datum, lam):
+    """1 / (1 - e^lam) for lam a root of either sign, normalized so the
+    stored denominator root is positive:
+    1/(1 - e^{-beta}) = -e^beta / (1 - e^beta)."""
+    if lam in datum.positive_root_set:
+        return RationalFunction(datum, GroupAlgebraElement.one(datum.rank), ((lam, 1),), reduce=False)
+    pos = tuple(-x for x in lam)
+    if pos not in datum.positive_root_set:
+        raise ValueError(f"{lam} is not a root of {datum.label}")
+    return RationalFunction(datum, GroupAlgebraElement.monomial(pos, -1), ((pos, 1),), reduce=False)
 
 
 def demazure_extend(x, i):
@@ -188,6 +206,20 @@ def coset_sums(row):
     return {k: c for k, c in out.items() if c}
 
 
+def translation_convolution_rf(x, y):
+    """P(sigma) = sum over mu + nu = sigma of b_{x,[mu]} b_{y,[nu]}, one
+    reduced ``RationalFunction`` product and sum at a time: the reference
+    for ``constants._translation_convolution``, which forms all of P in one
+    ``ring.combine`` over D_x D_y."""
+    out = {}
+    for mu, bmu in b_cosets(x).items():
+        for nu, bnu in b_cosets(y).items():
+            sigma = tuple(a + b for a, b in zip(mu, nu))
+            val = bmu * bnu
+            out[sigma] = out[sigma] + val if sigma in out else val
+    return {sigma: v for sigma, v in out.items() if v}
+
+
 def pontryagin_constants_rf(x, y):
     """The paper's closed coset formula, sum over t1, t2 of
     b_{x,[t1]} b_{y,[t2]} e_{t1 t2,[z]}, with every partial sum a reduced
@@ -197,7 +229,7 @@ def pontryagin_constants_rf(x, y):
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise ValueError("both factors must be affine Grassmannian elements")
     datum = x.datum
-    convolution = _translation_convolution(x, y)
+    convolution = translation_convolution_rf(x, y)
     raw: dict[AffineWeylElement, RationalFunction] = {}
     for sigma, p in convolution.items():
         for z, egae in e_cosets(translation(datum, sigma), identity(datum)).items():
@@ -205,6 +237,47 @@ def pontryagin_constants_rf(x, y):
             raw[z] = raw[z] + val if z in raw else val
     entries = {z: c.to_polynomial() for z, c in raw.items() if c}
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
+
+
+def classical_k_constants_rf(u, v):
+    """The classical finite-type constants by the triangular solve with every
+    residual a reduced ``RationalFunction``, each pivot value multiplied by
+    the inverse of e_{w,w} = prod (1 - e^{gamma}) over the reflection roots
+    of w: the reference for ``constants.classical_k_constants``, which
+    solves on polynomials and divides each pivot value exactly."""
+    datum = u.datum
+    elements = finite_elements(datum)
+    row_u, row_v = _finite_localization_row(u), _finite_localization_row(v)
+    residual = {
+        x: RationalFunction.from_gae(datum, row_u[x] * row_v[x])
+        for x in elements
+        if x in row_u and x in row_v
+    }
+
+    def divide(w, value):
+        inverse = RationalFunction.one(datum)
+        for gamma in reflection_roots(datum, reduced_word(w)):
+            inverse = inverse * rf_inverse_one_minus_exp(datum, gamma)
+        return value * inverse
+
+    solved = _triangular_solve(
+        residual, sorted(elements, key=element_sort_key), lambda w: w, divide, _finite_localization_row
+    )
+    if any(residual.values()):
+        raise SingularSystemError("nonzero localization residual")
+    return {w: c.to_polynomial().flip() for w, c in solved.items() if c}
+
+
+def skewed_diagonal(rows):
+    """Localization rows w -> L[w] made wrong on the diagonal of every
+    non-identity w, L[w][w] + 1, which e_{w,w} does not divide: a fault
+    that only the classical oracle's exact division sees."""
+
+    def skewed(w):
+        row = rows(w)
+        return row if w.is_identity else {**row, w: row[w] + 1}
+
+    return skewed
 
 
 def combine_per_entry(datum, coeffs, rows):
@@ -323,7 +396,7 @@ def t_element(datum, i):
     """T_i = (1 - e^{alpha_i})^{-1}(s_i - 1) in the localization basis, with
     alpha_i the level-zero root (alpha_0 = -theta)."""
     alpha = level_zero_root(datum, i)
-    inv = RationalFunction.inverse_one_minus_exp(datum, alpha)
+    inv = rf_inverse_one_minus_exp(datum, alpha)
     return KElement(datum, LOC, {affine_simple(datum, i): inv, identity(datum): -inv})
 
 
@@ -387,7 +460,7 @@ def b_row_subword(x, word=None):
             out[prefix] = out[prefix] + acc if prefix in out else acc
             return
         beta = level_zero_root(datum, word[k])
-        base = RationalFunction.inverse_one_minus_exp(
+        base = rf_inverse_one_minus_exp(
             datum, tuple(-b for b in beta)
         )
         f0 = weyl_act(prefix, base)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from oracles import skewed_diagonal
 from kschubert import cli, constants
 from kschubert.cli import main
 from kschubert.constants import SingularSystemError, element_sort_key, pontryagin_constants
@@ -330,6 +331,17 @@ def test_engine_division_is_the_exactness_gate(capsys, monkeypatch):
     code, out, err = run(
         capsys, "constant", "--type", "A1", "--x", "t[-1]", "--y", "t[-1]", "--json"
     )
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "NonPolynomialError" and error["kind"] == "internal"
+
+
+def test_classical_division_is_the_exactness_gate(capsys, monkeypatch):
+    # Localization rows of the classical oracle skewed on their diagonal:
+    # a pivot value that e_{w,w} does not divide stops the oracle's exact
+    # division, and the CLI reports that as an internal error.
+    monkeypatch.setattr(constants, "_finite_localization_row", skewed_diagonal(constants._finite_localization_row))
+    code, out, err = run(capsys, "conjecture", "--type", "A1", "--json")
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "NonPolynomialError" and error["kind"] == "internal"

@@ -2,9 +2,15 @@ import itertools
 
 import pytest
 
-from oracles import pontryagin_constants_rf, translation_product_check
+from oracles import (
+    classical_k_constants_rf,
+    pontryagin_constants_rf,
+    skewed_diagonal,
+    translation_convolution_rf,
+    translation_product_check,
+)
 from kschubert import constants, nilhecke, ring
-from kschubert.ring import GroupAlgebraElement, combine
+from kschubert.ring import GroupAlgebraElement, NonPolynomialError, RationalFunction, combine
 from kschubert.rootsys import build_root_system
 from kschubert.constants import (
     MalformedDatumError,
@@ -21,6 +27,7 @@ from kschubert.constants import (
 from kschubert.weyl import (
     aff_multiply,
     finite_element,
+    finite_elements,
     format_element,
     grassmannian_ball,
     identity,
@@ -313,6 +320,62 @@ def test_classical_commutative(a2):
             assert classical_k_constants(el(a2, a), el(a2, b)) == classical_k_constants(
                 el(a2, b), el(a2, a)
             )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["A1", "A2", "A3", [[2, -2], [-1, 2]], [[2, -1], [-2, 2]], [[2, -1], [-3, 2]]],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_classical_solve_matches_rational_solve(spec):
+    # Every ordered pair of W: the solve on polynomials, each pivot divided
+    # exactly by e_{w,w}, against the solve that multiplies every pivot by
+    # the inverse of e_{w,w} as a reduced RationalFunction.
+    datum = build_root_system(spec)
+    elements = finite_elements(datum)
+    for u in elements:
+        for v in elements:
+            assert classical_k_constants(u, v) == classical_k_constants_rf(u, v), (u, v)
+
+
+def test_classical_solve_is_its_exactness_gate(monkeypatch, a1):
+    # A1 s1 * s1: the pivot value at s1 is (L[s1][s1] + 1)^2, of
+    # augmentation 1, so the exact division by e_{s1,s1} = 1 - e^gamma fails.
+    s1 = el(a1, "s1")
+    monkeypatch.setattr(constants, "_finite_localization_row", skewed_diagonal(constants._finite_localization_row))
+    with pytest.raises(NonPolynomialError):
+        classical_k_constants(s1, s1)
+
+
+def test_oracles_take_no_rational_arithmetic(monkeypatch, a2):
+    # Rebuilt from cold memos, the classical constants of every ordered pair
+    # of A2's W and the convolutions of the scan's 136 pairs (A2 Grassmannian
+    # ball of length <= 6, x <= y) make no RationalFunction sum, difference
+    # or product.  Counts, not times.
+    elements = finite_elements(a2)
+    ball = grassmannian_ball(a2, 6)
+    pairs = [(x, y) for i, x in enumerate(ball) for y in ball[i:]]
+    classical = [classical_k_constants(u, v) for u in elements for v in elements]
+    convolutions = [constants._translation_convolution(x, y) for x, y in pairs]
+    for memo in (constants._finite_localization_row, nilhecke.t_row, nilhecke.e_row, nilhecke.loc_row, nilhecke._kernel):
+        memo.cache_clear()
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__"):
+        op = getattr(RationalFunction, name)
+        monkeypatch.setattr(RationalFunction, name, lambda a, b, op=op: calls.append(1) or op(a, b))
+    assert [classical_k_constants(u, v) for u in elements for v in elements] == classical
+    assert [constants._translation_convolution(x, y) for x, y in pairs] == convolutions
+    assert (len(classical), len(pairs), len(calls)) == (36, 136, 0)
+
+
+@pytest.mark.parametrize("label,max_len", [("A1", 10), ("A2", 6), ("A3", 4)])
+def test_convolution_matches_rational_sums(label, max_len):
+    # Every pair x <= y of the Grassmannian ball: the convolution as one
+    # combine over D_x D_y against one reduced product and sum at a time.
+    ball = grassmannian_ball(build_root_system(label), max_len)
+    for i, x in enumerate(ball):
+        for y in ball[i:]:
+            assert constants._translation_convolution(x, y) == translation_convolution_rf(x, y), (x, y)
 
 
 # -- conjecture comparison ----------------------------------------------------------

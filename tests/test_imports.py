@@ -49,12 +49,10 @@ def test_no_unused_imports_in_library():
 
 
 # Functions that only code outside the library reads: the independent
-# oracle the tests and the benchmark compare against, the augmentation the
-# benchmark checks, and the matrix view of a finite part that the benchmark
-# reads and turns back into an element.
+# oracle the tests and the benchmark compare against, and the matrix view of
+# a finite part that the benchmark reads and turns back into an element.
 ENTRY_POINTS = {
     "pontryagin_constants_linear",
-    "augmentation",
     "wmat",
     "finite_element",
 }

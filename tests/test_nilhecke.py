@@ -22,6 +22,7 @@ from oracles import (
     kel_scalar,
     kel_scale,
     reduced_word_max_tiebreak,
+    rf_inverse_one_minus_exp,
     t_element,
     t_in_loc,
     t_sum_in_loc,
@@ -107,14 +108,14 @@ def test_braid_relations_a2(a2):
 def test_t1_coefficient_of_identity(a1):
     T1 = t_element(a1, 1)
     alpha = a1.positive_roots[0]
-    expect = -RationalFunction.inverse_one_minus_exp(a1, alpha)
+    expect = -rf_inverse_one_minus_exp(a1, alpha)
     assert T1.terms[identity(a1)] == expect
 
 
 def test_y_s0_expansion(a1):
     alpha = a1.positive_roots[0]
     row = loc_row(affine_simple(a1, 0), True, False)
-    inv = RationalFunction.inverse_one_minus_exp(a1, alpha)
+    inv = rf_inverse_one_minus_exp(a1, alpha)
     assert row[identity(a1)] == inv
     assert row[affine_simple(a1, 0)] == inv * G.monomial(alpha, -1)
 
@@ -145,7 +146,7 @@ def test_b_row_s0(a1):
     alpha = a1.positive_roots[0]
     s0 = affine_simple(a1, 0)
     row = loc_row(s0, True, False)
-    inv = RationalFunction.inverse_one_minus_exp(a1, alpha)
+    inv = rf_inverse_one_minus_exp(a1, alpha)
     assert row[identity(a1)] == inv
     assert row[s0] == inv * G.monomial(alpha, -1)
     # coset sum at t_{alpha_vee}
@@ -316,7 +317,6 @@ def test_b_rows_from_cold_take_no_rational_arithmetic(monkeypatch, a2):
     xs = grassmannian_ball(a2, 6)
     warm = [b_cosets(x) for x in xs]
     nilhecke.loc_row.cache_clear()
-    nilhecke.b_cosets.cache_clear()
     nilhecke._kernel.cache_clear()
     rational, divisions, products = [], [], []
     for name in ("__add__", "__mul__"):
@@ -727,7 +727,7 @@ def test_scalar_commutation_rule(a2, data):
     si = affine_simple(a2, i)
     siq = weyl_act(si, q)
     alpha = level_zero_root(a2, i)
-    corr = (q - siq) * RationalFunction.inverse_one_minus_exp(
+    corr = (q - siq) * rf_inverse_one_minus_exp(
         a2, tuple(-c for c in alpha)
     )
     rhs = kel_add(k_mul(yi, kel_scalar(a2, siq)), kel_scalar(a2, corr))
