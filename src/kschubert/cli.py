@@ -66,6 +66,8 @@ from kschubert.weyl import (
 SCHEMA_VERSION = 1
 
 _DEFAULT_GUARD = {"A1": 8}
+# ``element`` takes no guard; it refuses a reduced word longer than this.
+_ELEMENT_MAX_LENGTH = 100_000
 
 
 class UsageError(ValueError):
@@ -141,6 +143,8 @@ def _cmd_roots(args) -> int:
 def _cmd_element(args) -> int:
     datum = _datum(args)
     x = parse_element(args.element, datum)
+    if length(x) > _ELEMENT_MAX_LENGTH:
+        raise UsageError(f"element {format_element(x)!r} has length {length(x)} > {_ELEMENT_MAX_LENGTH}")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "element",

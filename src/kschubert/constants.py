@@ -550,10 +550,10 @@ def _verify_suite(data: dict, records: list) -> None:
             records.append(VerificationRecord(name, False, f"unknown kind {kind!r}"))
 
 
-def load_quantum_data(name: str = "quantum_sl2.json") -> list[QuantumDatum]:
+def load_quantum_data() -> list[QuantumDatum]:
     """Quantum fixtures: the known quantum products stored in the same
     factored-atom coefficient format."""
-    data = _load_fixture(name)
+    data = _load_fixture("quantum_sl2.json")
     datum = build_root_system(data["type"])
     out = []
     for item in data["data"]:

@@ -23,12 +23,12 @@ sends negative; and a finite element acts on ring values through its
 tabulated ``ring.WeylAction``.  ``wmat`` still reads the weight-lattice
 matrix.
 
-Both kernels of ``nilhecke`` walk elements as codes, the tuples
-(finite index, translation), without building an ``AffineWeylElement`` per
-step.  ``WeylGroup.left`` is left multiplication by each affine generator
-on codes, and ``WeylGroup.left_roots`` decides a left descent by one root
-(``descends``), with no length.  Both are built on first use, never by
-``weyl_group`` itself.  ``code_length`` is the one length memo, by codes.
+Every walk over elements steps codes, the tuples (finite index,
+translation), and builds an ``AffineWeylElement`` only for what it hands
+out.  ``WeylGroup.left`` is left multiplication by each affine generator on
+codes, and ``WeylGroup.left_roots`` decides a left descent by one root
+(``descends``), with no length; a right descent of x is a left descent of
+x^{-1} (``inverse_code``).  ``code_length`` is the one length memo.
 """
 
 from __future__ import annotations
@@ -241,6 +241,11 @@ class WeylGroup:
         """The smallest i with l(s_i x) < l(x); x must not be the identity."""
         return next(i for i in range(self.datum.rank + 1) if self.descends(i, code))
 
+    def inverse_code(self, code: Code) -> Code:
+        """(w t_lam)^{-1} = w^{-1} t_{-w(lam)}."""
+        k, lam = code
+        return self.inverse[k], tuple(-c for c in matvec(self.cmat[k], lam))
+
 
 @lru_cache(maxsize=None)
 def weyl_group(datum: CartanDatum) -> WeylGroup:
@@ -266,10 +271,6 @@ class AffineWeylElement:
     def wmat(self) -> Matrix:
         """The weight-lattice matrix of the finite part."""
         return weyl_group(self.datum).elements[self.index]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.index == 0 and not any(self.trans)
 
     @property
     def is_finite(self) -> bool:
@@ -344,56 +345,51 @@ def length(x: AffineWeylElement) -> int:
     return weyl_group(x.datum).code_length((x.index, x.trans))
 
 
-def left_descent(x: AffineWeylElement) -> int:
-    """The smallest i with l(s_i x) < l(x); x must not be the identity."""
-    return weyl_group(x.datum).code_descent((x.index, x.trans))
-
-
 @lru_cache(maxsize=None)
 def reduced_word(x: AffineWeylElement) -> ReducedWord:
-    """Greedy left-descent peeling with smallest-index tie break; the result
-    is deterministic and evaluating it reproduces x."""
+    """Greedy left-descent peeling on codes with smallest-index tie break;
+    the result is deterministic and evaluating it reproduces x."""
+    group, one = weyl_group(x.datum), (0, (0,) * x.datum.rank)
     word: list[int] = []
-    current = x
-    while not current.is_identity:
-        i = left_descent(current)
+    code = (x.index, x.trans)
+    while code != one:
+        i = group.code_descent(code)
         word.append(i)
-        current = aff_multiply(affine_simple(current.datum, i), current)
+        code = group.left_code(i, code)
     return tuple(word)
 
 
 @lru_cache(maxsize=None)
 def is_grassmannian(x: AffineWeylElement) -> bool:
-    """x is the minimal-length element of its coset x W."""
-    lx = length(x)
-    return all(
-        length(aff_multiply(x, affine_simple(x.datum, i))) > lx
-        for i in range(1, x.datum.rank + 1)
-    )
+    """x is the minimal-length element of its coset x W: no finite s_i is a
+    right descent of x, that is a left descent of x^{-1}."""
+    group = weyl_group(x.datum)
+    inverse = group.inverse_code((x.index, x.trans))
+    return not any(group.descends(i, inverse) for i in range(1, x.datum.rank + 1))
 
 
 def coset_min(x: AffineWeylElement) -> AffineWeylElement:
-    """Minimal-length representative of x W."""
+    """Minimal-length representative of x W: peels finite right descents off
+    x, as left descents of x^{-1}, at most l(w0) of them."""
+    group = weyl_group(x.datum)
+    code = group.inverse_code((x.index, x.trans))
     while True:
-        lx = length(x)
-        for i in range(1, x.datum.rank + 1):
-            xs = aff_multiply(x, affine_simple(x.datum, i))
-            if length(xs) < lx:
-                x = xs
-                break
-        else:
-            return x
+        i = next((i for i in range(1, x.datum.rank + 1) if group.descends(i, code)), 0)
+        if not i:
+            return AffineWeylElement(x.datum, *group.inverse_code(code))
+        code = group.left_code(i, code)
 
 
 @lru_cache(maxsize=None)
 def lower_interval(x: AffineWeylElement) -> frozenset[AffineWeylElement]:
     """All v <= x, collected as the distinct evaluations of subwords of one
-    reduced word of x (the subword property makes this the lower interval)."""
-    current = {identity(x.datum)}
-    for i in reduced_word(x):
-        s = affine_simple(x.datum, i)
-        current |= {aff_multiply(v, s) for v in current}
-    return frozenset(current)
+    reduced word of x (the subword property makes this the lower interval),
+    multiplied on codes from the right end of the word."""
+    group = weyl_group(x.datum)
+    current = {(0, (0,) * x.datum.rank)}
+    for i in reversed(reduced_word(x)):
+        current |= {group.left_code(i, v) for v in current}
+    return frozenset(AffineWeylElement(x.datum, *v) for v in current)
 
 
 def reflection_roots(datum: CartanDatum, letters) -> list[Weight]:
@@ -416,30 +412,31 @@ def coset_translation(x: AffineWeylElement) -> Coroot:
 
 
 def _word_layers(datum: CartanDatum, max_length: int):
-    """Breadth-first walk from the identity by right multiplication with the
-    affine simple generators: layer d holds the elements first reached by a
-    d-letter word, so its index measures length without the closed formula."""
-    layer = [identity(datum)]
+    """Breadth-first walk on codes from the identity by left multiplication
+    with the affine generators: layer d holds the elements first reached by
+    a d-letter word, so its index is their length without the closed formula."""
+    group = weyl_group(datum)
+    layer = [(0, (0,) * datum.rank)]
     seen = set(layer)
-    yield layer
+    yield [identity(datum)]
     for _ in range(max_length):
         nxt = []
-        for x in layer:
+        for code in layer:
             for i in range(datum.rank + 1):
-                y = aff_multiply(x, affine_simple(datum, i))
+                y = group.left_code(i, code)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
         layer = nxt
-        yield layer
+        yield [AffineWeylElement(datum, *y) for y in layer]
 
 
 @lru_cache(maxsize=None)
 def affine_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylElement, ...]:
     """All affine elements of length <= max_length, by breadth-first search;
-    deterministic order (length, reduced word)."""
-    ball = [x for layer in _word_layers(datum, max_length) for x in layer]
-    return tuple(sorted(ball, key=lambda x: (length(x), reduced_word(x))))
+    deterministic order (length, reduced word), a layer at a time."""
+    layers = _word_layers(datum, max_length)
+    return tuple(x for layer in layers for x in sorted(layer, key=reduced_word))
 
 
 def grassmannian_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylElement, ...]:
@@ -473,7 +470,7 @@ def parse_element(text: str, datum: CartanDatum) -> AffineWeylElement:
         word_part = parts[0]
         if len(parts) == 2:
             trans_part = parts[1]
-    out = identity(datum)
+    letters, coords = [], (0,) * datum.rank
     if word_part is not None and word_part != "id":
         for chunk in word_part.split("*"):
             if not chunk.startswith("s") or not chunk[1:].isdigit():
@@ -486,7 +483,7 @@ def parse_element(text: str, datum: CartanDatum) -> AffineWeylElement:
                 raise ValidationError(
                     f"reflection index {idx} out of range 1..{datum.rank}"
                 )
-            out = aff_multiply(out, affine_simple(datum, idx))
+            letters.append(idx)
     if trans_part is not None:
         if not (trans_part.startswith("t[") and trans_part.endswith("]")):
             raise ParseError("translation must look like t[-1,0]", text.find(trans_part))
@@ -499,8 +496,7 @@ def parse_element(text: str, datum: CartanDatum) -> AffineWeylElement:
             raise ValidationError(
                 f"translation has {len(coords)} coordinates, rank is {datum.rank}"
             )
-        out = aff_multiply(out, translation(datum, coords))
-    return out
+    return AffineWeylElement(datum, weyl_group(datum)._fold(letters), coords)
 
 
 def format_element(x: AffineWeylElement) -> str:

@@ -45,7 +45,6 @@ from kschubert.weyl import (
     finite_elements,
     identity,
     is_grassmannian,
-    left_descent,
     length,
     reduced_word,
     reflection_roots,
@@ -164,7 +163,7 @@ def bruhat_leq(u, v):
         return True
     if length(u) >= length(v):
         return False
-    i = left_descent(v)
+    i = weyl_group(v.datum).code_descent((v.index, v.trans))
     s = affine_simple(u.datum, i)
     sv = aff_multiply(s, v)
     su = aff_multiply(s, u)
@@ -179,13 +178,16 @@ def finite_coset(x):
     return [aff_multiply(x, finite_element(x.datum, m)) for m in group.elements]
 
 
-def reduced_word_max_tiebreak(x):
-    """Second deterministic reduced word (largest-index tie break), used to
-    check that word-dependent computations are in fact word-independent."""
+def reduced_word_by_lengths(x, pick):
+    """Greedy left-descent peeling by comparing closed-formula lengths, with
+    the ``pick`` (min or max) of the descents at each step: with min, the
+    word ``weyl.reduced_word`` finds by one root; with max, a second
+    deterministic reduced word, used to check that word-dependent
+    computations are in fact word-independent."""
     word = []
     current = x
-    while not current.is_identity:
-        i = max(
+    while length(current):
+        i = pick(
             j
             for j in range(x.datum.rank + 1)
             if length(aff_multiply(affine_simple(x.datum, j), current)) < length(current)
@@ -275,7 +277,7 @@ def skewed_diagonal(rows):
 
     def skewed(w):
         row = rows(w)
-        return row if w.is_identity else {**row, w: row[w] + 1}
+        return row if w == identity(w.datum) else {**row, w: row[w] + 1}
 
     return skewed
 
@@ -332,9 +334,9 @@ def y_expansion_by_elements(x, start):
     c_{s_i u, v} = s_i(c_{u,v}) + (1 - e^{alpha_i}) s_i(c_{u, s_i v}) if
     s_i v < v and e^{alpha_i} s_i(c_{u,v}) otherwise."""
     datum = x.datum
-    if x.is_identity:
+    if x == identity(x.datum):
         return MappingProxyType({start: GroupAlgebraElement.one(datum.rank)})
-    i = left_descent(x)
+    i = weyl_group(x.datum).code_descent((x.index, x.trans))
     s = affine_simple(datum, i)
     action = weyl_group(datum).action[s.index]
     e_alpha = GroupAlgebraElement.monomial(level_zero_root(datum, i))
@@ -411,9 +413,9 @@ def y_in_loc(x):
     """y_x in the localization basis, the product of the y_i along a reduced
     word of x (the y_i satisfy the braid relations, so the word does not
     matter); its coefficients are the b-row of x."""
-    if x.is_identity:
+    if x == identity(x.datum):
         return kel_scalar(x.datum, 1)
-    i = left_descent(x)
+    i = weyl_group(x.datum).code_descent((x.index, x.trans))
     rest = aff_multiply(affine_simple(x.datum, i), x)
     return k_mul(y_element(x.datum, i), y_in_loc(rest))
 
@@ -421,9 +423,9 @@ def y_in_loc(x):
 @lru_cache(maxsize=None)
 def t_in_loc(x):
     """T_x in the localization basis, along a reduced word of x."""
-    if x.is_identity:
+    if x == identity(x.datum):
         return kel_scalar(x.datum, 1)
-    i = left_descent(x)
+    i = weyl_group(x.datum).code_descent((x.index, x.trans))
     rest = aff_multiply(affine_simple(x.datum, i), x)
     return k_mul(t_element(x.datum, i), t_in_loc(rest))
 

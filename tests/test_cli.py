@@ -52,6 +52,19 @@ def test_element_on_a_weyl_group_of_5040_elements(capsys):
     assert payload["coset_min"] == "s1*s3*s2*s4*s3*s5*s4*s6*s5*s4*s3*s2 t[-1,-2,-2,-2,-2,-1]"
 
 
+def test_element_refuses_a_length_past_its_cap(capsys):
+    # ``element`` takes no --max-length, and its reduced word has one letter
+    # per unit of length: a longer element is refused before any walk.
+    code, out, err = run(capsys, "element", "--type", "A1", "t[99999999999]", "--json")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError" and "length 199999999998 > 100000" in error["message"]
+    half = cli._ELEMENT_MAX_LENGTH // 2
+    assert run(capsys, "element", "--type", "A1", f"t[{half + 1}]")[0] == 2
+    code, out, _ = run(capsys, "element", "--type", "A1", f"t[{half}]", "--json")
+    assert code == 0 and json.loads(out)["length"] == cli._ELEMENT_MAX_LENGTH
+
+
 def test_element_roundtrip(capsys):
     code, out, _ = run(capsys, "element", "--type", "A1", "s1 t[-1]", "--json")
     assert code == 0

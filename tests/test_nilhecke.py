@@ -21,7 +21,7 @@ from oracles import (
     kel_add,
     kel_scalar,
     kel_scale,
-    reduced_word_max_tiebreak,
+    reduced_word_by_lengths,
     rf_inverse_one_minus_exp,
     t_element,
     t_in_loc,
@@ -366,7 +366,7 @@ def test_b_kernel_takes_no_stack_frame_per_letter(a1):
 def test_rows_independent_of_reduced_word(request, fixture_name, max_len):
     datum = request.getfixturevalue(fixture_name)
     for x in affine_ball(datum, max_len):
-        other = reduced_word_max_tiebreak(x)
+        other = reduced_word_by_lengths(x, max)
         assert b_row_subword(x, other) == loc_row(x, True, False)
         assert e_row_subword(x, other) == e_row(x)
 

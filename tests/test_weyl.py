@@ -1,4 +1,9 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +19,11 @@ from oracles import (
     matrix_multiply,
     matrix_pair,
     matrix_simple,
-    reduced_word_max_tiebreak,
+    reduced_word_by_lengths,
     rf_inverse_one_minus_exp,
     weyl_act,
 )
+import kschubert
 from kschubert import weyl
 from kschubert.constants import pontryagin_constants
 from kschubert.rootsys import build_root_system, identity_matrix, matmul
@@ -35,7 +41,6 @@ from kschubert.weyl import (
     grassmannian_ball,
     identity,
     is_grassmannian,
-    left_descent,
     length,
     lower_interval,
     parse_element,
@@ -55,6 +60,8 @@ SPECS = {
     "C2": [[2, -1], [-2, 2]],
     "G2": [[2, -1], [-3, 2]],
 }
+# A whole affine ball of each of them.
+BALLS = [("A1", 8), ("A2", 6), ("A3", 4), ("B2", 6), ("C2", 6), ("G2", 6)]
 
 
 # -- group law fixtures (these pin the semidirect-product convention) ----------
@@ -144,7 +151,7 @@ def test_reduced_word_roundtrip(a2):
         word = reduced_word(x)
         assert len(word) == length(x)
         assert evaluate_word(a2, word) == x
-        word2 = reduced_word_max_tiebreak(x)
+        word2 = reduced_word_by_lengths(x, max)
         assert len(word2) == length(x)
         assert evaluate_word(a2, word2) == x
 
@@ -172,6 +179,15 @@ def test_bruhat_basics(a1):
     assert interval == expected
 
 
+def subword_products(datum, word):
+    """The distinct products of the subwords of ``word``, by ``aff_multiply``."""
+    out = {identity(datum)}
+    for i in word:
+        s = affine_simple(datum, i)
+        out |= {aff_multiply(u, s) for u in out}
+    return frozenset(out)
+
+
 @pytest.mark.parametrize("fixture_name,max_len", [("a1", 8), ("a2", 8)])
 def test_bruhat_vs_subword_enumeration(request, fixture_name, max_len):
     datum = request.getfixturevalue(fixture_name)
@@ -179,11 +195,7 @@ def test_bruhat_vs_subword_enumeration(request, fixture_name, max_len):
     for v in ball:
         # subword closure from two different reduced words must agree
         interval = lower_interval(v)
-        other = {identity(datum)}
-        for i in reduced_word_max_tiebreak(v):
-            s = affine_simple(datum, i)
-            other |= {aff_multiply(u, s) for u in other}
-        assert interval == frozenset(other)
+        assert interval == subword_products(datum, reduced_word_by_lengths(v, max))
         for u in ball:
             assert bruhat_leq(u, v) == (u in interval)
 
@@ -204,7 +216,7 @@ def test_unique_grassmannian_per_length_a1(a1):
     assert sorted(by_length) == list(range(9))
 
 
-def test_coset_min(a1, a2):
+def test_coset_min_examples(a1, a2):
     h2 = evaluate_word(a1, [0, 1])  # = t[1]
     cmin = coset_min(h2)
     # oracle: enumerate the coset and take the length-minimal element
@@ -214,19 +226,51 @@ def test_coset_min(a1, a2):
     assert cmin == best
     assert cmin == affine_simple(a1, 0)
     assert is_grassmannian(translation(a2, (-1, -1)))
-    for x in affine_ball(a2, 4):
+
+
+@pytest.mark.parametrize("label,max_len", BALLS)
+def test_coset_min(label, max_len):
+    for x in affine_ball(build_root_system(SPECS[label]), max_len):
         m = coset_min(x)
+        assert m == min(finite_coset(x), key=length)
         assert is_grassmannian(m)
         assert coset_min(m) == m
 
 
-def test_grassmannian_means_minimal_in_coset(a2):
-    for x in affine_ball(a2, 4):
+@pytest.mark.parametrize("label,max_len", BALLS)
+def test_grassmannian_means_minimal_in_coset(label, max_len):
+    for x in affine_ball(build_root_system(SPECS[label]), max_len):
         expected = x == min(finite_coset(x), key=lambda c: (length(c), format_element(c)))
         if is_grassmannian(x):
             assert expected
         else:
             assert length(coset_min(x)) < length(x)
+
+
+@pytest.mark.parametrize("label,max_len", BALLS)
+def test_weyl_walks_read_no_length(monkeypatch, label, max_len):
+    # Reduced words, the Grassmannian test, coset minima, lower intervals and
+    # the element grammar decide every descent by one root: with the length
+    # memo raising they still give what length comparisons give.
+    datum = build_root_system(SPECS[label])
+    ball = affine_ball(datum, max_len)
+    expected = []
+    for x in ball:
+        best = min(finite_coset(x), key=length)
+        words = reduced_word_by_lengths(x, min), reduced_word_by_lengths(x, max)
+        expected.append((words[0], x == best, best, subword_products(datum, words[1])))
+    for memo in (reduced_word, is_grassmannian, lower_interval):
+        memo.cache_clear()
+
+    def no_length(group, code):
+        raise AssertionError(f"length of {code} read")
+
+    monkeypatch.setattr(weyl.WeylGroup, "code_length", no_length)
+    got = [(reduced_word(x), is_grassmannian(x), coset_min(x), lower_interval(x)) for x in ball]
+    assert got == expected
+    for x in ball:
+        back = parse_element(format_element(x), datum)
+        assert back == x and hash(back) == hash(x)
 
 
 def test_lower_interval_examples(a1):
@@ -383,8 +427,8 @@ def test_index_route_matches_matrix_route(label, max_len):
             assert group.left_code(i, (x.index, x.trans)) == (product.index, product.trans)
             left.append(matrix_length(datum, sx))
             right.append(matrix_length(datum, xs))
-        if not x.is_identity:
-            assert left_descent(x) == next(i for i, l in enumerate(left) if l < lx)
+        if lx:
+            assert group.code_descent((x.index, x.trans)) == next(i for i, l in enumerate(left) if l < lx)
         assert is_grassmannian(x) == all(l > lx for l in right[1:])
         back = parse_element(format_element(x), datum)
         assert back == x and hash(back) == hash(x)
@@ -503,3 +547,42 @@ def test_weyl_group_builds_no_coded_tables(label):
     assert group.code_descent((group.longest, (0,) * datum.rank)) == 1
     assert "left" not in vars(group) and len(group._lengths) == 1
     assert len(group.left) == datum.rank + 1 and group.left[1][1] is None
+
+
+# The timed region of a cold ``kschubert verify --suite all``, after the
+# benchmark's set-up (the A1 and A2 Weyl groups): every descent, Grassmannian
+# test and coset minimum is read off one root, so no length is computed, and
+# the walks build elements only for what they return (1,230 elements were
+# built when each step of a walk was an element; 374 are now).
+VERIFY_COUNTS = (
+    "import contextlib, io, json\n"
+    "from kschubert import cli, weyl\n"
+    "from kschubert.rootsys import build_root_system\n"
+    "for label in ('A1', 'A2'):\n"
+    "    weyl.weyl_group(build_root_system(label))\n"
+    "counts = {'lengths': 0, 'elements': 0}\n"
+    "code_length, init = weyl.WeylGroup.code_length, weyl.AffineWeylElement.__init__\n"
+    "def counted_length(group, code):\n"
+    "    counts['lengths'] += 1\n"
+    "    return code_length(group, code)\n"
+    "def counted_init(x, *args):\n"
+    "    counts['elements'] += 1\n"
+    "    init(x, *args)\n"
+    "weyl.WeylGroup.code_length = counted_length\n"
+    "weyl.AffineWeylElement.__init__ = counted_init\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    status = cli.main(['verify', '--suite', 'all', '--json'])\n"
+    "print(json.dumps([status, counts]))\n"
+)
+
+
+def test_cold_verify_reads_no_length():
+    src = str(Path(kschubert.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", VERIFY_COUNTS], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    status, counts = json.loads(done.stdout)
+    assert status == 0 and counts["lengths"] == 0
+    assert 0 < counts["elements"] <= 400
