@@ -109,11 +109,10 @@ def _emit(payload: dict, args, human: str) -> None:
         print(human)
 
 
-def _row_json(row, value_encoder):
-    return {
-        format_element(x): value_encoder(c)
-        for x, c in sorted(row.items(), key=lambda t: element_sort_key(t[0]))
-    }
+def _sorted_row(row) -> dict:
+    """A row keyed by element strings, in (length, string) order: the one
+    view that both the JSON and the human output read."""
+    return {format_element(x): row[x] for x in sorted(row, key=element_sort_key)}
 
 
 def _cmd_roots(args) -> int:
@@ -167,20 +166,19 @@ def _cmd_element(args) -> int:
 def _cmd_bcoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
-    row = loc_row(x, True, False)
+    row = _sorted_row(loc_row(x, True, False))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "bcoeff",
         "element": format_element(x),
-        "b_row": _row_json(row, rf_to_json),
+        "b_row": {v: rf_to_json(c) for v, c in row.items()},
         "coset_b": {
             "t[" + ",".join(map(str, key)) + "]": rf_to_json(v)
             for key, v in sorted(b_cosets(x).items())
         },
     }
     lines = [f"b-coefficients of {format_element(x)}:"]
-    for v, c in sorted(row.items(), key=lambda t: element_sort_key(t[0])):
-        lines.append(f"  {format_element(v)}: {format_rf(c, args.root_exponents)}")
+    lines += [f"  {v}: {format_rf(c, args.root_exponents)}" for v, c in row.items()]
     _emit(payload, args, "\n".join(lines))
     return 0
 
@@ -188,39 +186,37 @@ def _cmd_bcoeff(args) -> int:
 def _cmd_ecoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
-    row = e_row(x)
-    coset_e = e_cosets(x, identity(datum))
+    row, coset_e = _sorted_row(e_row(x)), _sorted_row(e_cosets(x, identity(datum)))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "ecoeff",
         "element": format_element(x),
-        "e_row": _row_json(row, gae_to_json),
-        "coset_e": _row_json(coset_e, gae_to_json),
+        "e_row": {v: gae_to_json(c) for v, c in row.items()},
+        "coset_e": {v: gae_to_json(c) for v, c in coset_e.items()},
     }
     lines = [f"e-coefficients of {format_element(x)}:"]
-    for v, c in sorted(row.items(), key=lambda t: element_sort_key(t[0])):
-        lines.append(f"  {format_element(v)}: {format_gae(c, datum, args.root_exponents)}")
+    lines += [f"  {v}: {format_gae(c, datum, args.root_exponents)}" for v, c in row.items()]
     _emit(payload, args, "\n".join(lines))
     return 0
 
 
-def _cmd_class(args, kind: str) -> int:
+def _cmd_class(args) -> int:
+    kind = args.command
     datum = _datum(args)
     w = _parse_guarded(args.w, datum, _guard(args, datum))
     if not is_grassmannian(w):
         raise UsageError(f"{format_element(w)} is not an affine Grassmannian element")
-    cls = (k_class if kind == "kclass" else l_class)(w)
+    row = _sorted_row((k_class if kind == "kclass" else l_class)(w).terms)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": kind,
         "element": format_element(w),
         "basis": "t",
-        "coefficients": _row_json(cls.terms, rf_to_json),
+        "coefficients": {v: rf_to_json(c) for v, c in row.items()},
     }
     symbol = "k" if kind == "kclass" else "l"
     lines = [f"{symbol}_{{{format_element(w)}}} in the T-basis:"]
-    for v, c in sorted(cls.terms.items(), key=lambda t: element_sort_key(t[0])):
-        lines.append(f"  T_{{{format_element(v)}}}: {format_rf(c, args.root_exponents)}")
+    lines += [f"  T_{{{v}}}: {format_rf(c, args.root_exponents)}" for v, c in row.items()]
     _emit(payload, args, "\n".join(lines))
     return 0
 
@@ -367,8 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, with_type=True, guarded=False, formatted=False):
+    def command(name, help, run, with_type=True, guarded=False, formatted=False):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         if with_type:
             p.add_argument("--type", default="A1", help="type label A1/A2/A3")
             p.add_argument(
@@ -392,55 +389,35 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    command("roots", "root-system data")
+    command("roots", "root-system data", _cmd_roots)
 
-    p = command("element", "parse and canonicalize an element")
+    p = command("element", "parse and canonicalize an element", _cmd_element)
     p.add_argument("element", help="element string, e.g. 's1*s2 t[-1,-1]'")
 
-    p = command("bcoeff", "b-coefficient row of an element", guarded=True, formatted=True)
+    p = command("bcoeff", "b-coefficient row of an element", _cmd_bcoeff, guarded=True, formatted=True)
     p.add_argument("--x", required=True)
 
-    p = command("ecoeff", "e-coefficient row of an element", guarded=True, formatted=True)
+    p = command("ecoeff", "e-coefficient row of an element", _cmd_ecoeff, guarded=True, formatted=True)
     p.add_argument("--x", required=True)
 
-    p = command(
-        "kclass", "projected ideal-sheaf class in the T-basis", guarded=True, formatted=True
-    )
-    p.add_argument("--w", required=True)
+    for kind, sheaf in (("kclass", "ideal-sheaf"), ("lclass", "structure-sheaf")):
+        p = command(kind, f"projected {sheaf} class in the T-basis", _cmd_class, guarded=True, formatted=True)
+        p.add_argument("--w", required=True)
 
-    p = command(
-        "lclass", "projected structure-sheaf class in the T-basis", guarded=True, formatted=True
-    )
-    p.add_argument("--w", required=True)
-
-    p = command("product", "Pontryagin product, human-readable", guarded=True, formatted=True)
+    p = command("product", "Pontryagin product, human-readable", _cmd_product, guarded=True, formatted=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = command("constant", "structure-constant table as JSON", guarded=True)
+    p = command("constant", "structure-constant table as JSON", _cmd_constant, guarded=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = command("verify", "recompute the embedded reference tables", with_type=False)
+    p = command("verify", "recompute the embedded reference tables", _cmd_verify, with_type=False)
     p.add_argument("--suite", choices=["sl2", "sl3", "all"], default="all")
 
-    p = command("conjecture", "compare affine constants with quantum data", guarded=True)
+    p = command("conjecture", "compare affine constants with quantum data", _cmd_conjecture, guarded=True)
     p.add_argument("--max-translation", type=int, default=2)
     return parser
-
-
-_DISPATCH = {
-    "roots": _cmd_roots,
-    "element": _cmd_element,
-    "bcoeff": _cmd_bcoeff,
-    "ecoeff": _cmd_ecoeff,
-    "kclass": lambda a: _cmd_class(a, "kclass"),
-    "lclass": lambda a: _cmd_class(a, "lclass"),
-    "product": _cmd_product,
-    "constant": _cmd_constant,
-    "verify": _cmd_verify,
-    "conjecture": _cmd_conjecture,
-}
 
 
 def _report_error(exc: Exception, **extra) -> None:
@@ -455,7 +432,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (
         UsageError,
         ParseError,

@@ -69,6 +69,7 @@ from kschubert.weyl import (
     reduced_word,
     reflection_roots,
     translation,
+    weyl_group,
 )
 from kschubert.nilhecke import b_cosets, b_lift, k_class, l_class, t_row, translation_cosets
 
@@ -401,36 +402,27 @@ def _load_fixture(name: str) -> dict:
         return json.load(fh)
 
 
-def _swap_element_string(text: str, perm: dict[int, int]) -> str:
-    parts = text.split()
-    out = []
-    for part in parts:
-        if part.startswith("t["):
-            coords = [c.strip() for c in part[2:-1].split(",")]
-            swapped = [""] * len(coords)
-            for idx, c in enumerate(coords):
-                swapped[perm[idx + 1] - 1] = c
-            out.append("t[" + ",".join(swapped) + "]")
-        elif part == "id":
-            out.append(part)
-        else:
-            out.append("*".join(f"s{perm[int(g[1:])]}" for g in part.split("*")))
-    return " ".join(out)
+def _swap(coords, swaps) -> tuple:
+    """Coordinates moved by the diagram automorphism i -> swaps[i - 1]: a
+    weight, a root and a coroot alike, since sigma permutes the simple roots
+    and fixes the Cartan matrix."""
+    out = [0] * len(coords)
+    for c, target in zip(coords, swaps):
+        out[target - 1] = c
+    return tuple(out)
 
 
-def _swap_atoms(atoms: list, perm: dict[int, int]) -> list:
-    swapped = []
-    for atom in atoms:
-        new = dict(atom)
-        for key in ("e", "one_minus_e"):
-            if key in new:
-                coords = new[key]
-                moved = [0] * len(coords)
-                for idx, c in enumerate(coords):
-                    moved[perm[idx + 1] - 1] = c
-                new[key] = moved
-        swapped.append(new)
-    return swapped
+def _swap_element(x: AffineWeylElement, swaps) -> AffineWeylElement:
+    """sigma(w t_lam) = sigma(w) t_sigma(lam): the letters of w's word
+    renamed and folded back as ``parse_element`` does."""
+    group = weyl_group(x.datum)
+    letters = (swaps[i - 1] for i in group.word[x.index])
+    return AffineWeylElement(x.datum, group._fold(letters), _swap(x.trans, swaps))
+
+
+def _swap_value(g: GroupAlgebraElement, swaps) -> GroupAlgebraElement:
+    """sigma on a ring value: each weight moved by ``_swap``."""
+    return GroupAlgebraElement(g.rank, {_swap(w, swaps): c for w, c in g.sorted_terms()})
 
 
 @dataclass
@@ -461,10 +453,7 @@ def _expected_table(datum, spec_entries) -> dict:
     }
 
 
-def _check_product(datum, name, x_str, y_str, expected_entries, records) -> None:
-    x = parse_element(x_str, datum)
-    y = parse_element(y_str, datum)
-    expected = _expected_table(datum, expected_entries)
+def _check_product(datum, name, x, y, expected, records) -> None:
     computed = pontryagin_constants(x, y).entries
     if computed == expected:
         records.append(VerificationRecord(name, True))
@@ -525,25 +514,17 @@ def verify_embedded_tables(suite: str = "all") -> VerificationReport:
 def _verify_suite(data: dict, records: list) -> None:
     datum = build_root_system(data["type"])
     swaps = data.get("dynkin_swap")
-    perm = {i + 1: p for i, p in enumerate(swaps)} if swaps else None
     for item in data["identities"]:
         kind = item["kind"]
         name = item["name"]
         if kind == "product":
-            _check_product(datum, name, item["x"], item["y"], item["entries"], records)
-            if perm is not None:
-                swapped_entries = {
-                    _swap_element_string(el, perm): _swap_atoms(atoms, perm)
-                    for el, atoms in item["entries"].items()
-                }
-                _check_product(
-                    datum,
-                    name + "-swapped",
-                    _swap_element_string(item["x"], perm),
-                    _swap_element_string(item["y"], perm),
-                    swapped_entries,
-                    records,
-                )
+            x, y = parse_element(item["x"], datum), parse_element(item["y"], datum)
+            expected = _expected_table(datum, item["entries"])
+            _check_product(datum, name, x, y, expected, records)
+            if swaps:
+                swapped = {_swap_element(z, swaps): _swap_value(c, swaps) for z, c in expected.items()}
+                x, y = _swap_element(x, swaps), _swap_element(y, swaps)
+                _check_product(datum, name + "-swapped", x, y, swapped, records)
         elif kind in ("kclass", "lclass"):
             _check_class(datum, name, kind, item["w"], item["entries"], records)
         else:

@@ -428,8 +428,8 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)
-        lcm, (a, b) = common_denominator(self.datum, (self, other))
-        return RationalFunction(self.datum, a + b, lcm)
+        den, nums = lift(self.datum, {0: self, 1: other})
+        return RationalFunction(self.datum, nums[0] + nums[1], den)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(self.datum, -self.num, self.den, reduce=False)
@@ -470,22 +470,15 @@ class RationalFunction:
         return f"RationalFunction({format_rf(self)})"
 
 
-def common_denominator(datum: CartanDatum, fs) -> tuple[dict[Weight, int], list[GroupAlgebraElement]]:
-    """Lift rational functions to their lcm denominator: returns the lcm as a
-    root -> multiplicity map and the numerators over it, in input order."""
-    fs = list(fs)
-    lcm: dict[Weight, int] = {}
-    for f in fs:
-        for root, mult in f.den:
-            lcm[root] = max(lcm.get(root, 0), mult)
-    return lcm, [f.num * _den_complement(datum, lcm, dict(f.den)) for f in fs]
-
-
 def lift(datum: CartanDatum, coeffs: Mapping) -> tuple[tuple, dict]:
     """Rational coefficients k -> f_k over their lcm denominator D: returns D
     as sorted (root, multiplicity) pairs and the numerators k -> f_k D."""
-    lcm, nums = common_denominator(datum, coeffs.values())
-    return tuple(sorted(lcm.items())), dict(zip(coeffs, nums))
+    lcm: dict[Weight, int] = {}
+    for f in coeffs.values():
+        for root, mult in f.den:
+            lcm[root] = max(lcm.get(root, 0), mult)
+    nums = {k: f.num * _den_complement(datum, lcm, dict(f.den)) for k, f in coeffs.items()}
+    return tuple(sorted(lcm.items())), nums
 
 
 def combine(datum: CartanDatum, lifted: tuple[tuple, Mapping], rows) -> dict:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from operator import mul
 
 Weight = tuple[int, ...]
@@ -33,6 +34,9 @@ _BUILTIN: dict[str, Matrix] = {
 # Orbit generation must terminate for valid input; the cap only guards
 # against a positive-definiteness check gone wrong.
 _MAX_ROOTS = 1000
+# The largest order of a Weyl group that ``weyl.WeylGroup`` tabulates: A6,
+# F4 and E6 (51,840 elements) fit, E7 (2,903,040) and E8 do not.
+MAX_WEYL_ORDER = 100_000
 
 
 class UnsupportedTypeError(ValueError):
@@ -61,8 +65,9 @@ class CartanDatum:
     """Immutable root-system data shared by every other module.
 
     ``positive_roots`` and ``positive_coroots`` are aligned: entry k of the
-    latter is the coroot of entry k of the former.  Safe to share across
-    threads once built.
+    latter is the coroot of entry k of the former.  ``weyl_order`` is |W| =
+    n! det(A) prod a_i, the a_i the simple-root coefficients of the highest
+    root.  Safe to share across threads once built.
     """
 
     label: str
@@ -74,6 +79,8 @@ class CartanDatum:
     highest_root: Weight = field(compare=False)
     highest_coroot: Coroot = field(compare=False)
     positive_root_set: frozenset[Weight] = field(compare=False, repr=False)
+    inverse_cartan: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
+    weyl_order: int = field(compare=False)
 
     def __post_init__(self):
         # Every memo of the other layers is keyed on the datum: hash it once.
@@ -90,7 +97,9 @@ class CartanDatum:
         return f"CartanDatum({self.label!r})"
 
 
-def _check_cartan(cartan: Matrix) -> None:
+def _check_cartan(cartan: Matrix) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
+    """Raise unless ``cartan`` is a Cartan matrix of irreducible finite type;
+    returns its determinant and its inverse."""
     rank = len(cartan)
     if rank == 0 or any(len(row) != rank for row in cartan):
         raise InvalidCartanMatrixError("Cartan matrix must be square and nonempty")
@@ -106,24 +115,13 @@ def _check_cartan(cartan: Matrix) -> None:
                         "zero pattern must be symmetric"
                     )
 
-    # Irreducibility: the Dynkin diagram must be connected, otherwise there
-    # is no highest root and no affine node.
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(rank):
-            if j not in seen and cartan[i][j] != 0:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != rank:
-        raise InvalidCartanMatrixError("Dynkin diagram must be connected")
-
-    # Symmetrizer d_i > 0 with d_i a_ij = d_j a_ji, then Sylvester's
-    # criterion on the symmetrized matrix decides finite type.
+    # Symmetrizer d_i > 0 with d_i a_ij = d_j a_ji, by one walk of the
+    # Dynkin diagram from node 0: a node it never reaches means the diagram is
+    # disconnected, so there is no highest root and no affine node.
     d = [Fraction(0)] * rank
     d[0] = Fraction(1)
     frontier = [0]
+    symmetrizable = True
     while frontier:
         i = frontier.pop()
         for j in range(rank):
@@ -133,20 +131,35 @@ def _check_cartan(cartan: Matrix) -> None:
                     d[j] = dj
                     frontier.append(j)
                 elif d[j] != dj:
-                    raise InvalidCartanMatrixError("matrix is not symmetrizable")
-    sym = [[d[i] * cartan[i][j] for j in range(rank)] for i in range(rank)]
-    # Elimination without row swaps: the k-th pivot is the ratio of the k-th
-    # to the (k-1)-th leading principal minor, so the pivots are all positive
-    # exactly when the minors are.
+                    symmetrizable = False
+    if not all(d):
+        raise InvalidCartanMatrixError("Dynkin diagram must be connected")
+    if not symmetrizable:
+        raise InvalidCartanMatrixError("matrix is not symmetrizable")
+    # Gauss-Jordan on [A | I] without row swaps: the k-th pivot is the ratio
+    # of the k-th to the (k-1)-th leading principal minor of A, and those of
+    # d.A have the same signs (each d_i > 0), so by Sylvester's criterion the
+    # symmetrized matrix is positive definite (finite type) exactly when
+    # every pivot is positive.  The pivots multiply to det(A), and the right
+    # half ends as the inverse of A.
+    aug = [
+        [Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(rank)]
+        for i, row in enumerate(cartan)
+    ]
+    det = 1
     for k in range(rank):
-        if sym[k][k] <= 0:
+        pivot = aug[k][k]
+        if pivot <= 0:
             raise InvalidCartanMatrixError(
                 "symmetrized matrix is not positive definite (not finite type)"
             )
-        for r in range(k + 1, rank):
-            factor = sym[r][k] / sym[k][k]
-            for c in range(k, rank):
-                sym[r][c] -= factor * sym[k][c]
+        det *= pivot
+        aug[k] = [a / pivot for a in aug[k]]
+        for r in range(rank):
+            if r != k and aug[r][k] != 0:
+                factor = aug[r][k]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[k])]
+    return int(det), tuple(tuple(row[rank:]) for row in aug)
 
 
 def _reflect_root(cartan: Matrix, i: int, root: tuple[int, ...]) -> tuple[int, ...]:
@@ -167,7 +180,7 @@ def _reflect_coroot(cartan: Matrix, i: int, coroot: tuple[int, ...]) -> tuple[in
 
 @lru_cache(maxsize=None)
 def _build_from_matrix(cartan: Matrix, label: str) -> CartanDatum:
-    _check_cartan(cartan)
+    det, inverse = _check_cartan(cartan)
     rank = len(cartan)
 
     # Breadth-first closure of {simple roots} under all simple reflections,
@@ -212,12 +225,15 @@ def _build_from_matrix(cartan: Matrix, label: str) -> CartanDatum:
         highest_root=fund(positive[-1][0]),
         highest_coroot=positive[-1][1],
         positive_root_set=frozenset(fund(r) for r, _ in positive),
+        inverse_cartan=inverse,
+        weyl_order=factorial(rank) * det * prod(positive[-1][0]),
     )
 
 
-def build_root_system(spec: str | list | tuple, label: str | None = None) -> CartanDatum:
+def build_root_system(spec: str | list | tuple) -> CartanDatum:
     """Build a CartanDatum from a type label ("A1", "A2", "A3") or an
-    explicit Cartan matrix given as a sequence of rows.
+    explicit Cartan matrix given as a sequence of rows; a matrix equal to a
+    built-in table gets that table's datum, label included.
 
     >>> build_root_system("A2").highest_root
     (1, 1)
@@ -236,7 +252,8 @@ def build_root_system(spec: str | list | tuple, label: str | None = None) -> Car
     ):
         raise InvalidCartanMatrixError("Cartan matrix must be a sequence of rows of integers")
     matrix = tuple(tuple(row) for row in spec)
-    return _build_from_matrix(matrix, label or f"custom-rank{len(matrix)}")
+    label = next((key for key, table in _BUILTIN.items() if table == matrix), f"custom-rank{len(matrix)}")
+    return _build_from_matrix(matrix, label)
 
 
 def level_zero_root(datum: CartanDatum, i: int) -> Weight:
@@ -249,39 +266,14 @@ def level_zero_root(datum: CartanDatum, i: int) -> Weight:
     raise ValueError(f"affine index {i} out of range 0..{datum.rank}")
 
 
-@lru_cache(maxsize=None)
-def _inverse_cartan(datum: CartanDatum) -> tuple[tuple[Fraction, ...], ...]:
-    n = datum.rank
-    aug = [
-        [Fraction(datum.cartan[i][j]) for j in range(n)]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [entry / scale for entry in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def weight_in_root_coords(datum: CartanDatum, weight: Weight) -> tuple[Fraction, ...]:
     """Express a weight in the simple-root basis; coordinates may be
     fractional for weights outside the root lattice."""
-    inv = _inverse_cartan(datum)
-    return tuple(sum(row[j] * weight[j] for j in range(datum.rank)) for row in inv)
+    return matvec(datum.inverse_cartan, weight)
 
 
 def root_lattice_weight(datum: CartanDatum, root_coords) -> Weight:
     """Weight-lattice coordinates of an integer combination of simple roots."""
     if len(root_coords) != datum.rank:
         raise ValueError("rank mismatch")
-    out = [0] * datum.rank
-    for j, k in enumerate(root_coords):
-        for i in range(datum.rank):
-            out[i] += k * datum.simple_roots[j][i]
-    return tuple(out)
+    return matvec(datum.cartan, root_coords)

@@ -41,6 +41,7 @@ from types import MappingProxyType
 
 from kschubert.ring import WeylAction, pack
 from kschubert.rootsys import (
+    MAX_WEYL_ORDER,
     CartanDatum,
     Coroot,
     Matrix,
@@ -76,14 +77,6 @@ def _simple_weight_matrix(datum: CartanDatum, i: int) -> Matrix:
     )
 
 
-def _simple_coroot_matrix(datum: CartanDatum, i: int) -> Matrix:
-    # s_i(mu) = mu - <mu, alpha_i> alpha_i^vee; <mu, alpha_i> = sum_j mu_j A_ji
-    return tuple(
-        tuple(int(r == c) - (datum.cartan[c][i - 1] if r == i - 1 else 0) for c in range(datum.rank))
-        for r in range(datum.rank)
-    )
-
-
 class _Tabulated(Sequence):
     """A read-only table whose entry k is ``build(k)``, computed on first
     lookup, so that entries no computation reads are never built."""
@@ -114,27 +107,34 @@ class WeylGroup:
 
     * ``word`` and ``length``: the smallest reduced word and its length;
     * ``inverse``;
-    * ``cmat``: the coroot-lattice matrix;
+    * ``cmat``: the coroot-lattice matrix, the transpose of the inverse's
+      weight-lattice matrix, since the pairing is a dot product;
     * ``product[a][b]``: the index of ab (the Cayley table);
     * ``action``: w acting on ring values (``ring.WeylAction``).
 
     Only the breadth-first search multiplies matrices, once per element and
-    generator; ``inverse`` folds its generator table along each reversed
-    word.  ``product`` and ``action`` are built one entry at a time on first
-    lookup, so set-up stays the search and a large group costs only what is
-    read of it.  A Cayley row folds along the search tree: each b other than
-    the identity was found as p s_i from an earlier p, so ab = (ap) s_i is
-    read off the same row and the generator table.  The tables are
-    read-only, since ``weyl_group`` hands the same instance to every caller.
+    generator, and a group of more than ``rootsys.MAX_WEYL_ORDER`` elements
+    is refused before it; ``inverse`` folds its generator table along each
+    reversed word.  ``product`` and ``action`` are built one entry at a time
+    on first lookup, so set-up stays the search and a large group costs only
+    what is read of it.  A Cayley row folds along the search tree: each b
+    other than the identity was found as p s_i from an earlier p, so
+    ab = (ap) s_i is read off the same row and the generator table.  The
+    tables are read-only, since ``weyl_group`` hands the same instance to
+    every caller.
     """
 
     def __init__(self, datum: CartanDatum):
+        if datum.weyl_order > MAX_WEYL_ORDER:
+            raise ValueError(
+                f"the Weyl group of {datum.label} has {datum.weyl_order} elements, "
+                f"more than the {MAX_WEYL_ORDER} that are tabulated"
+            )
         self.datum = datum
         rank = datum.rank
         gens_w = [_simple_weight_matrix(datum, i) for i in range(1, rank + 1)]
-        gens_c = [_simple_coroot_matrix(datum, i) for i in range(1, rank + 1)]
         ident = identity_matrix(rank)
-        mats, cmats, words, steps = [ident], [ident], [()], []
+        mats, words, steps = [ident], [()], []
         index = {ident: 0}
         right = []  # right[k][i]: the index of element k times s_{i+1}
         k = 0
@@ -146,7 +146,6 @@ class WeylGroup:
                 if j is None:
                     j = index[m] = len(mats)
                     mats.append(m)
-                    cmats.append(matmul(cmats[k], gens_c[i]))
                     words.append(words[k] + (i + 1,))
                     steps.append((k, i))  # element j is element k times s_{i+1}
                 row.append(j)
@@ -158,7 +157,7 @@ class WeylGroup:
         self.word = tuple(words)
         self.length = tuple(len(w) for w in words)
         self.inverse = tuple(self._fold(reversed(w)) for w in words)
-        self.cmat = tuple(cmats)
+        self.cmat = tuple(tuple(zip(*mats[j])) for j in self.inverse)
         self.product = _Tabulated(len(mats), self._product_row)
         self.action = _Tabulated(len(mats), self._action)
         self.longest = len(mats) - 1

@@ -4,7 +4,7 @@ coset sums, of the closed product formula and its convolution, and of
 the classical constants by the rational solve, which the tests compare
 the library against, the per-entry sum of rational multiples of rows that
 ``ring.combine`` is compared against, and small conveniences for writing
-the tests (word evaluation, the pairing, scaling, 1/(1 - e^lam), T-sums
+the tests (Cartan matrices of finite types, word evaluation, the pairing, scaling, 1/(1 - e^lam), T-sums
 back in the localization basis, expanded denominators, the translation
 law, skewed localization rows); Bruhat order by the lifting
 property, which lower intervals are compared against; the tuple-keyed
@@ -29,8 +29,8 @@ from kschubert.nilhecke import LOC, KElement, b_cosets, e_cosets
 from kschubert.ring import (
     GroupAlgebraElement,
     RationalFunction,
-    common_denominator,
     format_gae,
+    lift,
     mul_add,
     unpack,
 )
@@ -112,6 +112,30 @@ def demazure_product(datum, letters):
     for i in letters:
         out = demazure_extend(out, i)
     return out
+
+
+def type_a(n):
+    """The Cartan matrix of type A_n."""
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
+# Finite types as build_root_system specs, with the order of each Weyl group
+# from the classification.
+FINITE_TYPES = {
+    "A1": ("A1", 2),
+    "A2": ("A2", 6),
+    "A3": ("A3", 24),
+    "A4": (type_a(4), 120),
+    "A5": (type_a(5), 720),
+    "B2": ([[2, -2], [-1, 2]], 8),
+    "C2": ([[2, -1], [-2, 2]], 8),
+    "G2": ([[2, -1], [-3, 2]], 12),
+    "B3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], 48),
+    "C3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 48),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 192),
+    "D5": ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], 1920),
+    "F4": ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 1152),
+}
 
 
 def pair(coroot, weight):
@@ -292,15 +316,15 @@ def combine_per_entry(datum, coeffs, rows):
     for ``ring.combine``, which accumulates all entries in one flat dict and
     divides them together with one coset grouping per root, and for the
     ``RationalFunction`` reduction, which shares that grouping."""
-    den, nums = common_denominator(datum, coeffs.values())
+    den, nums = lift(datum, coeffs)
     raw: dict = {}
-    for k, p in zip(coeffs, nums):
+    for k, p in nums.items():
         for key, g in rows(k).items():
             mul_add(raw.setdefault(key, {}), p, g)
     out = {}
     for key, terms in raw.items():
         if terms:
-            num, kept = reduce_one_factor_at_a_time(datum.rank, terms, sorted(den.items()))
+            num, kept = reduce_one_factor_at_a_time(datum.rank, terms, den)
             out[key] = RationalFunction(datum, num, kept, reduce=False)
     return out
 

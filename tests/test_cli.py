@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import time
 
 import pytest
 
@@ -50,6 +51,31 @@ def test_element_on_a_weyl_group_of_5040_elements(capsys):
     payload = json.loads(out)
     assert (payload["element"], payload["length"], payload["is_grassmannian"]) == (text, 16, False)
     assert payload["coset_min"] == "s1*s3*s2*s4*s3*s5*s4*s6*s5*s4*s3*s2 t[-1,-2,-2,-2,-2,-1]"
+
+
+def test_element_refuses_a_weyl_group_too_large_to_tabulate(capsys):
+    # E8: |W| = 696,729,600 is read off the Cartan matrix, before any search.
+    e8 = [[2, 0, -1, 0, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0, 0],
+          [0, -1, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+          [0, 0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, 0, -1, 2]]
+    start = time.monotonic()
+    code, out, err = run(capsys, "element", "--cartan", json.dumps(e8), "s1", "--json")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and "696729600 elements" in error["message"]
+    assert run(capsys, "roots", "--cartan", json.dumps(e8))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "label,matrix,bound", [("A1", "[[2]]", "2"), ("A2", "[[2,-1],[-1,2]]", "1")], ids=["A1", "A2"]
+)
+def test_builtin_matrix_spelled_out_gives_the_builtin_answers(capsys, label, matrix, bound):
+    # The SL2 quantum fixture and the A1 default guard are keyed by label.
+    argv = ["conjecture", "--max-translation", bound, "--json"]
+    _, by_label, _ = run(capsys, *argv, "--type", label)
+    _, by_matrix, _ = run(capsys, *argv, "--cartan", matrix)
+    assert by_matrix == by_label and json.loads(by_label)["type"] == label
 
 
 def test_element_refuses_a_length_past_its_cap(capsys):

@@ -11,7 +11,7 @@ from oracles import (
 )
 from kschubert import constants, nilhecke, ring
 from kschubert.ring import GroupAlgebraElement, NonPolynomialError, RationalFunction, combine
-from kschubert.rootsys import build_root_system
+from kschubert.rootsys import build_root_system, root_lattice_weight, weight_in_root_coords
 from kschubert.constants import (
     MalformedDatumError,
     QuantumDatum,
@@ -499,6 +499,49 @@ def test_verify_all_has_both(a1):
     assert "square-g1" in names and "table-9" in names and "table-9-swapped" in names
     with pytest.raises(ValueError):
         verify_embedded_tables("sl4")
+
+
+def test_verify_checks_every_sl3_product_under_the_diagram_automorphism():
+    report = verify_embedded_tables("sl3")
+    names = {r.identity for r in report.records}
+    swapped = [r.identity for r in report.records if r.identity.endswith("-swapped")]
+    assert len(swapped) == 15 and all(name[: -len("-swapped")] in names for name in swapped)
+
+
+def swap_string(text, swaps):
+    """sigma on an element string: letters renamed, translation moved."""
+    parts = text.split()
+    if parts[-1].startswith("t["):
+        coords = parts[-1][2:-1].split(",")
+        parts[-1] = "t[" + ",".join(coords[swaps.index(i + 1)] for i in range(len(coords))) + "]"
+    if parts[0] != "id" and not parts[0].startswith("t["):
+        parts[0] = "*".join(f"s{swaps[int(g[1:]) - 1]}" for g in parts[0].split("*"))
+    return " ".join(parts)
+
+
+@pytest.mark.parametrize("spec,swaps,max_len", [("A2", (2, 1), 6), ("A3", (3, 2, 1), 5)], ids=["A2", "A3"])
+def test_diagram_automorphism_on_whole_balls(spec, swaps, max_len):
+    # c_{sigma x, sigma y}^{sigma z} = sigma(c_{x,y}^z) for all pairs x <= y,
+    # with sigma applied to parsed elements and evaluated values; sigma on
+    # elements is checked against the string rewrite, and on values against
+    # moving the simple-root coordinates of each weight.
+    datum = build_root_system(spec)
+    ball = grassmannian_ball(datum, max_len)
+    sigma = {x: constants._swap_element(x, swaps) for x in ball}
+    assert set(sigma.values()) == set(ball)
+    for x in ball:
+        assert sigma[x] == parse_element(swap_string(format_element(x), swaps), datum)
+    for w in datum.positive_roots:
+        coords = [int(c) for c in weight_in_root_coords(datum, w)]
+        moved = root_lattice_weight(datum, constants._swap(coords, swaps))
+        assert constants._swap_value(G.monomial(w), swaps) == G.monomial(moved)
+    for i, x in enumerate(ball):
+        for y in ball[i:]:
+            table = pontryagin_constants(x, y).entries
+            image = {
+                constants._swap_element(z, swaps): constants._swap_value(c, swaps) for z, c in table.items()
+            }
+            assert pontryagin_constants(sigma[x], sigma[y]).entries == image
 
 
 def test_support_shape_warning_absent_on_paper_tables(a2):

@@ -114,3 +114,94 @@ def test_checker_flags_uncalled_functions():
 def test_every_library_function_is_called_in_the_library():
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     assert uncalled_functions(sources) == []
+
+
+def unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """``name.parameter`` for each defaulted parameter of a function or
+    constructor defined in ``defining`` that no call in ``calling`` passes,
+    by keyword or by position: an option that no caller sets.  A constructor
+    counts under its class name, the fields of a dataclass being its
+    parameters in order, and the positions of a method start after ``self``
+    or ``cls``.  Calls are matched by name alone, as in
+    ``uncalled_functions``, and one that unpacks ``*args`` or ``**kwargs``
+    passes every parameter."""
+    defaults: list[tuple[str, str, int | None]] = []
+
+    def has_default(value) -> bool:
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            return any(k.arg in ("default", "default_factory") for k in value.keywords)
+        return value is not None
+
+    def collect(node, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+                    fields = [f for f in child.body if isinstance(f, ast.AnnAssign)]
+                    defaults.extend(
+                        (child.name, f.target.id, k) for k, f in enumerate(fields) if has_default(f.value)
+                    )
+                collect(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                if owner is not None and not static:
+                    positional = positional[1:]
+                name = owner if child.name == "__init__" and owner else child.name
+                first = len(positional) - len(args.defaults)
+                defaults.extend((name, a.arg, k) for k, a in enumerate(positional) if k >= first)
+                defaults.extend((name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+            collect(child, None)
+
+    for source in defining:
+        collect(ast.parse(source), None)
+    passed = set()
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                passed.add((name, "*"))
+            passed.update((name, k.arg) for k in node.keywords)
+            passed.update((name, k) for k in range(len(node.args)))
+    return sorted(
+        f"{name}.{param}"
+        for name, param, position in defaults
+        if not {(name, "*"), (name, param), (name, position)} & passed
+    )
+
+
+def test_checker_flags_unpassed_defaults():
+    source = (
+        "def f(a, b=1, *, c=2, d=3): pass\n"
+        "def g(a, b=1): pass\n"
+        "def h(a=1): pass\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0): pass\n"
+        "    def m(self, z=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(z=0): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    a: int\n"
+        "    b: int = field(compare=False)\n"
+        "    c: int = 0\n"
+        "    d: list = field(default_factory=list)\n"
+        "f(0, c=5)\n"
+        "D(1, 2, d=[])\n"
+        "g(*rest)\n"
+        "C(1)\n"
+        "C(1).m(2)\n"
+        "C.s()\n"
+    )
+    assert unpassed_defaults([source], [source]) == ["C.y", "D.c", "f.b", "f.d", "h.a", "s.z"]
+
+
+def test_every_library_default_is_passed_by_some_caller():
+    root = SRC.parents[1]
+    callers = [root / "src", root / "tests", root / "perfbench"]
+    calling = [path.read_text() for folder in callers for path in sorted(folder.rglob("*.py"))]
+    assert unpassed_defaults([path.read_text() for path in sorted(SRC.glob("*.py"))], calling) == []

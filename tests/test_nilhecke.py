@@ -34,7 +34,7 @@ from oracles import (
 import kschubert
 from kschubert import nilhecke, ring
 from kschubert.constants import _finite_localization_row
-from kschubert.ring import GroupAlgebraElement, RationalFunction, common_denominator, lift, rf_to_json
+from kschubert.ring import GroupAlgebraElement, RationalFunction, lift, rf_to_json
 from kschubert.rootsys import build_root_system, level_zero_root
 from kschubert.nilhecke import (
     LOC,
@@ -428,10 +428,10 @@ def test_coset_rows_fold_the_y_side_sum(spec, max_len):
     ball = grassmannian_ball(datum, max_len)
     mus = {mu for x in ball for mu in b_cosets(x)}
     for y in ball:
-        den, nums = common_denominator(datum, b_cosets(y).values())
+        den, nums = lift(datum, b_cosets(y))
         for mu in mus:
             sums = {}
-            for nu, num in zip(b_cosets(y), nums):
+            for nu, num in nums.items():
                 sigma = tuple(m + n for m, n in zip(mu, nu))
                 for z, e in e_cosets(translation(datum, sigma), one).items():
                     sums[z] = sums[z] + num * e if z in sums else num * e

@@ -20,7 +20,6 @@ from kschubert.ring import (
     NonPolynomialError,
     RationalFunction,
     combine,
-    common_denominator,
     format_gae,
     gae_to_json,
     lift,
@@ -363,7 +362,7 @@ def test_packed_ring_matches_tuple_oracle_on_whole_balls(spec, max_len):
     values = []
     for x in grassmannian_ball(datum, max_len):
         values.extend(f.num for f in b_cosets(x).values())
-        values.extend(common_denominator(datum, b_cosets(x).values())[1])
+        values.extend(lift(datum, b_cosets(x))[1].values())
         values.extend(e_cosets(x, identity(datum)).values())
     one = G.one(datum.rank)
     outcomes = set()

@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
-from oracles import pair
+from oracles import FINITE_TYPES, pair
 from kschubert.rootsys import (
     InvalidCartanMatrixError,
     UnsupportedTypeError,
     build_root_system,
     level_zero_root,
     matvec,
+    root_lattice_weight,
     weight_in_root_coords,
 )
 from kschubert.weyl import affine_simple, weyl_group
@@ -41,6 +44,15 @@ def test_custom_matrix_matches_builtin(a2):
     assert custom.positive_roots == a2.positive_roots
 
 
+def test_builtin_matrix_is_the_builtin_datum():
+    # A matrix equal to a built-in table is that table: the same memoized
+    # datum, label included, so label-keyed defaults and fixtures apply.
+    for label in ("A1", "A2", "A3"):
+        matrix = [list(row) for row in build_root_system(label).cartan]
+        assert build_root_system(matrix) is build_root_system(label)
+    assert build_root_system([[2, -2], [-1, 2]]).label == "custom-rank2"
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -63,6 +75,56 @@ def test_custom_matrix_matches_builtin(a2):
 def test_invalid_matrices_rejected(matrix):
     with pytest.raises(InvalidCartanMatrixError):
         build_root_system(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        # Connectivity is decided before symmetrizability.
+        ([[2, -1, -1, 0], [-2, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, 2]], "must be connected"),
+        ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], "not symmetrizable"),
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "not positive definite"),
+    ],
+)
+def test_checks_run_in_order(matrix, message):
+    with pytest.raises(InvalidCartanMatrixError, match=message):
+        build_root_system(matrix)
+
+
+@pytest.mark.parametrize("a12,a21", itertools.product(range(0, -5, -1), repeat=2))
+def test_rank_two_matrices_accepted_exactly_in_finite_type(a12, a21):
+    # The finite rank-two types are A2, B2, C2 and G2: a12 a21 in {1, 2, 3}.
+    matrix = [[2, a12], [a21, 2]]
+    if a12 and a21 and a12 * a21 <= 3:
+        assert len(build_root_system(matrix).positive_roots) == {1: 3, 2: 4, 3: 6}[a12 * a21]
+    else:
+        with pytest.raises(InvalidCartanMatrixError):
+            build_root_system(matrix)
+
+
+@pytest.mark.parametrize("label", sorted(FINITE_TYPES))
+def test_root_coordinates_round_trip(label):
+    # The positive roots in simple-root coordinates, closed under
+    # s_i(beta) = beta - <alpha_i^vee, beta> alpha_i independently of the
+    # library: each is a positive root in weight coordinates, and
+    # weight_in_root_coords takes it back.
+    datum = build_root_system(FINITE_TYPES[label][0])
+    rank, cartan = datum.rank, datum.cartan
+    roots = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    frontier = list(roots)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(rank):
+            image = list(beta)
+            image[i] -= sum(cartan[i][j] * beta[j] for j in range(rank))
+            if tuple(image) not in roots:
+                roots.add(tuple(image))
+                frontier.append(tuple(image))
+    positive = [c for c in roots if min(c) >= 0]
+    assert {root_lattice_weight(datum, c) for c in positive} == datum.positive_root_set
+    assert len(positive) == len(datum.positive_roots)
+    for c in positive:
+        assert weight_in_root_coords(datum, root_lattice_weight(datum, c)) == c
 
 
 def test_unsupported_label():

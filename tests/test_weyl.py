@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    FINITE_TYPES,
     bruhat_leq,
     demazure_product,
     evaluate_word,
@@ -26,7 +27,7 @@ from oracles import (
 import kschubert
 from kschubert import weyl
 from kschubert.constants import pontryagin_constants
-from kschubert.rootsys import build_root_system, identity_matrix, matmul
+from kschubert.rootsys import MAX_WEYL_ORDER, build_root_system, identity_matrix, matmul
 from kschubert.weyl import (
     ParseError,
     ValidationError,
@@ -395,6 +396,31 @@ def test_group_order_and_tables(a2):
         assert evaluate_word(a2, word).index == k
         assert sum(flipped for _, flipped in group.action[k].roots.values()) == group.length[k]
         assert group.product[k][group.inverse[k]] == 0
+
+
+@pytest.mark.parametrize("label", sorted(FINITE_TYPES))
+def test_weyl_order_formula_counts_the_tabulated_group(label):
+    # |W| = n! det(A) prod a_i against the classification and the search.
+    spec, order = FINITE_TYPES[label]
+    datum = build_root_system(spec)
+    assert datum.weyl_order == len(weyl_group(datum).elements) == order
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "F4"])
+def test_coroot_matrices_are_inverse_transposes(label):
+    # <w mu, w lambda> = <mu, lambda> for the dot-product pairing.
+    group = weyl_group(build_root_system(FINITE_TYPES[label][0]))
+    for m, c in zip(group.elements, group.cmat):
+        assert matmul(tuple(zip(*c)), m) == identity_matrix(len(m))
+
+
+def test_a_group_too_large_to_tabulate_is_refused():
+    e7 = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0], [0, -1, -1, 2, -1, 0, 0],
+          [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, -1, 2]]
+    datum = build_root_system(e7)
+    assert datum.weyl_order == 2_903_040 > MAX_WEYL_ORDER
+    with pytest.raises(ValueError, match="2903040 elements"):
+        weyl.WeylGroup(datum)
 
 
 # -- the index route against the matrix route ---------------------------------------
