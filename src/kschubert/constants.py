@@ -46,13 +46,12 @@ by e_{w,w}, so a value that does not divide raises NonPolynomialError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
 from functools import lru_cache
-from importlib import resources
 from types import MappingProxyType
 
 from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae, lift
-from kschubert.rootsys import CartanDatum, build_root_system, root_lattice_weight
+from kschubert.rootsys import CartanDatum, Frozen, build_root_system, root_lattice_weight
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
@@ -86,14 +85,13 @@ def element_sort_key(x: AffineWeylElement):
     return (length(x), format_element(x))
 
 
-@dataclass
 class StructureConstantTable:
     """c_{x,y}^z for one pair (x, y); entries are group-algebra elements."""
 
-    x: AffineWeylElement
-    y: AffineWeylElement
-    entries: dict[AffineWeylElement, GroupAlgebraElement]
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("x", "y", "entries", "warnings")
+
+    def __init__(self, x: AffineWeylElement, y: AffineWeylElement, entries: dict, warnings: list[str]):
+        self.x, self.y, self.entries, self.warnings = x, y, entries, warnings
 
     def sorted_entries(self):
         return sorted(self.entries.items(), key=lambda t: element_sort_key(t[0]))
@@ -269,38 +267,32 @@ def classical_k_constants(u: AffineWeylElement, v: AffineWeylElement) -> dict:
 # Quantum data and the conjecture comparison -----------------------------------
 
 
-@dataclass(frozen=True)
-class QuantumDatum:
+class QuantumDatum(Frozen):
     """One known structure constant of the quantum K-theory of the finite
-    flag variety: O^u * O^v ∋ N q^degree O^w."""
+    flag variety: O^u * O^v ∋ N q^degree O^w.  Immutable."""
 
-    u: AffineWeylElement
-    v: AffineWeylElement
-    w: AffineWeylElement
-    degree: tuple[int, ...]
-    value: GroupAlgebraElement
+    __slots__ = ("u", "v", "w", "degree", "value")
 
-    def __post_init__(self):
-        if any(d < 0 for d in self.degree):
-            raise MalformedDatumError(f"negative degree entry in {self.degree}")
+    def __init__(self, u: AffineWeylElement, v: AffineWeylElement, w: AffineWeylElement, degree: tuple[int, ...],
+                 value: GroupAlgebraElement):
+        if any(d < 0 for d in degree):
+            raise MalformedDatumError(f"negative degree entry in {degree}")
+        self._fill(u, v, w, degree, value)
 
 
-@dataclass
 class ConjectureEntry:
-    z: AffineWeylElement
-    c_value: GroupAlgebraElement
-    w: AffineWeylElement
-    eta: tuple[int, ...]
-    n_value: GroupAlgebraElement | None
-    verdict: str  # "match" | "mismatch" | "no-data"
+    __slots__ = ("z", "c_value", "w", "eta", "n_value", "verdict")
+
+    def __init__(self, z, c_value, w, eta, n_value, verdict):
+        # verdict: "match" | "mismatch" | "no-data"
+        self.z, self.c_value, self.w, self.eta, self.n_value, self.verdict = z, c_value, w, eta, n_value, verdict
 
 
-@dataclass
 class ConjectureReport:
-    x: AffineWeylElement
-    y: AffineWeylElement
-    entries: list[ConjectureEntry]
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("x", "y", "entries", "warnings")
+
+    def __init__(self, x: AffineWeylElement, y: AffineWeylElement, entries: list[ConjectureEntry], warnings: list[str]):
+        self.x, self.y, self.entries, self.warnings = x, y, entries, warnings
 
     @property
     def mismatches(self) -> int:
@@ -398,7 +390,7 @@ def eval_coefficient(datum: CartanDatum, atoms: list) -> GroupAlgebraElement:
 
 
 def _load_fixture(name: str) -> dict:
-    with resources.files("kschubert.data").joinpath(name).open("r") as fh:
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -425,17 +417,18 @@ def _swap_value(g: GroupAlgebraElement, swaps) -> GroupAlgebraElement:
     return GroupAlgebraElement(g.rank, {_swap(w, swaps): c for w, c in g.sorted_terms()})
 
 
-@dataclass
 class VerificationRecord:
-    identity: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("identity", "ok", "detail")
+
+    def __init__(self, identity: str, ok: bool, detail: str = ""):
+        self.identity, self.ok, self.detail = identity, ok, detail
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    records: list[VerificationRecord]
+    __slots__ = ("suite", "records")
+
+    def __init__(self, suite: str, records: list[VerificationRecord]):
+        self.suite, self.records = suite, records
 
     @property
     def ok(self) -> bool:

@@ -61,7 +61,6 @@ read-only, since they are the memoized values themselves.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -76,7 +75,7 @@ from kschubert.ring import (
     lift,
     mul_add,
 )
-from kschubert.rootsys import CartanDatum, Coroot, level_zero_root, matvec
+from kschubert.rootsys import CartanDatum, Coroot, Frozen, level_zero_root, matvec
 from kschubert.weyl import (
     AffineWeylElement,
     Code,
@@ -96,19 +95,22 @@ class ShapeViolationError(AssertionError):
     """A projected ideal-sheaf class fails its characterizing shape."""
 
 
-@dataclass(frozen=True)
-class KElement:
+class KElement(Frozen):
     """Basis-tagged finite sum over affine Weyl elements; zero coefficients
     are dropped on construction.  Instances are immutable, terms included,
-    because the memos hand the same instance to every caller."""
+    because the memos hand the same instance to every caller; equal ones
+    share datum, basis and terms."""
 
-    datum: CartanDatum
-    basis: str
-    terms: Mapping[AffineWeylElement, RationalFunction] = field(default_factory=dict)
+    __slots__ = ("datum", "basis", "terms")
 
-    def __post_init__(self):
-        terms = {x: c for x, c in self.terms.items() if c}
-        object.__setattr__(self, "terms", MappingProxyType(terms))
+    def __init__(self, datum: CartanDatum, basis: str, terms: Mapping[AffineWeylElement, RationalFunction] | None = None):
+        terms = {x: c for x, c in terms.items() if c} if terms else {}
+        self._fill(datum, basis, MappingProxyType(terms))
+
+    def __eq__(self, other):
+        if other.__class__ is not KElement:
+            return NotImplemented
+        return (self.datum, self.basis, self.terms) == (other.datum, other.basis, other.terms)
 
     def coefficient(self, x: AffineWeylElement) -> RationalFunction:
         return self.terms.get(x, RationalFunction.zero(self.datum))

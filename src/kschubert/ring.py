@@ -36,9 +36,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from itertools import accumulate
 from types import MappingProxyType
-from typing import NamedTuple
 
-from kschubert.rootsys import CartanDatum, Weight, weight_in_root_coords
+from kschubert.rootsys import CartanDatum, Frozen, Weight, weight_in_root_coords
 
 
 class NonPolynomialError(ArithmeticError):
@@ -74,7 +73,7 @@ def unpack(key: int, rank: int) -> Weight:
     return tuple(((u >> s) & _MASK) - _HALF for s in range(0, DIGIT_BITS * rank, DIGIT_BITS))
 
 
-class WeylAction(NamedTuple):
+class WeylAction(Frozen):
     """A finite Weyl group element prepared to act on ring values, tabulated
     once per element by ``weyl.WeylGroup``: ``columns`` are the packed images
     of the fundamental weights (the columns of its weight-lattice matrix),
@@ -82,9 +81,10 @@ class WeylAction(NamedTuple):
     root beta to (gamma, flipped), where w(beta) = -gamma if ``flipped`` and
     gamma otherwise, gamma positive."""
 
-    columns: tuple[int, ...]
-    norm: int
-    roots: Mapping[Weight, tuple[Weight, bool]]
+    __slots__ = ("columns", "norm", "roots")
+
+    def __init__(self, columns: tuple[int, ...], norm: int, roots: Mapping[Weight, tuple[Weight, bool]]):
+        self._fill(columns, norm, roots)
 
 
 def _in_range(bound: int) -> int:

@@ -15,8 +15,6 @@ integer matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from operator import mul
@@ -51,43 +49,62 @@ def matvec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    columns = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
-
-
 def identity_matrix(rank: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class Frozen:
+    """Base of the immutable value classes: the constructor fills the slots
+    once, through ``object.__setattr__`` or the slot descriptors, and
+    assigning or deleting an attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+
+class CartanDatum(Frozen):
     """Immutable root-system data shared by every other module.
 
     ``positive_roots`` and ``positive_coroots`` are aligned: entry k of the
-    latter is the coroot of entry k of the former.  ``weyl_order`` is |W| =
+    latter is the coroot of entry k of the former.  ``det`` is det(A) and
+    ``adjugate`` the integral matrix det(A) A^{-1}.  ``weyl_order`` is |W| =
     n! det(A) prod a_i, the a_i the simple-root coefficients of the highest
-    root.  Safe to share across threads once built.
+    root.  Equality and the hash, computed once, read (label, cartan) only.
+    Safe to share across threads once built.
     """
 
-    label: str
-    cartan: Matrix
-    simple_roots: tuple[Weight, ...] = field(compare=False)
-    simple_coroots: tuple[Coroot, ...] = field(compare=False)
-    positive_roots: tuple[Weight, ...] = field(compare=False)
-    positive_coroots: tuple[Coroot, ...] = field(compare=False)
-    highest_root: Weight = field(compare=False)
-    highest_coroot: Coroot = field(compare=False)
-    positive_root_set: frozenset[Weight] = field(compare=False, repr=False)
-    inverse_cartan: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
-    weyl_order: int = field(compare=False)
+    __slots__ = (
+        "label", "cartan", "simple_roots", "simple_coroots", "positive_roots", "positive_coroots",
+        "highest_root", "highest_coroot", "positive_root_set", "adjugate", "det", "weyl_order", "_hash",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self, label: str, cartan: Matrix, simple_roots: tuple[Weight, ...], simple_coroots: tuple[Coroot, ...],
+        positive_roots: tuple[Weight, ...], positive_coroots: tuple[Coroot, ...], highest_root: Weight,
+        highest_coroot: Coroot, positive_root_set: frozenset[Weight], adjugate: Matrix, det: int, weyl_order: int,
+    ):
         # Every memo of the other layers is keyed on the datum: hash it once.
-        object.__setattr__(self, "_hash", hash((self.label, self.cartan)))
+        self._fill(
+            label, cartan, simple_roots, simple_coroots, positive_roots, positive_coroots, highest_root,
+            highest_coroot, positive_root_set, adjugate, det, weyl_order, hash((label, cartan)),
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not CartanDatum:
+            return NotImplemented
+        return self is other or (self.label == other.label and self.cartan == other.cartan)
 
     def __hash__(self):
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -97,9 +114,9 @@ class CartanDatum:
         return f"CartanDatum({self.label!r})"
 
 
-def _check_cartan(cartan: Matrix) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
+def _check_cartan(cartan: Matrix) -> tuple[int, Matrix]:
     """Raise unless ``cartan`` is a Cartan matrix of irreducible finite type;
-    returns its determinant and its inverse."""
+    returns its determinant and its adjugate."""
     rank = len(cartan)
     if rank == 0 or any(len(row) != rank for row in cartan):
         raise InvalidCartanMatrixError("Cartan matrix must be square and nonempty")
@@ -116,50 +133,48 @@ def _check_cartan(cartan: Matrix) -> tuple[int, tuple[tuple[Fraction, ...], ...]
                     )
 
     # Symmetrizer d_i > 0 with d_i a_ij = d_j a_ji, by one walk of the
-    # Dynkin diagram from node 0: a node it never reaches means the diagram is
-    # disconnected, so there is no highest root and no affine node.
-    d = [Fraction(0)] * rank
-    d[0] = Fraction(1)
+    # Dynkin diagram from node 0, d_i kept as a fraction num/den of positive
+    # integers: a node it never reaches means the diagram is disconnected,
+    # so there is no highest root and no affine node.
+    d = [(0, 1)] * rank
+    d[0] = (1, 1)
     frontier = [0]
     symmetrizable = True
     while frontier:
         i = frontier.pop()
         for j in range(rank):
             if cartan[i][j] != 0 and i != j:
-                dj = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                if d[j] == 0:
+                dj = (d[i][0] * -cartan[i][j], d[i][1] * -cartan[j][i])
+                if d[j][0] == 0:
                     d[j] = dj
                     frontier.append(j)
-                elif d[j] != dj:
+                elif d[j][0] * dj[1] != dj[0] * d[j][1]:
                     symmetrizable = False
-    if not all(d):
+    if not all(num for num, _ in d):
         raise InvalidCartanMatrixError("Dynkin diagram must be connected")
     if not symmetrizable:
         raise InvalidCartanMatrixError("matrix is not symmetrizable")
-    # Gauss-Jordan on [A | I] without row swaps: the k-th pivot is the ratio
-    # of the k-th to the (k-1)-th leading principal minor of A, and those of
-    # d.A have the same signs (each d_i > 0), so by Sylvester's criterion the
-    # symmetrized matrix is positive definite (finite type) exactly when
-    # every pivot is positive.  The pivots multiply to det(A), and the right
-    # half ends as the inverse of A.
-    aug = [
-        [Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(rank)]
-        for i, row in enumerate(cartan)
-    ]
-    det = 1
+    # Fraction-free (Bareiss) Gauss-Jordan on [A | I] without row swaps: the
+    # k-th pivot is the k-th leading principal minor of A, every division by
+    # the previous pivot is exact, and those minors of d.A have the same
+    # signs (each d_i > 0), so by Sylvester's criterion the symmetrized
+    # matrix is positive definite (finite type) exactly when every pivot is
+    # positive.  The last pivot is det(A); the left half ends as det(A) I and
+    # the right half as the adjugate det(A) A^{-1}.
+    aug = [list(row) + [int(i == j) for j in range(rank)] for i, row in enumerate(cartan)]
+    previous = 1
     for k in range(rank):
-        pivot = aug[k][k]
+        pivot, pivot_row = aug[k][k], aug[k]
         if pivot <= 0:
             raise InvalidCartanMatrixError(
                 "symmetrized matrix is not positive definite (not finite type)"
             )
-        det *= pivot
-        aug[k] = [a / pivot for a in aug[k]]
         for r in range(rank):
-            if r != k and aug[r][k] != 0:
+            if r != k:
                 factor = aug[r][k]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[k])]
-    return int(det), tuple(tuple(row[rank:]) for row in aug)
+                aug[r] = [(pivot * a - factor * b) // previous for a, b in zip(aug[r], pivot_row)]
+        previous = pivot
+    return previous, tuple(tuple(row[rank:]) for row in aug)
 
 
 def _reflect_root(cartan: Matrix, i: int, root: tuple[int, ...]) -> tuple[int, ...]:
@@ -180,7 +195,7 @@ def _reflect_coroot(cartan: Matrix, i: int, coroot: tuple[int, ...]) -> tuple[in
 
 @lru_cache(maxsize=None)
 def _build_from_matrix(cartan: Matrix, label: str) -> CartanDatum:
-    det, inverse = _check_cartan(cartan)
+    det, adjugate = _check_cartan(cartan)
     rank = len(cartan)
 
     # Breadth-first closure of {simple roots} under all simple reflections,
@@ -225,7 +240,8 @@ def _build_from_matrix(cartan: Matrix, label: str) -> CartanDatum:
         highest_root=fund(positive[-1][0]),
         highest_coroot=positive[-1][1],
         positive_root_set=frozenset(fund(r) for r, _ in positive),
-        inverse_cartan=inverse,
+        adjugate=adjugate,
+        det=det,
         weyl_order=factorial(rank) * det * prod(positive[-1][0]),
     )
 
@@ -266,10 +282,15 @@ def level_zero_root(datum: CartanDatum, i: int) -> Weight:
     raise ValueError(f"affine index {i} out of range 0..{datum.rank}")
 
 
-def weight_in_root_coords(datum: CartanDatum, weight: Weight) -> tuple[Fraction, ...]:
-    """Express a weight in the simple-root basis; coordinates may be
-    fractional for weights outside the root lattice."""
-    return matvec(datum.inverse_cartan, weight)
+def weight_in_root_coords(datum: CartanDatum, weight: Weight) -> tuple:
+    """Express a weight in the simple-root basis: ints on the root lattice,
+    Fractions for a weight outside it."""
+    scaled, det = matvec(datum.adjugate, weight), datum.det
+    if all(c % det == 0 for c in scaled):
+        return tuple(c // det for c in scaled)
+    from fractions import Fraction  # only off the root lattice
+
+    return tuple(Fraction(c, det) for c in scaled)
 
 
 def root_lattice_weight(datum: CartanDatum, root_coords) -> Weight:

@@ -34,21 +34,20 @@ x^{-1} (``inverse_code``).  ``code_length`` is the one length memo.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import add, mul
 from types import MappingProxyType
 
-from kschubert.ring import WeylAction, pack
+from kschubert.ring import WeylAction, pack, unpack
 from kschubert.rootsys import (
     MAX_WEYL_ORDER,
     CartanDatum,
     Coroot,
+    Frozen,
     Matrix,
     Weight,
     identity_matrix,
     level_zero_root,
-    matmul,
     matvec,
 )
 
@@ -66,15 +65,6 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Syntactically fine element string that does not fit the root system."""
-
-
-def _simple_weight_matrix(datum: CartanDatum, i: int) -> Matrix:
-    # column j of s_i is e_j - delta_{ij} * alpha_i
-    alpha = datum.simple_roots[i - 1]
-    return tuple(
-        tuple(int(r == c) - (alpha[r] if c == i - 1 else 0) for c in range(datum.rank))
-        for r in range(datum.rank)
-    )
 
 
 class _Tabulated(Sequence):
@@ -112,8 +102,8 @@ class WeylGroup:
     * ``product[a][b]``: the index of ab (the Cayley table);
     * ``action``: w acting on ring values (``ring.WeylAction``).
 
-    Only the breadth-first search multiplies matrices, once per element and
-    generator, and a group of more than ``rootsys.MAX_WEYL_ORDER`` elements
+    Only the breadth-first search builds matrices, one column per element
+    and generator, and a group of more than ``rootsys.MAX_WEYL_ORDER`` elements
     is refused before it; ``inverse`` folds its generator table along each
     reversed word.  ``product`` and ``action`` are built one entry at a time
     on first lookup, so set-up stays the search and a large group costs only
@@ -132,35 +122,45 @@ class WeylGroup:
             )
         self.datum = datum
         rank = datum.rank
-        gens_w = [_simple_weight_matrix(datum, i) for i in range(1, rank + 1)]
+        # M s_i differs from M only in column i, which is M(e_i - alpha_i).
+        # The search keys each M by its columns packed (``ring.pack``, which
+        # is linear; W's matrices have entries far inside its range), so that
+        # column is one integer combination of M's, the others are shared,
+        # and only a new element's column is unpacked.
+        combos = [  # for each i, e_i - alpha_i on its support, that of alpha_i
+            (tuple(r for r, a in enumerate(alpha) if a), tuple(int(r == i) - a for r, a in enumerate(alpha) if a))
+            for i, alpha in enumerate(datum.simple_roots)
+        ]
         ident = identity_matrix(rank)
-        mats, words, steps = [ident], [()], []
-        index = {ident: 0}
+        packed, columns, words, steps = [tuple(map(pack, ident))], [ident], [()], []
+        seen = {packed[0]: 0}
         right = []  # right[k][i]: the index of element k times s_{i+1}
         k = 0
-        while k < len(mats):  # the list is its own queue
-            row = []
-            for i in range(rank):
-                m = matmul(mats[k], gens_w[i])
-                j = index.get(m)
+        while k < len(packed):  # the list is its own queue
+            keys, row = packed[k], []
+            for i, (support, coeffs) in enumerate(combos):
+                key = sum(map(mul, coeffs, [keys[r] for r in support]))
+                m = keys[:i] + (key,) + keys[i + 1 :]
+                j = seen.get(m)
                 if j is None:
-                    j = index[m] = len(mats)
-                    mats.append(m)
+                    j = seen[m] = len(packed)
+                    packed.append(m)
+                    columns.append(columns[k][:i] + (unpack(key, rank),) + columns[k][i + 1 :])
                     words.append(words[k] + (i + 1,))
                     steps.append((k, i))  # element j is element k times s_{i+1}
                 row.append(j)
             right.append(tuple(row))
             k += 1
-        self._right, self._steps = tuple(right), tuple(steps)
-        self.elements = tuple(mats)
-        self.index = MappingProxyType(index)
+        self._right, self._steps, self._columns = tuple(right), tuple(steps), tuple(packed)
+        self.elements = tuple(tuple(zip(*cols)) for cols in columns)
+        self.index = MappingProxyType({m: k for k, m in enumerate(self.elements)})
         self.word = tuple(words)
         self.length = tuple(len(w) for w in words)
         self.inverse = tuple(self._fold(reversed(w)) for w in words)
-        self.cmat = tuple(tuple(zip(*mats[j])) for j in self.inverse)
-        self.product = _Tabulated(len(mats), self._product_row)
-        self.action = _Tabulated(len(mats), self._action)
-        self.longest = len(mats) - 1
+        self.cmat = tuple(columns[j] for j in self.inverse)
+        self.product = _Tabulated(len(packed), self._product_row)
+        self.action = _Tabulated(len(packed), self._action)
+        self.longest = len(packed) - 1
         assert self.length.count(self.length[-1]) == 1
         self._lengths: dict[Code, int] = {}
 
@@ -183,7 +183,7 @@ class WeylGroup:
             return (gamma, False) if gamma in positive else (tuple(-c for c in gamma), True)
 
         return WeylAction(
-            tuple(pack(col) for col in zip(*m)),
+            self._columns[k],
             max(sum(map(abs, row)) for row in m),
             MappingProxyType({beta: signed(matvec(m, beta)) for beta in self.datum.positive_roots}),
         )
@@ -251,20 +251,29 @@ def weyl_group(datum: CartanDatum) -> WeylGroup:
     return WeylGroup(datum)
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
+class AffineWeylElement(Frozen):
     """w t_lam: the finite part w as its index into
-    ``weyl_group(datum).elements``, the translation lam in Q^vee."""
+    ``weyl_group(datum).elements``, the translation lam in Q^vee.
+    Immutable; equal elements share (datum, index, trans) and the hash,
+    computed once."""
 
-    datum: CartanDatum = field(repr=False)
-    index: int
-    trans: Coroot
+    __slots__ = ("datum", "index", "trans", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.datum.label, self.index, self.trans)))
+    def __init__(self, datum: CartanDatum, index: int, trans: Coroot):
+        # The slot descriptors fill the slots: the constructor is on every
+        # product, and this is cheaper than a call of object.__setattr__ each.
+        _set_datum(self, datum)
+        _set_index(self, index)
+        _set_trans(self, trans)
+        _set_hash(self, hash((datum.label, index, trans)))
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineWeylElement:
+            return NotImplemented
+        return (self.index, self.trans, self.datum) == (other.index, other.trans, other.datum)
 
     def __hash__(self):
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     @property
     def wmat(self) -> Matrix:
@@ -277,6 +286,11 @@ class AffineWeylElement:
 
     def __repr__(self):
         return f"<{format_element(self)}>"
+
+
+_set_datum, _set_index, _set_trans, _set_hash = (
+    getattr(AffineWeylElement, name).__set__ for name in AffineWeylElement.__slots__
+)
 
 
 def identity(datum: CartanDatum) -> AffineWeylElement:

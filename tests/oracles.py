@@ -9,10 +9,14 @@ back in the localization basis, expanded denominators, the translation
 law, skewed localization rows); Bruhat order by the lifting
 property, which lower intervals are compared against; the tuple-keyed
 group algebra that the packed one in ``kschubert.ring`` is compared
-against; and the matrix route for affine Weyl elements that the index
-route of ``kschubert.weyl`` is compared against."""
+against; the matrix route for affine Weyl elements that the index
+route of ``kschubert.weyl`` is compared against, with the full-product
+search for the Weyl group's tables; and the elimination over Fractions
+that the fraction-free Cartan check of ``kschubert.rootsys`` is compared
+against."""
 
 import operator
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -34,7 +38,7 @@ from kschubert.ring import (
     mul_add,
     unpack,
 )
-from kschubert.rootsys import Matrix, Weight, identity_matrix, level_zero_root, matmul, matvec
+from kschubert.rootsys import Matrix, Weight, identity_matrix, level_zero_root, matvec
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
@@ -689,8 +693,60 @@ def matrix_simple(datum, i):
     return matrix, trans
 
 
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in columns) for row in a)
+
+
 def _transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
+
+
+def weyl_tables_by_matmul(datum):
+    """(elements, index, word, inverse, cmat) of ``weyl.WeylGroup`` by a
+    breadth-first search that multiplies full matrices, every element by
+    every simple reflection, and inverts along each reversed word."""
+    gens = [matrix_simple(datum, i)[0] for i in range(1, datum.rank + 1)]
+    ident = identity_matrix(datum.rank)
+    mats, words, index, right = [ident], [()], {ident: 0}, []
+    for k, m in enumerate(mats):  # the list is its own queue
+        right.append([])
+        for i, g in enumerate(gens):
+            image = matmul(m, g)
+            if image not in index:
+                index[image] = len(mats)
+                mats.append(image)
+                words.append(words[k] + (i + 1,))
+            right[k].append(index[image])
+
+    def fold(letters):
+        k = 0
+        for i in letters:
+            k = right[k][i - 1]
+        return k
+
+    inverse = tuple(fold(reversed(w)) for w in words)
+    return tuple(mats), index, tuple(words), inverse, tuple(_transpose(mats[j]) for j in inverse)
+
+
+def fraction_inverse(cartan):
+    """(det A, A^{-1}) by Gauss-Jordan over Fractions without row swaps:
+    each pivot is the ratio of consecutive leading principal minors, and the
+    pivots multiply to det A.  None when a pivot is not positive."""
+    rank = len(cartan)
+    aug = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(rank)] for i, row in enumerate(cartan)]
+    det = Fraction(1)
+    for k in range(rank):
+        pivot = aug[k][k]
+        if pivot <= 0:
+            return None
+        det *= pivot
+        aug[k] = [a / pivot for a in aug[k]]
+        for r in range(rank):
+            if r != k and aug[r][k] != 0:
+                factor = aug[r][k]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[k])]
+    return det, tuple(tuple(row[rank:]) for row in aug)
 
 
 def _matrix_inverse(w: Matrix) -> Matrix:

@@ -480,6 +480,17 @@ def test_malformed_datum():
         )
 
 
+def test_quantum_data_are_immutable(a1):
+    s1 = el(a1, "s1")
+    datum = QuantumDatum(u=s1, v=s1, w=s1, degree=(0,), value=G.one(1))
+    for name in ("u", "degree", "value", "other"):
+        with pytest.raises(AttributeError):
+            setattr(datum, name, None)
+    with pytest.raises(AttributeError):
+        del datum.value
+    assert (datum.u, datum.v, datum.w, datum.degree, datum.value) == (s1, s1, s1, (0,), G.one(1))
+
+
 # -- embedded fixtures ----------------------------------------------------------------
 
 

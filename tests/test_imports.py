@@ -1,8 +1,13 @@
 """Every module-level import in the library is used, and every function it
 defines is called from inside it; stdlib stand-ins for a linter's unused-name
-rules, so that helpers only the tests need live in ``tests/``."""
+rules, so that helpers only the tests need live in ``tests/``.  Importing
+the command line loads no standard module that the engine does not use."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kschubert
@@ -120,26 +125,15 @@ def unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:
     """``name.parameter`` for each defaulted parameter of a function or
     constructor defined in ``defining`` that no call in ``calling`` passes,
     by keyword or by position: an option that no caller sets.  A constructor
-    counts under its class name, the fields of a dataclass being its
-    parameters in order, and the positions of a method start after ``self``
-    or ``cls``.  Calls are matched by name alone, as in
+    counts under its class name, and the positions of a method start after
+    ``self`` or ``cls``.  Calls are matched by name alone, as in
     ``uncalled_functions``, and one that unpacks ``*args`` or ``**kwargs``
     passes every parameter."""
     defaults: list[tuple[str, str, int | None]] = []
 
-    def has_default(value) -> bool:
-        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
-            return any(k.arg in ("default", "default_factory") for k in value.keywords)
-        return value is not None
-
     def collect(node, owner: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
-                    fields = [f for f in child.body if isinstance(f, ast.AnnAssign)]
-                    defaults.extend(
-                        (child.name, f.target.id, k) for k, f in enumerate(fields) if has_default(f.value)
-                    )
                 collect(child, child.name)
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -184,12 +178,8 @@ def test_checker_flags_unpassed_defaults():
         "    def m(self, z=0): pass\n"
         "    @staticmethod\n"
         "    def s(z=0): pass\n"
-        "@dataclass(frozen=True)\n"
         "class D:\n"
-        "    a: int\n"
-        "    b: int = field(compare=False)\n"
-        "    c: int = 0\n"
-        "    d: list = field(default_factory=list)\n"
+        "    def __init__(self, a, b, c=0, d=None): pass\n"
         "f(0, c=5)\n"
         "D(1, 2, d=[])\n"
         "g(*rest)\n"
@@ -205,3 +195,19 @@ def test_every_library_default_is_passed_by_some_caller():
     callers = [root / "src", root / "tests", root / "perfbench"]
     calling = [path.read_text() for folder in callers for path in sorted(folder.rglob("*.py"))]
     assert unpassed_defaults([path.read_text() for path in sorted(SRC.glob("*.py"))], calling) == []
+
+
+# Standard modules that ``import kschubert.cli`` must not load: code
+# generation at import time (``dataclasses``, which pulls in ``inspect``),
+# rational and decimal arithmetic the engine does not do, ``typing``, and
+# package-resource lookup for files that sit next to the source.
+UNUSED_AT_IMPORT = ("dataclasses", "inspect", "fractions", "decimal", "typing", "importlib.resources")
+
+
+def test_cli_import_loads_no_unused_standard_module():
+    # A fresh interpreter without ``site``, whose .pth files may preload
+    # some of these modules themselves.
+    probe = f"import json, sys, kschubert.cli; print(json.dumps([m for m in {UNUSED_AT_IMPORT!r} if m in sys.modules]))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []

@@ -131,6 +131,22 @@ def test_k_mul_one_twist(a1):
     )
 
 
+def test_kelements_are_immutable_values(a1):
+    # The memos hand one instance to every caller: no field can be
+    # reassigned or deleted, and the terms are read-only.
+    s1, one = affine_simple(a1, 1), RationalFunction.one(a1)
+    a = KElement(a1, LOC, {s1: one, identity(a1): RationalFunction.zero(a1)})
+    for name, value in (("datum", a1), ("basis", TBASIS), ("terms", {}), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    with pytest.raises(AttributeError):
+        del a.terms
+    with pytest.raises(TypeError):
+        a.terms[s1] = one
+    assert dict(a.terms) == {s1: one} and a == KElement(a1, LOC, {s1: one})
+    assert a != KElement(a1, TBASIS, {s1: one}) and KElement(a1, LOC) == KElement(a1, LOC, {})
+
+
 def test_translations_multiply_in_loc(a2):
     t1 = KElement(a2, LOC, {translation(a2, (-1, 0)): RationalFunction.one(a2)})
     t2 = KElement(a2, LOC, {translation(a2, (0, -1)): RationalFunction.one(a2)})

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from oracles import FINITE_TYPES, pair
+from oracles import FINITE_TYPES, fraction_inverse, pair
 from kschubert.rootsys import (
+    CartanDatum,
     InvalidCartanMatrixError,
     UnsupportedTypeError,
     build_root_system,
@@ -53,28 +54,69 @@ def test_builtin_matrix_is_the_builtin_datum():
     assert build_root_system([[2, -2], [-1, 2]]).label == "custom-rank2"
 
 
-@pytest.mark.parametrize(
-    "matrix",
-    [
-        [[2, 0], [0, 2]],  # disconnected
-        [[2, -2], [-2, 2]],  # affine type
-        [[2, -1], [0, 2]],  # asymmetric zero pattern
-        [[1]],  # bad diagonal
-        [[2, 1], [1, 2]],  # positive off-diagonal
-        5,  # not a sequence
-        None,
-        [2],  # rows are not sequences
-        [[2, -1.5], [-1, 2]],  # non-integer entries are not truncated
-        [["2"]],
-        [[2.9]],
-        [[True]],
-        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2: only the third minor fails
-        [[2, -3], [-3, 2]],  # hyperbolic
-    ],
-)
+# Each invalid matrix with the message it is refused with.
+INVALID_MATRICES = [
+    ([[2, 0], [0, 2]], "Dynkin diagram must be connected"),  # disconnected
+    ([[2, -2], [-2, 2]], "symmetrized matrix is not positive definite (not finite type)"),  # affine type
+    ([[2, -1], [0, 2]], "zero pattern must be symmetric"),  # asymmetric zero pattern
+    ([[1]], "diagonal entries must equal 2"),  # bad diagonal
+    ([[2, 1], [1, 2]], "off-diagonal entries must be <= 0"),  # positive off-diagonal
+    (5, "Cartan matrix must be a sequence of rows of integers"),  # not a sequence
+    (None, "Cartan matrix must be a sequence of rows of integers"),
+    ([2], "Cartan matrix must be a sequence of rows of integers"),  # rows are not sequences
+    # non-integer entries are not truncated
+    ([[2, -1.5], [-1, 2]], "Cartan matrix must be a sequence of rows of integers"),
+    ([["2"]], "Cartan matrix must be a sequence of rows of integers"),
+    ([[2.9]], "Cartan matrix must be a sequence of rows of integers"),
+    ([[True]], "Cartan matrix must be a sequence of rows of integers"),
+    # affine A2: only the third minor fails
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "symmetrized matrix is not positive definite (not finite type)"),
+    ([[2, -3], [-3, 2]], "symmetrized matrix is not positive definite (not finite type)"),  # hyperbolic
+]
+
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0], [0, -1, -1, 2, -1, 0],
+      [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("matrix", [matrix for matrix, _ in INVALID_MATRICES])
 def test_invalid_matrices_rejected(matrix):
     with pytest.raises(InvalidCartanMatrixError):
         build_root_system(matrix)
+
+
+@pytest.mark.parametrize("matrix,message", INVALID_MATRICES)
+def test_invalid_matrices_keep_their_messages(matrix, message):
+    with pytest.raises(InvalidCartanMatrixError) as raised:
+        build_root_system(matrix)
+    assert str(raised.value) == message
+
+
+ELIMINATION_SPECS = ["A1", "A2", "A3"] + [FINITE_TYPES[label][0] for label in ("B2", "C2", "G2", "B3", "C3", "D4", "F4")]
+
+
+@pytest.mark.parametrize("spec", ELIMINATION_SPECS + [E6])
+def test_fraction_free_elimination_matches_the_fraction_one(spec):
+    # The datum's det and adjugate against Gauss-Jordan over Fractions.
+    datum = build_root_system(spec)
+    det, inverse = fraction_inverse(datum.cartan)
+    assert datum.det == det and isinstance(datum.det, int)
+    assert datum.adjugate == tuple(tuple(det * a for a in row) for row in inverse)
+    assert all(isinstance(a, int) for row in datum.adjugate for a in row)
+
+
+def test_cartan_datum_is_an_immutable_value():
+    a2 = build_root_system("A2")
+    for name in ("label", "cartan", "det", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a2, name, None)
+    with pytest.raises(AttributeError):
+        del a2.label
+    # Equality and the hash read (label, cartan) only.
+    twin = CartanDatum("A2", a2.cartan, *([None] * 10))
+    assert twin == a2 and hash(twin) == hash(a2)
+    assert CartanDatum("B2", a2.cartan, *([None] * 10)) != a2
+    assert CartanDatum("A2", ((2, -1), (-2, 2)), *([None] * 10)) != a2
+    assert a2 != ("A2", a2.cartan)
 
 
 @pytest.mark.parametrize(
@@ -189,6 +231,8 @@ def test_weight_in_root_coords(a2):
 
     assert weight_in_root_coords(a2, a2.simple_roots[0]) == (1, 0)
     assert weight_in_root_coords(a2, (1, 0)) == (Fraction(2, 3), Fraction(1, 3))
+    # On the root lattice the coordinates are ints.
+    assert all(type(c) is int for beta in a2.positive_roots for c in weight_in_root_coords(a2, beta))
 
 
 def test_positive_roots_sorted_by_height(a2):

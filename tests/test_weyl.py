@@ -20,14 +20,16 @@ from oracles import (
     matrix_multiply,
     matrix_pair,
     matrix_simple,
+    matmul,
     reduced_word_by_lengths,
     rf_inverse_one_minus_exp,
     weyl_act,
+    weyl_tables_by_matmul,
 )
 import kschubert
 from kschubert import weyl
 from kschubert.constants import pontryagin_constants
-from kschubert.rootsys import MAX_WEYL_ORDER, build_root_system, identity_matrix, matmul
+from kschubert.rootsys import MAX_WEYL_ORDER, build_root_system, identity_matrix
 from kschubert.weyl import (
     ParseError,
     ValidationError,
@@ -414,6 +416,17 @@ def test_coroot_matrices_are_inverse_transposes(label):
         assert matmul(tuple(zip(*c)), m) == identity_matrix(len(m))
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4", "F4"])
+def test_column_search_matches_the_matrix_search(label):
+    # One new column per element and generator gives the tables that full
+    # matrix products give, in the same order.
+    datum = build_root_system(FINITE_TYPES[label][0])
+    group = weyl.WeylGroup(datum)
+    elements, index, word, inverse, cmat = weyl_tables_by_matmul(datum)
+    assert group.elements == elements and dict(group.index) == index
+    assert group.word == word and group.inverse == inverse and group.cmat == cmat
+
+
 def test_a_group_too_large_to_tabulate_is_refused():
     e7 = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0], [0, -1, -1, 2, -1, 0, 0],
           [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1], [0, 0, 0, 0, 0, -1, 2]]
@@ -528,17 +541,18 @@ def test_finite_element_rejects_matrices_outside_w(a2):
     assert finite_element(a2, [[-1, 0], [1, 1]]) == affine_simple(a2, 1)
 
 
-# rootsys.matmul calls made by WeylGroup(datum) before its tables moved to
-# indices (the search, the coroot matrices and a product per letter for the
-# inverses).  The index tables take 95 and 35: only the search multiplies
-# matrices, and the Cayley rows and actions are built on first lookup.  A
-# table added later must not move work into set-up.
-MATMUL_CALLS_BEFORE_INDEX_TABLES = {"A3": 167, "G2": 71}
+# Set-up work of WeylGroup(datum).  It made 167 (A3) and 71 (G2)
+# rootsys.matmul calls before its tables moved to indices, and 95 and 35
+# after, one per element and generator.  The search now multiplies no
+# matrices and unpacks one column per element found after the identity; the
+# Cayley rows and actions are built on first lookup.  A table added later
+# must not move work into set-up.
+GUARDED_LABELS = ("A3", "G2")
 
 
-@pytest.mark.parametrize("label", sorted(MATMUL_CALLS_BEFORE_INDEX_TABLES))
+@pytest.mark.parametrize("label", GUARDED_LABELS)
 def test_weyl_group_setup_matmul_guard(monkeypatch, label):
-    calls = {"matmul": 0, "matvec": 0, "row": 0, "action": 0}
+    calls = {"unpack": 0, "matvec": 0, "row": 0, "action": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -547,12 +561,13 @@ def test_weyl_group_setup_matmul_guard(monkeypatch, label):
 
         return wrapper
 
-    monkeypatch.setattr(weyl, "matmul", counted("matmul", matmul))
+    monkeypatch.setattr(weyl, "unpack", counted("unpack", weyl.unpack))
     monkeypatch.setattr(weyl, "matvec", counted("matvec", weyl.matvec))
     monkeypatch.setattr(weyl.WeylGroup, "_product_row", counted("row", weyl.WeylGroup._product_row))
     monkeypatch.setattr(weyl.WeylGroup, "_action", counted("action", weyl.WeylGroup._action))
     group = weyl.WeylGroup(build_root_system(SPECS[label]))
-    assert 0 < calls["matmul"] <= MATMUL_CALLS_BEFORE_INDEX_TABLES[label]
+    assert not hasattr(weyl, "matmul")
+    assert calls["unpack"] == len(group.elements) - 1
     assert calls["matvec"] == calls["row"] == calls["action"] == 0
     for _ in range(2):
         assert group.product[2][group.inverse[2]] == 0
@@ -560,7 +575,7 @@ def test_weyl_group_setup_matmul_guard(monkeypatch, label):
     assert (calls["row"], calls["action"]) == (1, 1)
 
 
-@pytest.mark.parametrize("label", sorted(MATMUL_CALLS_BEFORE_INDEX_TABLES))
+@pytest.mark.parametrize("label", GUARDED_LABELS)
 def test_weyl_group_builds_no_coded_tables(label):
     # The coded product table, the one-root descent table and the length
     # memo are built on first use, so set-up (``setup_s``) pays for none;
