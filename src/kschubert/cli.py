@@ -43,14 +43,8 @@ from kschubert.ring import (
     gae_to_json,
     rf_to_json,
 )
-from kschubert.rootsys import (
-    InvalidCartanMatrixError,
-    UnsupportedTypeError,
-    build_root_system,
-)
+from kschubert.rootsys import build_root_system
 from kschubert.weyl import (
-    ParseError,
-    ValidationError,
     coset_min,
     coset_translation,
     finite_part,
@@ -433,14 +427,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (
-        UsageError,
-        ParseError,
-        ValidationError,
-        UnsupportedTypeError,
-        InvalidCartanMatrixError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # UsageError and every input error subclass it
         _report_error(exc)
         return 2
     except (NonPolynomialError, SingularSystemError, ShapeViolationError) as exc:

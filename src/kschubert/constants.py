@@ -50,7 +50,7 @@ import os
 from functools import lru_cache
 from types import MappingProxyType
 
-from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae, lift
+from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae
 from kschubert.rootsys import CartanDatum, Frozen, build_root_system, root_lattice_weight
 from kschubert.weyl import (
     AffineWeylElement,
@@ -100,12 +100,12 @@ class StructureConstantTable:
 def _translation_convolution(x: AffineWeylElement, y: AffineWeylElement) -> dict:
     """P(sigma) = sum over t1 + t2 = sigma of b_{x,[t1]} b_{y,[t2]}.
     Translations act trivially at level zero, so the coefficients multiply
-    as plain scalars: with both sides lifted to their lcm denominators D_x
-    and D_y (``ring.lift``), P is one ``combine`` over D_x D_y of x's
+    as plain scalars: with both sides over their lcm denominators D_x
+    and D_y (``nilhecke.b_lift``), P is one ``combine`` over D_x D_y of x's
     numerators times the rows mu -> {mu + nu: y's numerator at nu}."""
     datum = x.datum
-    den_x, nums_x = lift(datum, b_cosets(x))
-    den_y, nums_y = lift(datum, b_cosets(y))
+    den_x, nums_x = b_lift(x, True)
+    den_y, nums_y = b_lift(y, True)
     den = dict(den_x)
     for root, mult in den_y:
         den[root] = den.get(root, 0) + mult
@@ -141,7 +141,7 @@ def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> Structur
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise ValueError("both factors must be affine Grassmannian elements")
     datum = x.datum
-    sums = combine(datum, b_lift(x), lambda mu: translation_cosets(mu, y))
+    sums = combine(datum, b_lift(x, True), lambda mu: translation_cosets(mu, y))
     # The one exactness gate: each entry over D_x must divide out fully.
     entries = {z: c.to_polynomial() for z, c in sums.items()}
     return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))

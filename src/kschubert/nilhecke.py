@@ -8,11 +8,12 @@ in the localized ring, tagged with one of two bases:
 * ``t``: the basis T_x built from T_i = (1 - e^{alpha_i})^{-1} (s_i - 1),
   which satisfy T_i^2 = -T_i and the braid relations.
 
-Products are taken in ``loc``; the only basis change is localization -> T
-(``t_expansion``), through the idempotent basis y_x built from
-y_i = 1 + T_i, never stored: u = sum_v e_{u,v} y_v and
-y_v = sum_{w <= v} T_w.  The memoized ``t_row(u)`` is u in the T-basis, and
-``t_expansion`` sums rational multiples of those rows with ``ring.combine``.
+Products are taken in ``loc``, and the idempotent basis y_x built from
+y_i = 1 + T_i is never stored.  The memoized ``t_row(u)`` is u in the
+T-basis, the T side of the e kernel; the classes k_w = kappa(T_w) and
+l_w = kappa(y_w) sum w's projected b row over one denominator
+(``b_lift``) times the T-rows of its translations with ``ring.combine``,
+as the product sums its rows.
 
 The change-of-basis data are the b and e coefficient matrices
 
@@ -37,11 +38,13 @@ positive, and s_i(D) = eps D' with eps a signed monomial
 sends N u to N (-e^{alpha_i} n_i, or -n_i) (lcm/D) at u and
 s_i(N) n_i eps^{-1} (lcm/D') at s_i u, or at the translation in its coset.
 A public row is divided once, as one flat accumulator, into canonical
-entries; ``b_lift(x)``, read by the product for every pair with x first,
-divides the projected y-row jointly, down to the lcm D_x of its entries.
+entries; ``b_lift(x, y_side)``, read by the product (y side) for every
+pair with x first and by the classes, divides the projected row jointly,
+down to the lcm D_x of its entries.
 
-e side: ``y_expansion(x, start)`` is the y-expansion of x . y_start: the
-e row from the identity; from y w0, for Grassmannian y (w0 the longest
+e side: ``y_expansion(x, start, y_side)`` is the y-expansion of
+x . y_start, or x . T_start in the T-basis: the e row, or the T-row, from
+the identity; from y w0, for Grassmannian y (w0 the longest
 finite element), x . y_y . y_{w0}, whose row has one entry per coset, at
 the coset maximum v, which ``e_cosets(x, y)`` keys by the coset minimum
 v w0.  The product reads only these rows, for x a translation t_mu
@@ -52,6 +55,8 @@ raw packed dicts, and kept in the frame of x: entry v is w^{-1}(c_{x,v}),
 w the finite part of x, so a step copies entries instead of applying s_i,
 and e^{alpha_i} becomes a shift by w^{-1}(alpha_i).  A public row moves
 back once per entry; the product's rows, of translations, need no move.
+The T side moves the diagonal factor e^{alpha_i} of a step from the
+ascents to the descents (``y_expansion``).
 
 The subword sums and the word products that the tests compare both kernels
 against live in ``tests/oracles.py``.  Rows and coset sums are returned
@@ -72,7 +77,6 @@ from kschubert.ring import (
     combine,
     divide_jointly,
     exact_product_bound,
-    lift,
     mul_add,
 )
 from kschubert.rootsys import CartanDatum, Coroot, Frozen, level_zero_root, matvec
@@ -83,7 +87,7 @@ from kschubert.weyl import (
     identity,
     is_grassmannian,
     length,
-    lower_interval,
+    translation,
     weyl_group,
 )
 
@@ -128,7 +132,8 @@ class _Kernel:
     ``left`` steps codes and whose ``left_roots`` give descents and e
     shifts), the b-side data of each letter i (the action of s_i's finite
     part, beta_i, n_i and the T- and y-side stay factors), the memos of e
-    rows, coset rows and b prefixes (``loc``, keyed by (x code, y_side,
+    and T rows (``rows``, keyed by (x code, start code, y_side)), coset
+    rows and b prefixes (``loc``, keyed by (x code, y_side,
     cosets)), and the element of each code that a public row returns."""
 
     __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "cosets", "loc", "elements", "minima")
@@ -148,7 +153,7 @@ class _Kernel:
         self.letters = tuple(letters)
         self.one = (0, (0,) * datum.rank)
         self.w0 = group.longest
-        self.rows: dict[tuple[Code, Code], dict[Code, GroupAlgebraElement]] = {}
+        self.rows: dict[tuple[Code, Code, bool], dict[Code, GroupAlgebraElement]] = {}
         self.cosets: dict[tuple[Code, Code], MappingProxyType] = {}
         base = GroupAlgebraElement.one(datum.rank)
         bases = ((y, c, self.one[1] if c else self.one) for y in (False, True) for c in (False, True))
@@ -225,10 +230,11 @@ def loc_row(x: AffineWeylElement, y_side: bool, cosets: bool) -> MappingProxyTyp
     return MappingProxyType({kernel.element((0, u) if cosets else u): f for u, f in rows})
 
 
-def _y_row(kernel: _Kernel, x: Code, start: Code) -> dict:
-    """The y-basis coefficients of x . y_start on codes in the frame of x
-    (module notes), memoized in ``kernel.rows``; one frame per letter of x."""
-    key = (x, start)
+def _y_row(kernel: _Kernel, x: Code, start: Code, y_side: bool) -> dict:
+    """The y-basis (``y_side``) or T-basis coefficients of x . y_start, or
+    x . T_start, on codes in the frame of x (module notes), memoized in
+    ``kernel.rows``; one frame per letter of x."""
+    key = (x, start, y_side)
     row = kernel.rows.get(key)
     if row is not None:
         return row
@@ -245,27 +251,31 @@ def _y_row(kernel: _Kernel, x: Code, start: Code) -> dict:
     out: dict[Code, dict[int, int]] = {}
     bound = 0
     # One pass over the row of u, scattering c_{u,v} to the entries that read it.
-    for v, c in _y_row(kernel, left_code(i, x), start).items():
+    for v, c in _y_row(kernel, left_code(i, x), start, y_side).items():
         terms = c.terms
-        if descends(i, v):
-            acc = out.setdefault(v, {})
-            get = acc.get
-            for k, a in terms.items():
-                acc[k] = get(k, 0) + a
-            bound = max(bound, c.bound)
-        else:
+        ascent = not descends(i, v)
+        if ascent or not y_side:
             shifted = reach + c.bound
             if shifted > COORD_LIMIT:
                 shifted = exact_product_bound(GroupAlgebraElement.monomial(gamma), c)
             bound = max(bound, shifted)
-            # e^gamma c at v, which no other entry writes to, and
-            # (1 - e^gamma) c at s_i v.
-            out[v] = {k + step: a for k, a in terms.items()}
+        else:
+            bound = max(bound, c.bound)
+        if ascent:
+            # The diagonal, e^gamma c (y side) or c (T side), at v, which no
+            # other entry writes to, and (1 - e^gamma) c at s_i v.
+            out[v] = {k + step: a for k, a in terms.items()} if y_side else dict(terms)
             acc = out.setdefault(left_code(i, v), {})
             get = acc.get
             for k, a in terms.items():
                 acc[k] = get(k, 0) + a
                 acc[k + step] = get(k + step, 0) - a
+        else:
+            # The diagonal at a descent: c (y side), or e^gamma c (T side).
+            acc = out.setdefault(v, {})
+            get = acc.get
+            for k, a in terms.items() if y_side else ((k + step, a) for k, a in terms.items()):
+                acc[k] = get(k, 0) + a
     row = kernel.rows[key] = {}
     rank = kernel.datum.rank
     for v, acc in out.items():
@@ -275,30 +285,36 @@ def _y_row(kernel: _Kernel, x: Code, start: Code) -> dict:
     return row
 
 
-def y_expansion(x: AffineWeylElement, start: AffineWeylElement) -> MappingProxyType:
-    """The y-basis coefficients of x . y_start, as group-algebra elements,
-    read-only.  Computed by peeling the smallest left descent i off
-    x = s_i u, from the base row {start: 1} at x = id: since
+def y_expansion(x: AffineWeylElement, start: AffineWeylElement, y_side: bool) -> MappingProxyType:
+    """The y-basis coefficients of x . y_start (``y_side``), or the T-basis
+    coefficients of x . T_start, as group-algebra elements, read-only.
+    Computed by peeling the smallest left descent i off x = s_i u, from the
+    base row {start: 1} at x = id: since
     s_i = e^{alpha_i} + (1 - e^{alpha_i}) y_i and y_i y_v = y_{s_i * v}
     (Demazure product),
 
         c_{s_i u, v} = s_i(c_{u,v}) + (1 - e^{alpha_i}) s_i(c_{u, s_i v})
                                                       if s_i v < v,
-        c_{s_i u, v} = e^{alpha_i} s_i(c_{u,v})       if s_i v > v.
+        c_{s_i u, v} = e^{alpha_i} s_i(c_{u,v})       if s_i v > v;
 
-    Started at the identity this is the e-row of x; started at a coset
-    maximum, such as the longest finite element w0, every row lives on coset
-    maxima, because y_v y_{w0} = y_{max vW}.  The kernel is ``_y_row``."""
+    since s_i = 1 + (1 - e^{alpha_i}) T_i, T_i T_v = T_{s_i v} for
+    s_i v > v and T_i T_v = -T_v for s_i v < v, the T side moves the
+    diagonal factor e^{alpha_i} from the second case to the first.
+
+    Started at the identity this is the e-row of x, or x in the T-basis;
+    started at a coset maximum, such as the longest finite element w0, every
+    y row lives on coset maxima, because y_v y_{w0} = y_{max vW}.  The
+    kernel is ``_y_row``."""
     kernel = _kernel(x.datum)
     action = kernel.group.action[x.index]
-    row = _y_row(kernel, (x.index, x.trans), (start.index, start.trans))
+    row = _y_row(kernel, (x.index, x.trans), (start.index, start.trans), y_side)
     return MappingProxyType({kernel.element(v): c.act(action) if x.index else c for v, c in row.items()})
 
 
 @lru_cache(maxsize=None)
 def e_row(x: AffineWeylElement) -> MappingProxyType:
     """The e-row of x: coefficients of x in the y-basis, read-only."""
-    return y_expansion(x, identity(x.datum))
+    return y_expansion(x, identity(x.datum), True)
 
 
 # Coset sums -------------------------------------------------------------------
@@ -313,11 +329,13 @@ def b_cosets(x: AffineWeylElement) -> MappingProxyType:
 
 
 @lru_cache(maxsize=None)
-def b_lift(x: AffineWeylElement) -> tuple[tuple, MappingProxyType]:
-    """``ring.lift(x.datum, b_cosets(x))``, read-only, read off the kernel's
-    running denominator by one joint division.  ``pontryagin_constants``
-    reads it for every pair with x first, so each x is lifted once."""
-    den, nums = divide_jointly(x.datum, *_loc_row(_kernel(x.datum), (x.index, x.trans), True, True))
+def b_lift(x: AffineWeylElement, y_side: bool) -> tuple[tuple, MappingProxyType]:
+    """kappa(y_x) (``y_side``, ``ring.lift(x.datum, b_cosets(x))``) or
+    kappa(T_x) over the lcm of its denominators, keyed by coroots, read-only,
+    read off the kernel's running denominator by one joint division.
+    ``pontryagin_constants`` reads the y side for every pair with x first,
+    and the class layer both sides, so each (x, side) is lifted once."""
+    den, nums = divide_jointly(x.datum, *_loc_row(_kernel(x.datum), (x.index, x.trans), y_side, True))
     return den, MappingProxyType(nums)
 
 
@@ -329,7 +347,7 @@ def _coset_row(kernel: _Kernel, x: Code, y: AffineWeylElement) -> MappingProxyTy
         if not is_grassmannian(y):
             raise ValueError(f"{y!r} is not an affine Grassmannian element")
         minima, action, out = kernel.minima, kernel.group.action[x[0]], {}
-        for v, c in _y_row(kernel, x, kernel.times_w0(key[1])).items():
+        for v, c in _y_row(kernel, x, kernel.times_w0(key[1]), True).items():
             z = minima.get(v)
             if z is None:
                 z = minima[v] = kernel.element(kernel.times_w0(v))
@@ -360,30 +378,26 @@ def translation_cosets(mu: Coroot, y: AffineWeylElement) -> MappingProxyType:
     return _coset_row(_kernel(y.datum), (0, mu), y)
 
 
-# Expansion in the T-basis ----------------------------------------------------
+# The Schubert-class images ----------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def t_row(u: AffineWeylElement) -> MappingProxyType:
-    """The group element u in the T-basis, read-only: u = sum_v e_{u,v} y_v
-    and y_v = sum_{w <= v} T_w, so the coefficient of T_w is the upper sum
-    of e_{u,v} over v >= w, a group-algebra element."""
-    out: dict[AffineWeylElement, GroupAlgebraElement] = {}
-    for v, e in e_row(u).items():
-        for w in lower_interval(v):
-            out[w] = out[w] + e if w in out else e
-    return MappingProxyType({w: c for w, c in out.items() if c})
+    """The group element u in the T-basis, read-only: the T side of the e
+    kernel from the identity, moved back from the frame of u as ``e_row``
+    is."""
+    return y_expansion(u, identity(u.datum), False)
 
 
-def t_expansion(a: KElement) -> KElement:
-    """a, given in the localization basis, expanded in the T-basis: the sum
-    of its coefficients times the T-rows of its group elements."""
-    if a.basis != LOC:
-        raise ValueError("t_expansion needs its argument in the localization basis")
-    return KElement(a.datum, TBASIS, combine(a.datum, lift(a.datum, a.terms), t_row))
-
-
-# The Schubert-class images ----------------------------------------------------
+def _class(w: AffineWeylElement, y_side: bool) -> KElement:
+    """kappa(y_w) (``y_side``) or kappa(T_w) in the T-basis, for Grassmannian
+    w: the coefficients of w's projected b row over one denominator
+    (``b_lift``) times the T-rows of their translations, summed by
+    ``ring.combine`` as the product sums its rows."""
+    if not is_grassmannian(w):
+        raise ValueError(f"{w!r} is not an affine Grassmannian element")
+    datum = w.datum
+    return KElement(datum, TBASIS, combine(datum, b_lift(w, y_side), lambda mu: t_row(translation(datum, mu))))
 
 
 @lru_cache(maxsize=None)
@@ -392,9 +406,7 @@ def k_class(w: AffineWeylElement) -> KElement:
     checked against its characterizing shape: leading coefficient 1 on T_w,
     every other basis element outside the Grassmannian set, all coefficients
     polynomial."""
-    if not is_grassmannian(w):
-        raise ValueError(f"{w!r} is not an affine Grassmannian element")
-    out = t_expansion(KElement(w.datum, LOC, loc_row(w, False, True)))
+    out = _class(w, False)
     lead = out.coefficient(w)
     if lead != RationalFunction.one(w.datum):
         raise ShapeViolationError(f"leading coefficient of {w!r} is {lead!r}, not 1")
@@ -411,6 +423,4 @@ def k_class(w: AffineWeylElement) -> KElement:
 def l_class(w: AffineWeylElement) -> KElement:
     """kappa(y_w) for Grassmannian w, expanded in the T-basis; equals the sum
     of k_class(v) over Grassmannian v <= w."""
-    if not is_grassmannian(w):
-        raise ValueError(f"{w!r} is not an affine Grassmannian element")
-    return t_expansion(KElement(w.datum, LOC, loc_row(w, True, True)))
+    return _class(w, True)

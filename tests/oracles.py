@@ -1,7 +1,8 @@
 """Test-only helpers, kept out of the library because nothing in it calls
 them: second computations of Weyl-group data, of the b and e rows, of row
-coset sums, of the closed product formula and its convolution, and of
-the classical constants by the rational solve, which the tests compare
+coset sums, of the closed product formula and its convolution, of the
+T-rows and the k and l classes by the routes the class layer replaced, and
+of the classical constants by the rational solve, which the tests compare
 the library against, the per-entry sum of rational multiples of rows that
 ``ring.combine`` is compared against, and small conveniences for writing
 the tests (Cartan matrices of finite types, word evaluation, the pairing, scaling, 1/(1 - e^lam), T-sums
@@ -29,10 +30,11 @@ from kschubert.constants import (
     element_sort_key,
     pontryagin_constants,
 )
-from kschubert.nilhecke import LOC, KElement, b_cosets, e_cosets
+from kschubert.nilhecke import LOC, TBASIS, KElement, b_cosets, e_cosets, e_row, t_row
 from kschubert.ring import (
     GroupAlgebraElement,
     RationalFunction,
+    combine,
     format_gae,
     lift,
     mul_add,
@@ -50,6 +52,7 @@ from kschubert.weyl import (
     identity,
     is_grassmannian,
     length,
+    lower_interval,
     reduced_word,
     reflection_roots,
     translation,
@@ -154,7 +157,7 @@ def kel_scale(a, scalar):
 
 def t_sum_in_loc(a):
     """A T-basis element sum_v c_v T_v back in the localization basis: the
-    inverse of ``nilhecke.t_expansion``."""
+    inverse of ``t_expansion``."""
     out = KElement(a.datum, LOC)
     for v, c in a.terms.items():
         out = kel_add(out, kel_scale(t_in_loc(v), c))
@@ -345,6 +348,33 @@ def reduce_one_factor_at_a_time(rank, terms, den):
         if mult:
             kept.append((root, mult))
     return GroupAlgebraElement(rank, dict(num.terms)), tuple(kept)
+
+
+# The T-basis routes the class layer replaced --------------------------------------
+#
+# A T-row as the e row spread over lower intervals, and a class as its
+# divided localization row lifted again over one lcm: the references for
+# ``nilhecke.t_row``, the T side of the e kernel, and for
+# ``nilhecke.k_class``/``l_class``, which read the b kernel's joint lift.
+
+
+def t_row_by_upper_sums(u):
+    """u in the T-basis: u = sum_v e_{u,v} y_v and y_v = sum_{w <= v} T_w,
+    so the coefficient of T_w is the upper sum of e_{u,v} over v >= w."""
+    out = {}
+    for v, e in e_row(u).items():
+        for w in lower_interval(v):
+            out[w] = out[w] + e if w in out else e
+    return {w: c for w, c in out.items() if c}
+
+
+def t_expansion(a):
+    """a, given in the localization basis, expanded in the T-basis: the sum
+    of its coefficients, lifted to their lcm, times the T-rows of its group
+    elements."""
+    if a.basis != LOC:
+        raise ValueError("t_expansion needs its argument in the localization basis")
+    return KElement(a.datum, TBASIS, combine(a.datum, lift(a.datum, a.terms), t_row))
 
 
 # The element-keyed e kernel ------------------------------------------------------

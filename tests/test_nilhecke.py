@@ -24,7 +24,9 @@ from oracles import (
     reduced_word_by_lengths,
     rf_inverse_one_minus_exp,
     t_element,
+    t_expansion,
     t_in_loc,
+    t_row_by_upper_sums,
     t_sum_in_loc,
     weyl_act,
     y_element,
@@ -48,7 +50,6 @@ from kschubert.nilhecke import (
     k_class,
     l_class,
     loc_row,
-    t_expansion,
     t_row,
     y_expansion,
 )
@@ -268,13 +269,18 @@ def test_loc_rows_match_the_full_row_route(spec, max_len):
 def test_b_lift_is_the_lift_of_the_divided_coset_sums(spec, max_len):
     # b_lift divides the kernel's numerators jointly down to D_x: the same
     # D, key order and numerators as ring.lift of the divided coset sums,
-    # on whole balls.
+    # on whole balls, and of the divided projected T-rows on every
+    # Grassmannian element of them (kappa(T_x) is zero off that set).
     datum = build_root_system(spec)
     for x in affine_ball(datum, max_len):
-        den, nums = b_lift(x)
+        den, nums = b_lift(x, True)
         ref_den, ref_nums = lift(datum, b_cosets(x))
         assert den == ref_den, x
         assert list(nums.items()) == list(ref_nums.items()), x
+        if is_grassmannian(x):
+            den, nums = b_lift(x, False)
+            ref_den, ref_nums = lift(datum, {t.trans: c for t, c in loc_row(x, False, True).items()})
+            assert den == ref_den and list(nums.items()) == list(ref_nums.items()), x
 
 
 @pytest.mark.parametrize(
@@ -297,7 +303,7 @@ def test_running_denominator_carries_D_x(spec, max_len, equal, total):
     ball = grassmannian_ball(datum, max_len)
     same = 0
     for x in ball:
-        den, nums = b_lift(x)
+        den, nums = b_lift(x, True)
         ref_den, ref_nums = lift(datum, b_cosets(x))
         assert den == ref_den and list(nums.items()) == list(ref_nums.items()), x
         lifted = dict(den)
@@ -313,7 +319,7 @@ def test_coset_rows_take_no_weyl_action_and_no_length(monkeypatch, a2):
     # ball of length <= 6, pairs x <= y, every mu of x's b coset sums) apply
     # no Weyl action and compute no length.  Counts, not times.
     ball = grassmannian_ball(a2, 6)
-    reads = [(mu, y) for i, x in enumerate(ball) for mu in b_lift(x)[1] for y in ball[i:]]
+    reads = [(mu, y) for i, x in enumerate(ball) for mu in b_lift(x, True)[1] for y in ball[i:]]
     warm = [nilhecke.translation_cosets(mu, y) for mu, y in reads]
     nilhecke._kernel.cache_clear()
     lengths, acts, act = {}, [], G.act
@@ -419,7 +425,7 @@ def test_e_cosets_match_full_rows(spec, max_len):
         sums = e_cosets(x, identity(datum))
         assert sums == coset_sums(e_row(x))
         assert all(is_grassmannian(z) for z in sums)
-        row = y_expansion(x, w0)
+        row = y_expansion(x, w0, True)
         assert len(row) == len(sums)
         for v in row:
             assert all(length(aff_multiply(v, s)) < length(v) for s in simples)
@@ -488,10 +494,10 @@ def test_memoized_rows_are_read_only(a1):
     one = identity(a1)
     reads = [
         (e_row, x, one),
-        (lambda u: y_expansion(u, one), x, one),
+        (lambda u: y_expansion(u, one, True), x, one),
         (lambda u: e_cosets(u, one), x, coset_min(g)),
         (b_cosets, x, (1,)),
-        (lambda u: b_lift(u)[1], x, (1,)),
+        (lambda u: b_lift(u, True)[1], x, (1,)),
         (lambda u: loc_row(u, True, False), x, one),
         (lambda u: loc_row(u, False, False), x, one),
         (lambda u: loc_row(u, True, True), x, translation(a1, (1,))),
@@ -512,7 +518,7 @@ def test_memoized_rows_are_read_only(a1):
         e_row(x)[one],
         e_cosets(x, one)[coset_min(g)],
         b_cosets(x)[(1,)].num,
-        b_lift(x)[1][(1,)],
+        b_lift(x, True)[1][(1,)],
         t_row(x)[one],
         _finite_localization_row(s1)[s1],
     ]
@@ -562,6 +568,36 @@ def test_roundtrip_conversions(a2, basis):
         assert t == kel_add(*spreads)
 
 
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 10), ("A2", 6), ("A3", 5), (B2, 6), (C2, 6), (G2, 6)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_t_row_is_the_upper_sum_of_the_e_row(spec, max_len):
+    # The T side of the e kernel against the e row spread over lower
+    # intervals (u = sum_v e_{u,v} y_v, y_v = sum_{w <= v} T_w), on every
+    # element of whole affine balls.
+    datum = build_root_system(spec)
+    for u in affine_ball(datum, max_len):
+        assert t_row(u) == t_row_by_upper_sums(u), u
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 10), ("A2", 6), ("A3", 4), (B2, 6), (C2, 6), (G2, 6)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_classes_match_the_divided_then_lifted_route(spec, max_len):
+    # k and l classes sum the joint lift of the projected b row times the
+    # T-rows of its translations; the route they replaced divides that row
+    # into canonical coefficients and lifts them again (t_expansion).  Every
+    # Grassmannian element of whole balls.
+    datum = build_root_system(spec)
+    for w in grassmannian_ball(datum, max_len):
+        assert k_class(w) == t_expansion(KElement(datum, LOC, loc_row(w, False, True))), w
+        assert l_class(w) == t_expansion(KElement(datum, LOC, loc_row(w, True, True))), w
+
+
 def test_group_element_in_ybasis_has_e_coefficients(a1):
     # u = sum_v e_{u,v} y_v and y_v = sum_{w <= v} T_w
     u = translation(a1, (2,))
@@ -594,15 +630,14 @@ def test_t_expansion_over_balls(spec, bound):
 
 
 def test_class_expansions_make_no_rational_additions(monkeypatch):
-    # t_expansion sums rational multiples of polynomial T-rows over one
-    # common denominator (ring.combine): a RationalFunction sum per term, with
-    # its lcm lift and trial divisions, would show here as an __add__ call.
-    inputs = [
-        KElement(datum, LOC, loc_row(w, y_side, True))
-        for datum, bound in ((build_root_system("A1"), 6), (build_root_system("A2"), 4))
-        for w in grassmannian_ball(datum, bound)
-        for y_side in (False, True)
-    ]
+    # The classes, from cold, and the route they replaced (t_expansion) sum
+    # rational multiples of polynomial T-rows over one common denominator
+    # (ring.combine): a RationalFunction sum per term, with its lcm lift and
+    # trial divisions, would show here as an __add__ call.
+    balls = [grassmannian_ball(build_root_system("A1"), 6), grassmannian_ball(build_root_system("A2"), 4)]
+    inputs = [KElement(w.datum, LOC, loc_row(w, y_side, True)) for ball in balls for w in ball for y_side in (False, True)]
+    for memo in (k_class, l_class, b_lift, t_row):
+        memo.cache_clear()
     calls = []
     add = RationalFunction.__add__
 
@@ -613,6 +648,8 @@ def test_class_expansions_make_no_rational_additions(monkeypatch):
     monkeypatch.setattr(RationalFunction, "__add__", counting)
     for a in inputs:
         assert t_expansion(a).terms
+    for w in (w for ball in balls for w in ball):
+        assert k_class(w).terms and l_class(w).terms
     assert not calls
 
 

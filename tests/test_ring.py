@@ -432,7 +432,7 @@ def test_flat_combine_matches_per_entry_oracle_on_whole_balls(spec, max_len):
             def rows(mu, y=y):
                 return e_cosets(translation(datum, mu), y)
 
-            assert same_sums(combine(datum, b_lift(x), rows), combine_per_entry(datum, b_cosets(x), rows))
+            assert same_sums(combine(datum, b_lift(x, True), rows), combine_per_entry(datum, b_cosets(x), rows))
         for y_side in (False, True):
             a = loc_row(x, y_side, True)
             assert same_sums(combine(datum, lift(datum, a), t_row), combine_per_entry(datum, a, t_row))
