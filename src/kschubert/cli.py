@@ -30,7 +30,6 @@ from kschubert.constants import (
 from kschubert.nilhecke import (
     ShapeViolationError,
     b_cosets,
-    e_cosets,
     e_row,
     k_class,
     l_class,
@@ -50,7 +49,6 @@ from kschubert.weyl import (
     finite_part,
     format_element,
     grassmannian_ball,
-    identity,
     is_grassmannian,
     length,
     parse_element,
@@ -160,7 +158,7 @@ def _cmd_element(args) -> int:
 def _cmd_bcoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
-    row = _sorted_row(loc_row(x, True, False))
+    row = _sorted_row(loc_row(x, True))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "bcoeff",
@@ -180,7 +178,11 @@ def _cmd_bcoeff(args) -> int:
 def _cmd_ecoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
-    row, coset_e = _sorted_row(e_row(x)), _sorted_row(e_cosets(x, identity(datum)))
+    row, sums = e_row(x), {}
+    for v, c in row.items():  # the coset sums e_{x,[z]}, grouped from the row
+        z = coset_min(v)
+        sums[z] = sums[z] + c if z in sums else c
+    row, coset_e = _sorted_row(row), _sorted_row({z: c for z, c in sums.items() if c})
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "ecoeff",
@@ -200,7 +202,7 @@ def _cmd_class(args) -> int:
     w = _parse_guarded(args.w, datum, _guard(args, datum))
     if not is_grassmannian(w):
         raise UsageError(f"{format_element(w)} is not an affine Grassmannian element")
-    row = _sorted_row((k_class if kind == "kclass" else l_class)(w).terms)
+    row = _sorted_row((k_class if kind == "kclass" else l_class)(w))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": kind,

@@ -21,7 +21,7 @@ the y-expansion of t_mu y_{y w0}, its key v read as z = v w0).  Why:
 * hence l_y y_{w0} = y_y y_{w0} = y_{y w0} for l_y = kappa(y_y), and
   l_x l_y y_{w0} = sum_mu b_{x,[mu]} t_mu y_{y w0};
 * c_{x,y}^z is the coefficient of y_{z w0} in l_x l_y y_{w0}: the formula
-  above read through the same w0 trick that ``e_cosets`` uses.
+  above read through the w0 trick of ``translation_cosets``.
 
 The sum is finite because the coset b-sums vanish outside the Bruhat lower
 interval of x.  Only the b coset sums carry denominators, products of
@@ -50,7 +50,7 @@ import os
 from functools import lru_cache
 from types import MappingProxyType
 
-from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae
+from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae, format_rf
 from kschubert.rootsys import CartanDatum, Frozen, build_root_system, root_lattice_weight
 from kschubert.weyl import (
     AffineWeylElement,
@@ -448,14 +448,14 @@ def _expected_table(datum, spec_entries) -> dict:
 
 def _check_product(datum, name, x, y, expected, records) -> None:
     computed = pontryagin_constants(x, y).entries
-    if computed == expected:
-        records.append(VerificationRecord(name, True))
-    else:
-        detail = _diff_tables(datum, expected, computed)
-        records.append(VerificationRecord(name, False, detail))
+    ok = computed == expected
+    detail = "" if ok else _diff_tables(expected, computed, lambda g: format_gae(g, datum, True))
+    records.append(VerificationRecord(name, ok, detail))
 
 
-def _diff_tables(datum, expected, computed) -> str:
+def _diff_tables(expected, computed, fmt) -> str:
+    """Each entry where two tables differ, its values written by ``fmt``;
+    empty when they agree."""
     lines = []
     for z in sorted(set(expected) | set(computed), key=element_sort_key):
         e = expected.get(z)
@@ -463,8 +463,8 @@ def _diff_tables(datum, expected, computed) -> str:
         if e != c:
             lines.append(
                 f"{format_element(z)}: expected "
-                f"{format_gae(e, datum, True) if e is not None else '(absent)'}, got "
-                f"{format_gae(c, datum, True) if c is not None else '(absent)'}"
+                f"{fmt(e) if e is not None else '(absent)'}, got "
+                f"{fmt(c) if c is not None else '(absent)'}"
             )
     return "; ".join(lines)
 
@@ -477,18 +477,10 @@ def _check_class(datum, name, kind, w_str, expected_entries, records) -> None:
         )
         for el, atoms in expected_entries.items()
     }
-    computed = (k_class if kind == "kclass" else l_class)(w).terms
-    if computed == expected:
-        records.append(VerificationRecord(name, True))
-    else:
-        records.append(
-            VerificationRecord(
-                name,
-                False,
-                f"expected support {sorted(map(format_element, expected))}, "
-                f"got {sorted(map(format_element, computed))} or coefficients differ",
-            )
-        )
+    computed = (k_class if kind == "kclass" else l_class)(w)
+    ok = computed == expected
+    detail = "" if ok else _diff_tables(expected, computed, lambda f: format_rf(f, True))
+    records.append(VerificationRecord(name, ok, detail))
 
 
 def verify_embedded_tables(suite: str = "all") -> VerificationReport:

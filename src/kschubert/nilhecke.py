@@ -1,19 +1,23 @@
-"""The small-torus affine K-nilHecke ring.
+"""The small-torus affine K-nilHecke ring, as the rows the engine reads.
 
-Elements are finite sums over affine Weyl group elements with coefficients
-in the localized ring, tagged with one of two bases:
+An element of the ring is a finite sum over affine Weyl group elements with
+coefficients in the localized ring Q(T): in the localization basis, group
+elements u with the twisted product (p u)(q v) = p (u.q) uv, where u acts at
+level zero; or in the basis T_x built from T_i = (1 - e^{alpha_i})^{-1}
+(s_i - 1), which satisfy T_i^2 = -T_i and the braid relations, with the
+idempotents y_i = 1 + T_i.  No whole element is stored.  Every public value
+is a read-only {key: value} map, one per row the engine reads, and the
+memoized ones are the memo values themselves:
 
-* ``loc``: group elements u with Q(T) coefficients and the twisted product
-  (p u)(q v) = p (u.q) uv, where u acts at level zero;
-* ``t``: the basis T_x built from T_i = (1 - e^{alpha_i})^{-1} (s_i - 1),
-  which satisfy T_i^2 = -T_i and the braid relations.
-
-Products are taken in ``loc``, and the idempotent basis y_x built from
-y_i = 1 + T_i is never stored.  The memoized ``t_row(u)`` is u in the
-T-basis, the T side of the e kernel; the classes k_w = kappa(T_w) and
-l_w = kappa(y_w) sum w's projected b row over one denominator
-(``b_lift``) times the T-rows of its translations with ``ring.combine``,
-as the product sums its rows.
+* ``loc_row(x, y_side)``: y_x, or T_x, in the localization basis;
+* ``b_lift(x, y_side)``: kappa(y_x), or kappa(T_x), over one denominator,
+  and ``b_cosets(x)``, its y side divided per entry;
+* ``e_row(x)`` and ``t_row(u)``: x in the y-basis and u in the T-basis
+  (``y_expansion``);
+* ``translation_cosets(mu, y)``: the coset row of t_mu y_y;
+* ``k_class(w)`` and ``l_class(w)``: k_w = kappa(T_w) and l_w = kappa(y_w)
+  in the T-basis, w's ``b_lift`` times the T-rows of its translations,
+  summed with ``ring.combine`` as the product sums its rows.
 
 The change-of-basis data are the b and e coefficient matrices
 
@@ -25,47 +29,44 @@ smallest left descent i (read off one root, ``WeylGroup.descends``) off
 x = s_i u and makes one pass over the row of u; only the public rows turn
 codes into elements.
 
-b side: ``loc_row(x, y_side, cosets)`` is y_x, or T_x, in the localization
-basis; the y-row is the b-row of x.  With ``cosets`` it is the image under
-the projection kappa onto translations (t_lam w -> t_lam for finite w),
-built on translations alone, up to |W| times shorter: ``b_cosets(x)`` and
-the class layer read these, only ``bcoeff`` and the tests a full row.  The
-b entries are the only rational data, and the kernel (``_loc_row``, a loop)
-never divides: a row is packed numerators N_u over one running denominator
-D.  Write 1/(1 - e^{alpha_i}) = n_i/(1 - e^{beta_i}), beta_i = +-alpha_i
-positive, and s_i(D) = eps D' with eps a signed monomial
-(``WeylAction.roots``).  A step takes D to (1 - e^{beta_i}) lcm(D, D') and
-sends N u to N (-e^{alpha_i} n_i, or -n_i) (lcm/D) at u and
-s_i(N) n_i eps^{-1} (lcm/D') at s_i u, or at the translation in its coset.
-A public row is divided once, as one flat accumulator, into canonical
-entries; ``b_lift(x, y_side)``, read by the product (y side) for every
-pair with x first and by the classes, divides the projected row jointly,
-down to the lcm D_x of its entries.
+b side: the kernel ``_loc_row`` builds y_x, or T_x, in the localization
+basis; the y-row is the b-row of x, which ``loc_row`` divides and
+``bcoeff`` prints.  Projected, it builds the image under kappa onto
+translations (t_lam w -> t_lam for finite w) on translations alone, up to
+|W| times shorter; ``b_lift`` reads that.  The b entries are the only
+rational data, and the kernel (a loop) never divides: a row is packed
+numerators N_u over one running denominator D.  Write
+1/(1 - e^{alpha_i}) = n_i/(1 - e^{beta_i}), beta_i = +-alpha_i positive,
+and s_i(D) = eps D' with eps a signed monomial (``WeylAction.roots``).  A
+step takes D to (1 - e^{beta_i}) lcm(D, D') and sends N u to
+N (-e^{alpha_i} n_i, or -n_i) (lcm/D) at u and s_i(N) n_i eps^{-1}
+(lcm/D') at s_i u, or at the translation in its coset.  ``loc_row`` divides
+a full row once, as one flat accumulator, into canonical entries;
+``b_lift(x, y_side)``, read by the product (y side) for every pair with x
+first, by ``b_cosets`` and by the classes, divides the projected row
+jointly, down to the lcm D_x of its entries.
 
-e side: ``y_expansion(x, start, y_side)`` is the y-expansion of
-x . y_start, or x . T_start in the T-basis: the e row, or the T-row, from
-the identity; from y w0, for Grassmannian y (w0 the longest
-finite element), x . y_y . y_{w0}, whose row has one entry per coset, at
-the coset maximum v, which ``e_cosets(x, y)`` keys by the coset minimum
-v w0.  The product reads only these rows, for x a translation t_mu
-(``translation_cosets(mu, y)``): s_i y_{w0} = y_{w0} for finite s_i, so
-kappa(y_y) y_{w0} = y_y y_{w0}, and the rows of t_mu y_y y_{w0} carry the
-whole y-side sum of the formula.  e entries are polynomial, scattered into
-raw packed dicts, and kept in the frame of x: entry v is w^{-1}(c_{x,v}),
-w the finite part of x, so a step copies entries instead of applying s_i,
-and e^{alpha_i} becomes a shift by w^{-1}(alpha_i).  A public row moves
-back once per entry; the product's rows, of translations, need no move.
-The T side moves the diagonal factor e^{alpha_i} of a step from the
-ascents to the descents (``y_expansion``).
+e side: the kernel ``_y_row`` builds the y-expansion of x . y_start, or
+x . T_start in the T-basis.  From the identity it is the e row, or the
+T-row (``y_expansion(x, y_side)``); from y w0, for Grassmannian y (w0 the
+longest finite element), it is x . y_y . y_{w0}, whose row has one entry
+per coset, at the coset maximum v, which ``translation_cosets(mu, y)``
+keys by the coset minimum v w0 for x = t_mu.  The product reads only these
+rows: s_i y_{w0} = y_{w0} for finite s_i, so kappa(y_y) y_{w0} =
+y_y y_{w0}, and the rows of t_mu y_y y_{w0} carry the whole y-side sum of
+the formula.  e entries are polynomial, scattered into raw packed dicts,
+and kept in the frame of x: entry v is w^{-1}(c_{x,v}), w the finite part
+of x, so a step copies entries instead of applying s_i, and e^{alpha_i}
+becomes a shift by w^{-1}(alpha_i).  A public row moves back once per
+entry; the rows of translations need no move.  The T side moves the
+diagonal factor e^{alpha_i} of a step from the ascents to the descents.
 
-The subword sums and the word products that the tests compare both kernels
-against live in ``tests/oracles.py``.  Rows and coset sums are returned
-read-only, since they are the memoized values themselves.
+The subword sums, the word products and the two-basis elements that the
+tests compare both kernels against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -79,52 +80,19 @@ from kschubert.ring import (
     exact_product_bound,
     mul_add,
 )
-from kschubert.rootsys import CartanDatum, Coroot, Frozen, level_zero_root, matvec
+from kschubert.rootsys import CartanDatum, Coroot, level_zero_root, matvec
 from kschubert.weyl import (
     AffineWeylElement,
     Code,
     affine_simple,
-    identity,
     is_grassmannian,
-    length,
     translation,
     weyl_group,
 )
 
-LOC = "localization"
-TBASIS = "t"
-
 
 class ShapeViolationError(AssertionError):
     """A projected ideal-sheaf class fails its characterizing shape."""
-
-
-class KElement(Frozen):
-    """Basis-tagged finite sum over affine Weyl elements; zero coefficients
-    are dropped on construction.  Instances are immutable, terms included,
-    because the memos hand the same instance to every caller; equal ones
-    share datum, basis and terms."""
-
-    __slots__ = ("datum", "basis", "terms")
-
-    def __init__(self, datum: CartanDatum, basis: str, terms: Mapping[AffineWeylElement, RationalFunction] | None = None):
-        terms = {x: c for x, c in terms.items() if c} if terms else {}
-        self._fill(datum, basis, MappingProxyType(terms))
-
-    def __eq__(self, other):
-        if other.__class__ is not KElement:
-            return NotImplemented
-        return (self.datum, self.basis, self.terms) == (other.datum, other.basis, other.terms)
-
-    def coefficient(self, x: AffineWeylElement) -> RationalFunction:
-        return self.terms.get(x, RationalFunction.zero(self.datum))
-
-    def __repr__(self):
-        basis_symbol = {LOC: "", TBASIS: "T_"}[self.basis]
-        body = " + ".join(
-            f"({c!r})*{basis_symbol}{x!r}" for x, c in sorted(self.terms.items(), key=lambda t: (length(t[0]), repr(t[0])))
-        )
-        return f"KElement[{self.basis}]({body or '0'})"
 
 
 class _Kernel:
@@ -132,9 +100,11 @@ class _Kernel:
     ``left`` steps codes and whose ``left_roots`` give descents and e
     shifts), the b-side data of each letter i (the action of s_i's finite
     part, beta_i, n_i and the T- and y-side stay factors), the memos of e
-    and T rows (``rows``, keyed by (x code, start code, y_side)), coset
-    rows and b prefixes (``loc``, keyed by (x code, y_side,
-    cosets)), and the element of each code that a public row returns."""
+    and T rows (``rows``, keyed by (x code, start code, y_side)), of
+    translation coset rows (``cosets``, keyed by (mu, y code)) and of b
+    prefixes (``loc``, keyed by (x code, y_side, cosets)), and the element
+    of each code (``elements``) and each coset maximum's minimum
+    (``minima``) that a public row returns."""
 
     __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "cosets", "loc", "elements", "minima")
 
@@ -180,10 +150,13 @@ def _kernel(datum: CartanDatum) -> _Kernel:
 
 
 def _loc_row(kernel: _Kernel, x: Code, y_side: bool, cosets: bool) -> tuple[dict, dict]:
-    """``loc_row`` undivided, keyed by codes, or by translations with
-    ``cosets``: D (root -> multiplicity) and key -> N_u, entry u being
-    N_u / D.  Walks the left-descent chain of x down to the first memoized
-    prefix, then builds upward in a loop, memoizing every prefix."""
+    """``loc_row`` undivided, keyed by codes, or with ``cosets`` its image
+    under kappa keyed by translations, which ``b_lift`` reads: D (root ->
+    multiplicity) and key -> N_u, entry u being N_u / D.
+    kappa(s_i t_lam w) = kappa(s_i t_lam) for finite w, so a projected row
+    keys s_i t_lam by the translation in its coset.  Walks the left-descent
+    chain of x down to the first memoized prefix, then builds upward in a
+    loop, memoizing every prefix."""
     group, memo, rank, chain = kernel.group, kernel.loc, kernel.datum.rank, []
     while (x, y_side, cosets) not in memo:
         i = group.code_descent(x)
@@ -214,20 +187,18 @@ def _loc_row(kernel: _Kernel, x: Code, y_side: bool, cosets: bool) -> tuple[dict
 
 
 @lru_cache(maxsize=None)
-def loc_row(x: AffineWeylElement, y_side: bool, cosets: bool) -> MappingProxyType:
-    """y_x (``y_side``) or T_x in the localization basis, read-only; with
-    ``cosets``, its image under kappa, keyed by translations.  From {id: 1},
-    peeling the smallest left descent i off x = s_i u: y_i = c0 + c1 s_i and
-    T_i = -c1 + c1 s_i with c1 = 1/(1 - e^{alpha_i}), c0 = -e^{alpha_i} c1,
-    so p u |-> c0 p u (or -c1 p u) + c1 s_i(p) s_i u; kappa(s_i t_lam w) =
-    kappa(s_i t_lam) for finite w, so a projected row keys s_i t_lam by the
-    translation in its coset.  ``_loc_row`` keeps the row over a running
-    denominator (module notes); it is divided once, through ``combine``."""
+def loc_row(x: AffineWeylElement, y_side: bool) -> MappingProxyType:
+    """y_x (``y_side``) or T_x in the localization basis, read-only.  From
+    {id: 1}, peeling the smallest left descent i off x = s_i u:
+    y_i = c0 + c1 s_i and T_i = -c1 + c1 s_i with c1 = 1/(1 - e^{alpha_i}),
+    c0 = -e^{alpha_i} c1, so p u |-> c0 p u (or -c1 p u) + c1 s_i(p) s_i u.
+    ``_loc_row`` keeps the row over a running denominator (module notes);
+    it is divided once, through ``combine``."""
     kernel = _kernel(x.datum)
-    den, nums = _loc_row(kernel, (x.index, x.trans), y_side, cosets)
+    den, nums = _loc_row(kernel, (x.index, x.trans), y_side, False)
     one = {0: GroupAlgebraElement.one(x.datum.rank)}
     rows = combine(x.datum, (tuple(sorted(den.items())), one), lambda _: nums).items()
-    return MappingProxyType({kernel.element((0, u) if cosets else u): f for u, f in rows})
+    return MappingProxyType({kernel.element(u): f for u, f in rows})
 
 
 def _y_row(kernel: _Kernel, x: Code, start: Code, y_side: bool) -> dict:
@@ -285,13 +256,12 @@ def _y_row(kernel: _Kernel, x: Code, start: Code, y_side: bool) -> dict:
     return row
 
 
-def y_expansion(x: AffineWeylElement, start: AffineWeylElement, y_side: bool) -> MappingProxyType:
-    """The y-basis coefficients of x . y_start (``y_side``), or the T-basis
-    coefficients of x . T_start, as group-algebra elements, read-only.
-    Computed by peeling the smallest left descent i off x = s_i u, from the
-    base row {start: 1} at x = id: since
-    s_i = e^{alpha_i} + (1 - e^{alpha_i}) y_i and y_i y_v = y_{s_i * v}
-    (Demazure product),
+def y_expansion(x: AffineWeylElement, y_side: bool) -> MappingProxyType:
+    """The y-basis coefficients of x (``y_side``), or its T-basis
+    coefficients, as group-algebra elements, read-only.  Computed by peeling
+    the smallest left descent i off x = s_i u, from the base row {id: 1} at
+    x = id: since s_i = e^{alpha_i} + (1 - e^{alpha_i}) y_i and
+    y_i y_v = y_{s_i * v} (Demazure product),
 
         c_{s_i u, v} = s_i(c_{u,v}) + (1 - e^{alpha_i}) s_i(c_{u, s_i v})
                                                       if s_i v < v,
@@ -299,118 +269,110 @@ def y_expansion(x: AffineWeylElement, start: AffineWeylElement, y_side: bool) ->
 
     since s_i = 1 + (1 - e^{alpha_i}) T_i, T_i T_v = T_{s_i v} for
     s_i v > v and T_i T_v = -T_v for s_i v < v, the T side moves the
-    diagonal factor e^{alpha_i} from the second case to the first.
-
-    Started at the identity this is the e-row of x, or x in the T-basis;
-    started at a coset maximum, such as the longest finite element w0, every
-    y row lives on coset maxima, because y_v y_{w0} = y_{max vW}.  The
-    kernel is ``_y_row``."""
+    diagonal factor e^{alpha_i} from the second case to the first.  The
+    kernel is ``_y_row``, which ``translation_cosets`` starts at a coset
+    maximum instead."""
     kernel = _kernel(x.datum)
     action = kernel.group.action[x.index]
-    row = _y_row(kernel, (x.index, x.trans), (start.index, start.trans), y_side)
+    row = _y_row(kernel, (x.index, x.trans), kernel.one, y_side)
     return MappingProxyType({kernel.element(v): c.act(action) if x.index else c for v, c in row.items()})
 
 
 @lru_cache(maxsize=None)
 def e_row(x: AffineWeylElement) -> MappingProxyType:
     """The e-row of x: coefficients of x in the y-basis, read-only."""
-    return y_expansion(x, identity(x.datum), True)
-
-
-# Coset sums -------------------------------------------------------------------
-
-
-def b_cosets(x: AffineWeylElement) -> MappingProxyType:
-    """Sums of the b-row of x over cosets v W, read from kappa(y_x) and keyed
-    by the coroot coordinate of the unique translation in each coset: the
-    coefficients of kappa(y_x) = sum_mu b_{x,[mu]} t_mu.  Re-keyed from
-    ``loc_row``'s memo on every call, not held a second time."""
-    return MappingProxyType({t.trans: c for t, c in loc_row(x, True, True).items()})
-
-
-@lru_cache(maxsize=None)
-def b_lift(x: AffineWeylElement, y_side: bool) -> tuple[tuple, MappingProxyType]:
-    """kappa(y_x) (``y_side``, ``ring.lift(x.datum, b_cosets(x))``) or
-    kappa(T_x) over the lcm of its denominators, keyed by coroots, read-only,
-    read off the kernel's running denominator by one joint division.
-    ``pontryagin_constants`` reads the y side for every pair with x first,
-    and the class layer both sides, so each (x, side) is lifted once."""
-    den, nums = divide_jointly(x.datum, *_loc_row(_kernel(x.datum), (x.index, x.trans), y_side, True))
-    return den, MappingProxyType(nums)
-
-
-def _coset_row(kernel: _Kernel, x: Code, y: AffineWeylElement) -> MappingProxyType:
-    """``e_cosets`` for x given by its code, memoized in ``kernel.cosets``."""
-    key = (x, (y.index, y.trans))
-    row = kernel.cosets.get(key)
-    if row is None:
-        if not is_grassmannian(y):
-            raise ValueError(f"{y!r} is not an affine Grassmannian element")
-        minima, action, out = kernel.minima, kernel.group.action[x[0]], {}
-        for v, c in _y_row(kernel, x, kernel.times_w0(key[1]), True).items():
-            z = minima.get(v)
-            if z is None:
-                z = minima[v] = kernel.element(kernel.times_w0(v))
-            out[z] = c.act(action) if x[0] else c  # back from the frame of x
-        row = kernel.cosets[key] = MappingProxyType(out)
-    return row
-
-
-def e_cosets(x: AffineWeylElement, y: AffineWeylElement) -> MappingProxyType:
-    """Coset sums of the y-expansion of x . y_y, for Grassmannian y, keyed by
-    the Grassmannian element z of each coset, read-only.  Read from the
-    y-expansion of x . y_{y w0} = x . y_y . y_{w0}: its row holds one entry
-    per coset, at the coset maximum v, whose coset minimum is v w0, so no
-    full row is built.  At y = id these are the coset sums
-    e_{x,[z]} = sum over v in z W of e_{x,v}.  At a translation x = t_mu,
-    since w y_{w0} = y_{w0} for finite w, t_mu y_y y_{w0} =
-    sum_nu b_{y,[nu]} t_{mu+nu} y_{w0}: the row is
-    sum_nu b_{y,[nu]} e_cosets(t_{mu+nu}, id), the y-side sum of the
-    product formula done once.  Memoized by (x code, y code); each z is
-    built once per code."""
-    return _coset_row(_kernel(x.datum), (x.index, x.trans), y)
-
-
-def translation_cosets(mu: Coroot, y: AffineWeylElement) -> MappingProxyType:
-    """``e_cosets(t_mu, y)``, read by the coroot mu without building t_mu:
-    the row E_{mu,y} that the product formula reads for every mu of x's
-    b coset sums."""
-    return _coset_row(_kernel(y.datum), (0, mu), y)
-
-
-# The Schubert-class images ----------------------------------------------------
+    return y_expansion(x, True)
 
 
 @lru_cache(maxsize=None)
 def t_row(u: AffineWeylElement) -> MappingProxyType:
     """The group element u in the T-basis, read-only: the T side of the e
-    kernel from the identity, moved back from the frame of u as ``e_row``
-    is."""
-    return y_expansion(u, identity(u.datum), False)
+    kernel, moved back from the frame of u as ``e_row`` is."""
+    return y_expansion(u, False)
 
 
-def _class(w: AffineWeylElement, y_side: bool) -> KElement:
-    """kappa(y_w) (``y_side``) or kappa(T_w) in the T-basis, for Grassmannian
-    w: the coefficients of w's projected b row over one denominator
-    (``b_lift``) times the T-rows of their translations, summed by
-    ``ring.combine`` as the product sums its rows."""
-    if not is_grassmannian(w):
-        raise ValueError(f"{w!r} is not an affine Grassmannian element")
-    datum = w.datum
-    return KElement(datum, TBASIS, combine(datum, b_lift(w, y_side), lambda mu: t_row(translation(datum, mu))))
+# Coset rows -------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def k_class(w: AffineWeylElement) -> KElement:
+def b_lift(x: AffineWeylElement, y_side: bool) -> tuple[tuple, MappingProxyType]:
+    """kappa(y_x) (``y_side``) or kappa(T_x) over the lcm D_x of its
+    denominators, keyed by coroots, read-only: the kernel's projected row
+    divided jointly, down to D_x (``ring.divide_jointly``).  kappa(T_x) is
+    zero off the Grassmannian set, where the lift is empty, ((), {}).
+    ``pontryagin_constants`` reads the y side for every pair with x first,
+    ``b_cosets`` the y side and the class layer both sides, so each
+    (x, side) is lifted once."""
+    den, nums = _loc_row(_kernel(x.datum), (x.index, x.trans), y_side, True)
+    den, nums = divide_jointly(x.datum, den, nums) if nums else ((), {})
+    return den, MappingProxyType(nums)
+
+
+@lru_cache(maxsize=None)
+def b_cosets(x: AffineWeylElement) -> MappingProxyType:
+    """Sums of the b-row of x over cosets v W, keyed by the coroot
+    coordinate of the unique translation in each coset, read-only: the
+    coefficients of kappa(y_x) = sum_mu b_{x,[mu]} t_mu, each entry of
+    ``b_lift(x, True)`` over D_x reduced."""
+    den, nums = b_lift(x, True)
+    return MappingProxyType({mu: RationalFunction(x.datum, num, den) for mu, num in nums.items()})
+
+
+def translation_cosets(mu: Coroot, y: AffineWeylElement) -> MappingProxyType:
+    """The coset row E_{mu,y} of t_mu y_y, for Grassmannian y, keyed by the
+    Grassmannian element z of each coset, read-only: the row the product
+    formula reads for every mu of x's b coset sums, read by the coroot mu
+    without building t_mu.  It is the y-expansion of
+    t_mu y_{y w0} = t_mu y_y y_{w0}, whose row holds one entry per coset, at
+    the coset maximum v, whose coset minimum is z = v w0, so no full row is
+    built.  At y = id these are the coset sums
+    e_{t_mu,[z]} = sum over v in z W of e_{t_mu,v}.  Since w y_{w0} = y_{w0}
+    for finite w, t_mu y_y y_{w0} = sum_nu b_{y,[nu]} t_{mu+nu} y_{w0}: the
+    row is sum_nu b_{y,[nu]} E_{mu+nu,id}, the y-side sum of the product
+    formula done once.  A translation's finite part is the identity, so the
+    row needs no move back from the frame of t_mu.  Memoized by (mu, y
+    code); each z is built once per code."""
+    kernel = _kernel(y.datum)
+    key = (mu, (y.index, y.trans))
+    row = kernel.cosets.get(key)
+    if row is None:
+        if not is_grassmannian(y):
+            raise ValueError(f"{y!r} is not an affine Grassmannian element")
+        minima, out = kernel.minima, {}
+        for v, c in _y_row(kernel, (0, mu), kernel.times_w0(key[1]), True).items():
+            z = minima.get(v)
+            if z is None:
+                z = minima[v] = kernel.element(kernel.times_w0(v))
+            out[z] = c
+        row = kernel.cosets[key] = MappingProxyType(out)
+    return row
+
+
+# The Schubert-class images ----------------------------------------------------
+
+
+def _class(w: AffineWeylElement, y_side: bool) -> MappingProxyType:
+    """kappa(y_w) (``y_side``) or kappa(T_w) in the T-basis, for Grassmannian
+    w, read-only: the coefficients of w's projected b row over one
+    denominator (``b_lift``) times the T-rows of their translations, summed
+    by ``ring.combine`` as the product sums its rows."""
+    if not is_grassmannian(w):
+        raise ValueError(f"{w!r} is not an affine Grassmannian element")
+    datum = w.datum
+    return MappingProxyType(combine(datum, b_lift(w, y_side), lambda mu: t_row(translation(datum, mu))))
+
+
+@lru_cache(maxsize=None)
+def k_class(w: AffineWeylElement) -> MappingProxyType:
     """kappa(T_w) for Grassmannian w, expanded in the T-basis.  The result is
     checked against its characterizing shape: leading coefficient 1 on T_w,
     every other basis element outside the Grassmannian set, all coefficients
     polynomial."""
     out = _class(w, False)
-    lead = out.coefficient(w)
+    lead = out.get(w)
     if lead != RationalFunction.one(w.datum):
         raise ShapeViolationError(f"leading coefficient of {w!r} is {lead!r}, not 1")
-    for x, c in out.terms.items():
+    for x, c in out.items():
         if x != w and is_grassmannian(x):
             raise ShapeViolationError(
                 f"unexpected Grassmannian element {x!r} in the support"
@@ -420,7 +382,7 @@ def k_class(w: AffineWeylElement) -> KElement:
 
 
 @lru_cache(maxsize=None)
-def l_class(w: AffineWeylElement) -> KElement:
+def l_class(w: AffineWeylElement) -> MappingProxyType:
     """kappa(y_w) for Grassmannian w, expanded in the T-basis; equals the sum
     of k_class(v) over Grassmannian v <= w."""
     return _class(w, True)

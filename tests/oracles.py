@@ -1,5 +1,6 @@
 """Test-only helpers, kept out of the library because nothing in it calls
-them: second computations of Weyl-group data, of the b and e rows, of row
+them: the two-basis element type ``KElement`` of the word-product route,
+second computations of Weyl-group data, of the b and e rows, of row
 coset sums, of the closed product formula and its convolution, of the
 T-rows and the k and l classes by the routes the class layer replaced, and
 of the classical constants by the rational solve, which the tests compare
@@ -30,7 +31,7 @@ from kschubert.constants import (
     element_sort_key,
     pontryagin_constants,
 )
-from kschubert.nilhecke import LOC, TBASIS, KElement, b_cosets, e_cosets, e_row, t_row
+from kschubert.nilhecke import b_cosets, b_lift, e_row, t_row, translation_cosets
 from kschubert.ring import (
     GroupAlgebraElement,
     RationalFunction,
@@ -40,7 +41,7 @@ from kschubert.ring import (
     mul_add,
     unpack,
 )
-from kschubert.rootsys import Matrix, Weight, identity_matrix, level_zero_root, matvec
+from kschubert.rootsys import Frozen, Matrix, Weight, identity_matrix, level_zero_root, matvec
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
@@ -58,6 +59,37 @@ from kschubert.weyl import (
     translation,
     weyl_group,
 )
+
+
+LOC = "localization"
+TBASIS = "t"
+
+
+class KElement(Frozen):
+    """An element of the nilHecke ring as a basis-tagged finite sum over
+    affine Weyl elements: the element type of the word-product route, in the
+    localization basis (``LOC``) or the T-basis (``TBASIS``).  Zero
+    coefficients are dropped on construction.  Instances are immutable,
+    terms included, because the route's memos hand the same instance to
+    every caller; equal ones share datum, basis and terms."""
+
+    __slots__ = ("datum", "basis", "terms")
+
+    def __init__(self, datum, basis, terms=None):
+        terms = {x: c for x, c in terms.items() if c} if terms else {}
+        self._fill(datum, basis, MappingProxyType(terms))
+
+    def __eq__(self, other):
+        if other.__class__ is not KElement:
+            return NotImplemented
+        return (self.datum, self.basis, self.terms) == (other.datum, other.basis, other.terms)
+
+    def __repr__(self):
+        basis_symbol = {LOC: "", TBASIS: "T_"}[self.basis]
+        body = " + ".join(
+            f"({c!r})*{basis_symbol}{x!r}" for x, c in sorted(self.terms.items(), key=lambda t: (length(t[0]), repr(t[0])))
+        )
+        return f"KElement[{self.basis}]({body or '0'})"
 
 
 def weyl_act(x, f):
@@ -231,7 +263,8 @@ def reduced_word_by_lengths(x, pick):
 def coset_sums(row):
     """Sum the entries of a full row over the cosets v W, keyed by the
     minimal element of each coset found by descent (``weyl.coset_min``): the
-    reference for ``nilhecke.e_cosets``."""
+    reference for the ``coset_e`` view of ``kschubert ecoeff`` and for
+    ``nilhecke.translation_cosets`` at y = id."""
     out = {}
     for v, c in row.items():
         key = coset_min(v)
@@ -265,7 +298,7 @@ def pontryagin_constants_rf(x, y):
     convolution = translation_convolution_rf(x, y)
     raw: dict[AffineWeylElement, RationalFunction] = {}
     for sigma, p in convolution.items():
-        for z, egae in e_cosets(translation(datum, sigma), identity(datum)).items():
+        for z, egae in translation_cosets(sigma, identity(datum)).items():
             val = p * egae
             raw[z] = raw[z] + val if z in raw else val
     entries = {z: c.to_polynomial() for z, c in raw.items() if c}
@@ -368,6 +401,15 @@ def t_row_by_upper_sums(u):
     return {w: c for w, c in out.items() if c}
 
 
+def projected_row(x, y_side):
+    """kappa(y_x) (``y_side``) or kappa(T_x) in the localization basis,
+    keyed by translations: ``nilhecke.b_lift`` divided per entry into the
+    canonical coefficients that the divided-then-lifted route reads."""
+    datum = x.datum
+    den, nums = b_lift(x, y_side)
+    return KElement(datum, LOC, {translation(datum, mu): RationalFunction(datum, num, den) for mu, num in nums.items()})
+
+
 def t_expansion(a):
     """a, given in the localization basis, expanded in the T-basis: the sum
     of its coefficients, lifted to their lcm, times the T-rows of its group
@@ -382,7 +424,7 @@ def t_expansion(a):
 # The y-expansion kernel as the library ran it before its rows were keyed by
 # codes: one recursion per letter over ``AffineWeylElement`` keys, each step
 # through ``aff_multiply`` and ``length``.  The reference for
-# ``nilhecke.y_expansion`` and ``nilhecke.e_cosets``.
+# ``nilhecke.y_expansion`` and ``nilhecke.translation_cosets``.
 
 
 @lru_cache(maxsize=None)

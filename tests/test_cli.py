@@ -6,14 +6,14 @@ import time
 
 import pytest
 
-from oracles import skewed_diagonal
-from kschubert import cli, constants
+from oracles import coset_sums, e_row_subword, skewed_diagonal
+from kschubert import cli, constants, nilhecke
 from kschubert.cli import main
 from kschubert.constants import SingularSystemError, element_sort_key, pontryagin_constants
 from kschubert.nilhecke import ShapeViolationError
-from kschubert.ring import GroupAlgebraElement, NonPolynomialError
+from kschubert.ring import GroupAlgebraElement, NonPolynomialError, gae_to_json
 from kschubert.rootsys import build_root_system
-from kschubert.weyl import coset_min, length, parse_element, translation
+from kschubert.weyl import affine_ball, coset_min, format_element, length, parse_element, translation
 
 
 def run(capsys, *argv):
@@ -159,6 +159,40 @@ def test_bcoeff_and_ecoeff(capsys):
         assert json.loads(out)["coset_e"] == {"id": e_id, "s1 t[-1]": e_s0}
 
 
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 6), ("A2", 4), ([[2, -2], [-1, 2]], 4), ([[2, -1], [-3, 2]], 4)],
+    ids=["A1", "A2", "B2", "G2"],
+)
+def test_ecoeff_coset_sums_match_the_subword_rows(capsys, spec, max_len):
+    # ecoeff's coset_e, grouped from the e row it prints, against the
+    # subword e row grouped by coset minima, on every element of the ball.
+    datum = build_root_system(spec)
+    flag = ["--type", spec] if isinstance(spec, str) else ["--cartan", json.dumps(spec)]
+    for x in affine_ball(datum, max_len):
+        code, out, _ = run(capsys, "ecoeff", *flag, "--x", format_element(x), "--json")
+        assert code == 0
+        expected = coset_sums(e_row_subword(x))
+        order = sorted(expected, key=element_sort_key)
+        got = list(json.loads(out)["coset_e"].items())
+        assert got == [(format_element(z), gae_to_json(expected[z])) for z in order], x
+
+
+def test_ecoeff_runs_the_e_kernel_once(capsys):
+    # From a cold kernel, ecoeff leaves one e row per prefix of x's reduced
+    # word in the kernel's memo, all started at the identity: the coset sums
+    # are grouped from the printed row, not built from a second start.
+    datum = build_root_system("A2")
+    x = parse_element("s1*s2 t[-2,-2]", datum)
+    nilhecke.e_row.cache_clear()
+    nilhecke._kernel.cache_clear()
+    code, _, _ = run(capsys, "ecoeff", "--type", "A2", "--x", format_element(x), "--json")
+    assert code == 0
+    rows = nilhecke._kernel(datum).rows
+    assert {(start, y_side) for _, start, y_side in rows} == {((0, (0, 0)), True)}
+    assert len(rows) == length(x) + 1 == 7
+
+
 def test_kclass_lclass(capsys):
     code, out, _ = run(capsys, "kclass", "--type", "A1", "--w", "t[-1]", "--json")
     assert code == 0
@@ -177,7 +211,10 @@ def test_verify_exit_codes(capsys):
 
 
 def test_verify_failure_names_the_entry(capsys, monkeypatch):
-    # One atom of the first sl2 product changed from e^{-a1} to e^{-2a1}.
+    # One atom of the first sl2 product changed from e^{-a1} to e^{-2a1};
+    # in one k class, t[1] changed the same way and an entry planted at s1,
+    # which the class does not have.  Product and class records alike name
+    # each differing entry.
     real_load = constants._load_fixture
 
     def corrupted(name):
@@ -185,19 +222,27 @@ def test_verify_failure_names_the_entry(capsys, monkeypatch):
         square = next(i for i in data["identities"] if i["name"] == "square-g1")
         assert square["entries"]["t[-1]"] == [{"e": [-1]}]
         square["entries"]["t[-1]"] = [{"e": [-2]}]
+        kclass = next(i for i in data["identities"] if i["name"] == "kclass-g2")
+        assert kclass["entries"]["t[1]"] == [{"e": [-1]}]
+        kclass["entries"]["t[1]"] = [{"e": [-2]}]
+        kclass["entries"]["s1"] = [{"int": 1}]
         return data
 
     monkeypatch.setattr(constants, "_load_fixture", corrupted)
     code, out, _ = run(capsys, "verify", "--suite", "sl2", "--json")
     assert code == 1
     payload = json.loads(out)
-    assert payload["failed"] == 1
+    assert payload["failed"] == 2
     failing = [r for r in payload["records"] if not r["ok"]]
+    class_detail = "s1: expected 1, got (absent); t[1]: expected e^{-2a1}, got e^{-a1}"
     assert failing == [
-        {"identity": "square-g1", "ok": False, "detail": "t[-1]: expected e^{-2a1}, got e^{-a1}"}
+        {"identity": "square-g1", "ok": False, "detail": "t[-1]: expected e^{-2a1}, got e^{-a1}"},
+        {"identity": "kclass-g2", "ok": False, "detail": class_detail},
     ]
     assert all(r["detail"] == "" for r in payload["records"] if r["ok"])
-    assert len(payload["records"]) == payload["total"] > 1
+    assert len(payload["records"]) == payload["total"] > 2
+    code, out, _ = run(capsys, "verify", "--suite", "sl2")
+    assert f"FAIL kclass-g2  [{class_detail}]" in out.splitlines()
 
 
 def test_conjecture_command(capsys):

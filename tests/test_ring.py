@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 from oracles import (
     TupleGroupAlgebraElement,
     combine_per_entry,
+    coset_sums,
     den_gae,
     matrix_rf_act,
+    projected_row,
     reduce_one_factor_at_a_time,
     rf_act,
     rf_inverse_one_minus_exp,
     tuple_divide_one_minus_exp,
 )
-from kschubert.nilhecke import b_cosets, b_lift, e_cosets, loc_row, t_row
+from kschubert.nilhecke import b_cosets, b_lift, e_row, t_row, translation_cosets
 from kschubert import ring
 from kschubert.ring import (
     COORD_LIMIT,
@@ -28,7 +30,7 @@ from kschubert.ring import (
     unpack,
 )
 from kschubert.rootsys import build_root_system
-from kschubert.weyl import grassmannian_ball, identity, translation, weyl_group
+from kschubert.weyl import grassmannian_ball, weyl_group
 
 G = GroupAlgebraElement
 
@@ -363,7 +365,7 @@ def test_packed_ring_matches_tuple_oracle_on_whole_balls(spec, max_len):
     for x in grassmannian_ball(datum, max_len):
         values.extend(f.num for f in b_cosets(x).values())
         values.extend(lift(datum, b_cosets(x))[1].values())
-        values.extend(e_cosets(x, identity(datum)).values())
+        values.extend(coset_sums(e_row(x)).values())
     one = G.one(datum.rank)
     outcomes = set()
     for g, h in zip(values, values[1:] + values[:1]):
@@ -430,11 +432,11 @@ def test_flat_combine_matches_per_entry_oracle_on_whole_balls(spec, max_len):
     for x in ball:
         for y in ball:
             def rows(mu, y=y):
-                return e_cosets(translation(datum, mu), y)
+                return translation_cosets(mu, y)
 
             assert same_sums(combine(datum, b_lift(x, True), rows), combine_per_entry(datum, b_cosets(x), rows))
         for y_side in (False, True):
-            a = loc_row(x, y_side, True)
+            a = projected_row(x, y_side).terms
             assert same_sums(combine(datum, lift(datum, a), t_row), combine_per_entry(datum, a, t_row))
 
 
@@ -497,7 +499,7 @@ def test_rf_reduction_with_multiplicity_matches_one_factor_oracle(spec, max_len)
     values = {
         tuple(g.sorted_terms()): g
         for x in grassmannian_ball(datum, max_len)
-        for g in e_cosets(x, identity(datum)).values()
+        for g in coset_sums(e_row(x)).values()
     }
     kept = set()
     for g in values.values():
