@@ -158,7 +158,7 @@ def _cmd_element(args) -> int:
 def _cmd_bcoeff(args) -> int:
     datum = _datum(args)
     x = _parse_guarded(args.x, datum, _guard(args, datum))
-    row = _sorted_row(loc_row(x, True))
+    row = _sorted_row(loc_row(x))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "bcoeff",
@@ -437,9 +437,6 @@ def main(argv=None) -> int:
         # caller's mistake.
         _report_error(exc, kind="internal")
         return 3
-    except RecursionError as exc:
-        _report_error(exc, hint="input too long for the engine; lower --max-length")
-        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ idempotents y_i = 1 + T_i.  No whole element is stored.  Every public value
 is a read-only {key: value} map, one per row the engine reads, and the
 memoized ones are the memo values themselves:
 
-* ``loc_row(x, y_side)``: y_x, or T_x, in the localization basis;
+* ``loc_row(x)``: y_x in the localization basis;
 * ``b_lift(x, y_side)``: kappa(y_x), or kappa(T_x), over one denominator,
   and ``b_cosets(x)``, its y side divided per entry;
 * ``e_row(x)`` and ``t_row(u)``: x in the y-basis and u in the T-basis
@@ -24,18 +24,18 @@ The change-of-basis data are the b and e coefficient matrices
     y_w = sum_u b_{w,u} u,        w = sum_u e_{w,u} y_u,
 
 mutually inverse.  Each side has one memoized scatter kernel on codes
-(``weyl.Code``, the tuple (finite index, translation)) that peels the
-smallest left descent i (read off one root, ``WeylGroup.descends``) off
-x = s_i u and makes one pass over the row of u; only the public rows turn
-codes into elements.
+(``weyl.Code``, the tuple (finite index, translation)), a loop over the
+steps of ``WeylGroup.walk``, which peels the smallest left descent i off
+x = s_i u down to a memoized prefix; a step makes one pass over the row of
+u.  Only the public rows turn codes into elements.
 
-b side: the kernel ``_loc_row`` builds y_x, or T_x, in the localization
-basis; the y-row is the b-row of x, which ``loc_row`` divides and
-``bcoeff`` prints.  Projected, it builds the image under kappa onto
-translations (t_lam w -> t_lam for finite w) on translations alone, up to
-|W| times shorter; ``b_lift`` reads that.  The b entries are the only
-rational data, and the kernel (a loop) never divides: a row is packed
-numerators N_u over one running denominator D.  Write
+b side: the kernel ``_loc_row`` builds y_x in the localization basis, the
+b-row of x, which ``loc_row`` divides and ``bcoeff`` prints.  Projected,
+it builds the image under kappa of y_x or T_x onto translations
+(t_lam w -> t_lam for finite w) on translations alone, up to |W| times
+shorter; ``b_lift`` reads that.  The b entries are the only rational
+data, and the kernel never divides: a row is packed numerators N_u over
+one running denominator D.  Write
 1/(1 - e^{alpha_i}) = n_i/(1 - e^{beta_i}), beta_i = +-alpha_i positive,
 and s_i(D) = eps D' with eps a signed monomial (``WeylAction.roots``).  A
 step takes D to (1 - e^{beta_i}) lcm(D, D') and sends N u to
@@ -54,12 +54,14 @@ per coset, at the coset maximum v, which ``translation_cosets(mu, y)``
 keys by the coset minimum v w0 for x = t_mu.  The product reads only these
 rows: s_i y_{w0} = y_{w0} for finite s_i, so kappa(y_y) y_{w0} =
 y_y y_{w0}, and the rows of t_mu y_y y_{w0} carry the whole y-side sum of
-the formula.  e entries are polynomial, scattered into raw packed dicts,
-and kept in the frame of x: entry v is w^{-1}(c_{x,v}), w the finite part
-of x, so a step copies entries instead of applying s_i, and e^{alpha_i}
-becomes a shift by w^{-1}(alpha_i).  A public row moves back once per
-entry; the rows of translations need no move.  The T side moves the
-diagonal factor e^{alpha_i} of a step from the ascents to the descents.
+the formula.  e entries are polynomial, kept as plain packed dicts under
+one coordinate bound per row (max|gamma| more per letter), in the frame of
+x: entry v is w^{-1}(c_{x,v}), w the finite part of x, so a step copies
+entries instead of applying s_i, and e^{alpha_i} becomes a shift by
+gamma = w^{-1}(alpha_i).  A public row wraps its entries and moves them
+back; the rows of translations need no move.  The T side moves the diagonal
+factor e^{alpha_i} of a step from the ascents to the descents.  A walk of
+more than ``WALK_LIMIT`` letters is refused before any row is built.
 
 The subword sums, the word products and the two-basis elements that the
 tests compare both kernels against live in ``tests/oracles.py``.
@@ -71,13 +73,12 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from kschubert.ring import (
-    COORD_LIMIT,
     GroupAlgebraElement,
     RationalFunction,
     _den_complement,
+    _in_range,
     combine,
     divide_jointly,
-    exact_product_bound,
     mul_add,
 )
 from kschubert.rootsys import CartanDatum, Coroot, level_zero_root, matvec
@@ -95,16 +96,24 @@ class ShapeViolationError(AssertionError):
     """A projected ideal-sheaf class fails its characterizing shape."""
 
 
+WALK_LIMIT = 1000  # letters the e kernel peels in one walk
+
+
+class WalkLimitError(ValueError):
+    """An e row whose walk down to a known row is longer than WALK_LIMIT."""
+
+
 class _Kernel:
     """Per-datum state of both kernels, built on first use: the group (whose
-    ``left`` steps codes and whose ``left_roots`` give descents and e
-    shifts), the b-side data of each letter i (the action of s_i's finite
-    part, beta_i, n_i and the T- and y-side stay factors), the memos of e
-    and T rows (``rows``, keyed by (x code, start code, y_side)), of
-    translation coset rows (``cosets``, keyed by (mu, y code)) and of b
-    prefixes (``loc``, keyed by (x code, y_side, cosets)), and the element
-    of each code (``elements``) and each coset maximum's minimum
-    (``minima``) that a public row returns."""
+    ``walk`` and ``left`` step codes and whose ``left_roots`` give descents
+    and e shifts), the b-side data of each letter i (the action of s_i's
+    finite part, beta_i, n_i and the T- and y-side stay factors), the memos
+    of e and T rows (``rows``, (packed row, bound) keyed by (x code, start
+    code, y_side)), of translation coset rows (``cosets``, keyed by (mu, y
+    code)) and of b prefixes (``loc``, keyed by (x code, y_side, cosets),
+    from the base rows of the full y side and both projected sides), and
+    the element of each code (``elements``) and each coset maximum's
+    minimum (``minima``) that a public row returns."""
 
     __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "cosets", "loc", "elements", "minima")
 
@@ -123,10 +132,10 @@ class _Kernel:
         self.letters = tuple(letters)
         self.one = (0, (0,) * datum.rank)
         self.w0 = group.longest
-        self.rows: dict[tuple[Code, Code, bool], dict[Code, GroupAlgebraElement]] = {}
+        self.rows: dict[tuple[Code, Code, bool], tuple[dict[Code, dict[int, int]], int]] = {}
         self.cosets: dict[tuple[Code, Code], MappingProxyType] = {}
         base = GroupAlgebraElement.one(datum.rank)
-        bases = ((y, c, self.one[1] if c else self.one) for y in (False, True) for c in (False, True))
+        bases = ((True, False, self.one), (True, True, self.one[1]), (False, True, self.one[1]))
         self.loc: dict[tuple[Code, bool, bool], tuple[dict, dict]] = {(self.one, y, c): ({}, {k: base}) for y, c, k in bases}
         self.elements: dict[Code, AffineWeylElement] = {}
         self.minima: dict[Code, AffineWeylElement] = {}
@@ -154,16 +163,13 @@ def _loc_row(kernel: _Kernel, x: Code, y_side: bool, cosets: bool) -> tuple[dict
     under kappa keyed by translations, which ``b_lift`` reads: D (root ->
     multiplicity) and key -> N_u, entry u being N_u / D.
     kappa(s_i t_lam w) = kappa(s_i t_lam) for finite w, so a projected row
-    keys s_i t_lam by the translation in its coset.  Walks the left-descent
-    chain of x down to the first memoized prefix, then builds upward in a
-    loop, memoizing every prefix."""
-    group, memo, rank, chain = kernel.group, kernel.loc, kernel.datum.rank, []
-    while (x, y_side, cosets) not in memo:
-        i = group.code_descent(x)
-        chain.append((i, x))
-        x = group.left_code(i, x)
+    keys s_i t_lam by the translation in its coset.  Walks down to the first
+    memoized prefix (``WeylGroup.walk``), then builds upward in a loop,
+    memoizing every prefix."""
+    group, memo, rank = kernel.group, kernel.loc, kernel.datum.rank
+    x, steps = group.walk(x, lambda u: (u, y_side, cosets) in memo)
     den, nums = memo[x, y_side, cosets]
-    for i, x in reversed(chain):
+    for i, x in steps:
         action, beta, n, stays = kernel.letters[i]
         image, moved = {}, n  # s_i(D) = eps D'; eps^{-1} joins the moved factor
         for root, mult in den.items():
@@ -187,73 +193,59 @@ def _loc_row(kernel: _Kernel, x: Code, y_side: bool, cosets: bool) -> tuple[dict
 
 
 @lru_cache(maxsize=None)
-def loc_row(x: AffineWeylElement, y_side: bool) -> MappingProxyType:
-    """y_x (``y_side``) or T_x in the localization basis, read-only.  From
+def loc_row(x: AffineWeylElement) -> MappingProxyType:
+    """y_x in the localization basis, the b-row of x, read-only.  From
     {id: 1}, peeling the smallest left descent i off x = s_i u:
-    y_i = c0 + c1 s_i and T_i = -c1 + c1 s_i with c1 = 1/(1 - e^{alpha_i}),
-    c0 = -e^{alpha_i} c1, so p u |-> c0 p u (or -c1 p u) + c1 s_i(p) s_i u.
-    ``_loc_row`` keeps the row over a running denominator (module notes);
-    it is divided once, through ``combine``."""
+    y_i = c0 + c1 s_i with c1 = 1/(1 - e^{alpha_i}), c0 = -e^{alpha_i} c1,
+    so p u |-> c0 p u + c1 s_i(p) s_i u.  ``_loc_row`` keeps the row over a
+    running denominator (module notes); it is divided once, through
+    ``combine``."""
     kernel = _kernel(x.datum)
-    den, nums = _loc_row(kernel, (x.index, x.trans), y_side, False)
+    den, nums = _loc_row(kernel, (x.index, x.trans), True, False)
     one = {0: GroupAlgebraElement.one(x.datum.rank)}
     rows = combine(x.datum, (tuple(sorted(den.items())), one), lambda _: nums).items()
     return MappingProxyType({kernel.element(u): f for u, f in rows})
 
 
-def _y_row(kernel: _Kernel, x: Code, start: Code, y_side: bool) -> dict:
+def _y_row(kernel: _Kernel, x: Code, start: Code, y_side: bool) -> tuple[dict, int]:
     """The y-basis (``y_side``) or T-basis coefficients of x . y_start, or
-    x . T_start, on codes in the frame of x (module notes), memoized in
-    ``kernel.rows``; one frame per letter of x."""
-    key = (x, start, y_side)
-    row = kernel.rows.get(key)
-    if row is not None:
-        return row
-    group = kernel.group
-    if x == kernel.one:
-        row = kernel.rows[key] = {start: GroupAlgebraElement.one(kernel.datum.rank)}
-        return row
-    i = group.code_descent(x)
-    # x = s_i u has finite part s_i w_u: s_i(c) in the frame of u is c in the
-    # frame of x, and e^{alpha_i} is e^gamma, gamma = w_x^{-1}(alpha_i).
-    gamma, _, step = group.left_roots[i][x[0]]
-    reach, left_code, descends = max(map(abs, gamma)), group.left_code, group.descends
-    # Raw packed terms per entry, wrapped once at the end under one bound.
-    out: dict[Code, dict[int, int]] = {}
-    bound = 0
-    # One pass over the row of u, scattering c_{u,v} to the entries that read it.
-    for v, c in _y_row(kernel, left_code(i, x), start, y_side).items():
-        terms = c.terms
-        ascent = not descends(i, v)
-        if ascent or not y_side:
-            shifted = reach + c.bound
-            if shifted > COORD_LIMIT:
-                shifted = exact_product_bound(GroupAlgebraElement.monomial(gamma), c)
-            bound = max(bound, shifted)
-        else:
-            bound = max(bound, c.bound)
-        if ascent:
-            # The diagonal, e^gamma c (y side) or c (T side), at v, which no
-            # other entry writes to, and (1 - e^gamma) c at s_i v.
-            out[v] = {k + step: a for k, a in terms.items()} if y_side else dict(terms)
-            acc = out.setdefault(left_code(i, v), {})
-            get = acc.get
-            for k, a in terms.items():
-                acc[k] = get(k, 0) + a
-                acc[k + step] = get(k + step, 0) - a
-        else:
-            # The diagonal at a descent: c (y side), or e^gamma c (T side).
-            acc = out.setdefault(v, {})
-            get = acc.get
-            for k, a in terms.items() if y_side else ((k + step, a) for k, a in terms.items()):
-                acc[k] = get(k, 0) + a
-    row = kernel.rows[key] = {}
-    rank = kernel.datum.rank
-    for v, acc in out.items():
-        terms = {k: a for k, a in acc.items() if a}
-        if terms:
-            row[v] = GroupAlgebraElement.from_packed(rank, terms, bound)
-    return row
+    x . T_start, in the frame of x (module notes): code -> {packed key:
+    coefficient}, and the row's bound.  Walks down to a memoized prefix or
+    to the identity, whose row is {start: 1}, refuses a walk of more than
+    ``WALK_LIMIT`` letters, then builds upward, memoizing every prefix."""
+    rows, group, one = kernel.rows, kernel.group, kernel.one
+    u, steps = group.walk(x, lambda u: u == one or (u, start, y_side) in rows, WALK_LIMIT + 1)
+    if len(steps) > WALK_LIMIT:
+        length = group.code_length(x)
+        raise WalkLimitError(f"the e kernel walks at most {WALK_LIMIT} letters, and x of length {length} needs more")
+    row, bound = rows.setdefault((u, start, y_side), ({start: {0: 1}}, 0))
+    left_code, descends = group.left_code, group.descends
+    for i, x in steps:
+        # x = s_i u has finite part s_i w_u: s_i(c) in the frame of u is c in
+        # the frame of x, and e^{alpha_i} is e^gamma, gamma = w_x^{-1}(alpha_i).
+        gamma, _, step = group.left_roots[i][x[0]]
+        bound = _in_range(bound + max(map(abs, gamma)))
+        out: dict[Code, dict[int, int]] = {}
+        # One pass over the row of u, scattering c_{u,v} to the entries that read it.
+        for v, terms in row.items():
+            if not descends(i, v):
+                # The diagonal, e^gamma c (y side) or c (T side), at v, which
+                # no other entry writes to, and (1 - e^gamma) c at s_i v.
+                out[v] = {k + step: a for k, a in terms.items()} if y_side else terms
+                acc = out.setdefault(left_code(i, v), {})
+                get = acc.get
+                for k, a in terms.items():
+                    acc[k] = get(k, 0) + a
+                    acc[k + step] = get(k + step, 0) - a
+            else:
+                # The diagonal at a descent: c (y side), or e^gamma c (T side).
+                acc = out.setdefault(v, {})
+                get = acc.get
+                for k, a in terms.items() if y_side else ((k + step, a) for k, a in terms.items()):
+                    acc[k] = get(k, 0) + a
+        row = {v: terms for v, acc in out.items() if (terms := {k: a for k, a in acc.items() if a})}
+        rows[x, start, y_side] = (row, bound)
+    return row, bound
 
 
 def y_expansion(x: AffineWeylElement, y_side: bool) -> MappingProxyType:
@@ -273,9 +265,10 @@ def y_expansion(x: AffineWeylElement, y_side: bool) -> MappingProxyType:
     kernel is ``_y_row``, which ``translation_cosets`` starts at a coset
     maximum instead."""
     kernel = _kernel(x.datum)
-    action = kernel.group.action[x.index]
-    row = _y_row(kernel, (x.index, x.trans), kernel.one, y_side)
-    return MappingProxyType({kernel.element(v): c.act(action) if x.index else c for v, c in row.items()})
+    action, rank = kernel.group.action[x.index], x.datum.rank
+    row, bound = _y_row(kernel, (x.index, x.trans), kernel.one, y_side)
+    out = {kernel.element(v): GroupAlgebraElement.from_packed(rank, t, bound) for v, t in row.items()}
+    return MappingProxyType({v: c.act(action) for v, c in out.items()} if x.index else out)
 
 
 @lru_cache(maxsize=None)
@@ -338,12 +331,13 @@ def translation_cosets(mu: Coroot, y: AffineWeylElement) -> MappingProxyType:
     if row is None:
         if not is_grassmannian(y):
             raise ValueError(f"{y!r} is not an affine Grassmannian element")
-        minima, out = kernel.minima, {}
-        for v, c in _y_row(kernel, (0, mu), kernel.times_w0(key[1]), True).items():
+        minima, out, rank = kernel.minima, {}, y.datum.rank
+        row, bound = _y_row(kernel, (0, mu), kernel.times_w0(key[1]), True)
+        for v, terms in row.items():
             z = minima.get(v)
             if z is None:
                 z = minima[v] = kernel.element(kernel.times_w0(v))
-            out[z] = c
+            out[z] = GroupAlgebraElement.from_packed(rank, terms, bound)
         row = kernel.cosets[key] = MappingProxyType(out)
     return row
 

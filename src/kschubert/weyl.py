@@ -27,8 +27,10 @@ Every walk over elements steps codes, the tuples (finite index,
 translation), and builds an ``AffineWeylElement`` only for what it hands
 out.  ``WeylGroup.left`` is left multiplication by each affine generator on
 codes, and ``WeylGroup.left_roots`` decides a left descent by one root
-(``descends``), with no length; a right descent of x is a left descent of
-x^{-1} (``inverse_code``).  ``code_length`` is the one length memo.
+(``descends``), with no length; ``walk`` peels the smallest one off x, for
+``reduced_word`` and both nilHecke kernels.  A right descent of x is a left
+descent of x^{-1} (``inverse_code``).  ``code_length`` is the one length
+memo.
 """
 
 from __future__ import annotations
@@ -240,6 +242,18 @@ class WeylGroup:
         """The smallest i with l(s_i x) < l(x); x must not be the identity."""
         return next(i for i in range(self.datum.rank + 1) if self.descends(i, code))
 
+    def walk(self, code: Code, stop, limit: int | None = None) -> tuple[Code, list[tuple[int, Code]]]:
+        """Peels the smallest left descent i off x = s_i u until ``stop``
+        accepts the code reached, or ``limit`` letters are peeled; returns
+        that code and the steps (i, s_i u) back up to x."""
+        steps: list[tuple[int, Code]] = []
+        while len(steps) != limit and not stop(code):
+            i = self.code_descent(code)
+            steps.append((i, code))
+            code = self.left_code(i, code)
+        steps.reverse()
+        return code, steps
+
     def inverse_code(self, code: Code) -> Code:
         """(w t_lam)^{-1} = w^{-1} t_{-w(lam)}."""
         k, lam = code
@@ -360,16 +374,10 @@ def length(x: AffineWeylElement) -> int:
 
 @lru_cache(maxsize=None)
 def reduced_word(x: AffineWeylElement) -> ReducedWord:
-    """Greedy left-descent peeling on codes with smallest-index tie break;
-    the result is deterministic and evaluating it reproduces x."""
-    group, one = weyl_group(x.datum), (0, (0,) * x.datum.rank)
-    word: list[int] = []
-    code = (x.index, x.trans)
-    while code != one:
-        i = group.code_descent(code)
-        word.append(i)
-        code = group.left_code(i, code)
-    return tuple(word)
+    """The letters that ``WeylGroup.walk`` peels off x down to the identity,
+    smallest index first: deterministic, and evaluating it reproduces x."""
+    _, steps = weyl_group(x.datum).walk((x.index, x.trans), (0, (0,) * x.datum.rank).__eq__)
+    return tuple(i for i, _ in reversed(steps))
 
 
 @lru_cache(maxsize=None)

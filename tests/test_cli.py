@@ -334,12 +334,16 @@ def test_negative_guard_rejected(capsys, argv):
 
 
 def test_recursion_depth_exit_2(capsys):
-    # Past the interpreter's recursion limit the y-expansion kernel cannot
-    # run; that is a usage limit, reported like one, not a mismatch.
+    # The e kernel walks at most WALK_LIMIT letters, and t[-700] has length
+    # 1400: a usage limit, refused before any row is built and reported like
+    # one, not a mismatch.
     code, out, err = run(capsys, "ecoeff", "--type", "A1", "--x", "t[-700]", "--max-length", "2000")
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
-    assert error["type"] == "RecursionError" and "--max-length" in error["hint"]
+    assert error == {
+        "type": "WalkLimitError",
+        "message": "the e kernel walks at most 1000 letters, and x of length 1400 needs more",
+    }
 
 
 @pytest.mark.parametrize(

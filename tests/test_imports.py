@@ -44,13 +44,21 @@ def test_checker_flags_unused_names():
     assert unused_imports(source) == ["os", "d"]
 
 
-def test_no_unused_imports_in_library():
-    found = {
+def unused_in(directory: Path) -> dict[str, list[str]]:
+    """``unused_imports`` of every module in ``directory``, by file name."""
+    return {
         path.name: names
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
         if (names := unused_imports(path.read_text()))
     }
-    assert found == {}
+
+
+def test_no_unused_imports_in_library():
+    assert unused_in(SRC) == {}
+
+
+def test_no_unused_imports_in_tests():
+    assert unused_in(Path(__file__).parent) == {}
 
 
 # Functions that only code outside the library reads: the independent

@@ -1,6 +1,5 @@
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +17,6 @@ from oracles import (
     coset_sums,
     demazure_product,
     e_row_subword,
-    evaluate_word,
     k_mul,
     kappa,
     kel_add,
@@ -40,10 +38,9 @@ from oracles import (
 import kschubert
 from kschubert import nilhecke
 from kschubert.constants import _finite_localization_row
-from kschubert.ring import GroupAlgebraElement, RationalFunction, lift, rf_to_json
+from kschubert.ring import GroupAlgebraElement, RationalFunction, gae_to_json, lift, rf_to_json
 from kschubert.rootsys import build_root_system, level_zero_root
 from kschubert.nilhecke import (
-    ShapeViolationError,
     b_cosets,
     b_lift,
     e_row,
@@ -60,6 +57,7 @@ from kschubert.weyl import (
     aff_multiply,
     coset_min,
     finite_element,
+    format_element,
     grassmannian_ball,
     identity,
     is_grassmannian,
@@ -116,7 +114,7 @@ def test_t1_coefficient_of_identity(a1):
 
 def test_y_s0_expansion(a1):
     alpha = a1.positive_roots[0]
-    row = loc_row(affine_simple(a1, 0), True)
+    row = loc_row(affine_simple(a1, 0))
     inv = rf_inverse_one_minus_exp(a1, alpha)
     assert row[identity(a1)] == inv
     assert row[affine_simple(a1, 0)] == inv * G.monomial(alpha, -1)
@@ -163,7 +161,7 @@ def test_translations_multiply_in_loc(a2):
 def test_b_row_s0(a1):
     alpha = a1.positive_roots[0]
     s0 = affine_simple(a1, 0)
-    row = loc_row(s0, True)
+    row = loc_row(s0)
     inv = rf_inverse_one_minus_exp(a1, alpha)
     assert row[identity(a1)] == inv
     assert row[s0] == inv * G.monomial(alpha, -1)
@@ -172,7 +170,7 @@ def test_b_row_s0(a1):
 
 
 def test_b_row_identity(a1):
-    assert loc_row(identity(a1), True) == {identity(a1): RationalFunction.one(a1)}
+    assert loc_row(identity(a1)) == {identity(a1): RationalFunction.one(a1)}
 
 
 def test_e_row_identity_and_s0(a1):
@@ -193,7 +191,7 @@ def test_e_row_coset_value_from_square(a1):
 def test_b_row_supported_on_lower_interval(a2):
     for x in affine_ball(a2, 4):
         interval = lower_interval(x)
-        assert set(loc_row(x, True)) <= set(interval)
+        assert set(loc_row(x)) <= set(interval)
         assert set(e_row(x)) <= set(interval)
 
 
@@ -240,7 +238,7 @@ def test_coded_kernel_matches_the_element_kernel(spec, max_len):
 )
 def test_subword_oracles_agree(spec, max_len):
     for x in affine_ball(build_root_system(spec), max_len):
-        assert b_row_subword(x) == loc_row(x, True)
+        assert b_row_subword(x) == loc_row(x)
         assert e_row_subword(x) == e_row(x)
 
 
@@ -255,8 +253,7 @@ def test_loc_rows_match_the_full_row_route(spec, max_len):
     # and projects the finished row with kappa.
     for x in affine_ball(build_root_system(spec), max_len):
         full_y, full_t = y_in_loc(x), t_in_loc(x)
-        assert loc_row(x, True) == full_y.terms == b_row_subword(x), x
-        assert loc_row(x, False) == full_t.terms, x
+        assert loc_row(x) == full_y.terms == b_row_subword(x), x
         assert b_cosets(x) == {t.trans: c for t, c in kappa(full_y).terms.items()}, x
         assert projected_row(x, False) == kappa(full_t), x
 
@@ -365,9 +362,29 @@ def test_b_rows_from_cold_take_no_rational_arithmetic(monkeypatch, a2):
 
     monkeypatch.setattr(nilhecke, "mul_add", counting)
     assert [b_cosets(x) for x in xs] == warm
-    prefixes = len(nilhecke._kernel(a2).loc) - 4  # the four base rows
+    prefixes = len(nilhecke._kernel(a2).loc) - 3  # the three base rows
     assert (len(xs), len(rational), len(divisions)) == (16, 0, 16)
     assert (prefixes, sum(products)) == (15, 864)
+
+
+def shallow_child(imports: str, read: str):
+    """The JSON that a fresh process prints for the expression ``read``,
+    evaluated at x = t[-60] in A1 under a recursion limit of 100."""
+    script = (
+        f"import json, sys\n{imports}\n"
+        "from kschubert.rootsys import build_root_system\n"
+        "from kschubert.weyl import translation\n"
+        "x = translation(build_root_system('A1'), (-60,))\n"
+        "sys.setrecursionlimit(100)\n"
+        f"print(json.dumps({read}))\n"
+    )
+    src = str(Path(kschubert.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def test_b_kernel_takes_no_stack_frame_per_letter(a1):
@@ -376,24 +393,63 @@ def test_b_kernel_takes_no_stack_frame_per_letter(a1):
     # length 120, the same as this one.
     x = translation(a1, (-60,))
     assert length(x) == 120
-    script = (
-        "import json, sys\n"
-        "from kschubert.nilhecke import b_cosets\n"
-        "from kschubert.ring import rf_to_json\n"
-        "from kschubert.rootsys import build_root_system\n"
-        "from kschubert.weyl import translation\n"
-        "x = translation(build_root_system('A1'), (-60,))\n"
-        "sys.setrecursionlimit(100)\n"
-        "print(json.dumps([[list(mu), rf_to_json(f)] for mu, f in b_cosets(x).items()]))\n"
+    got = shallow_child(
+        "from kschubert.nilhecke import b_cosets\nfrom kschubert.ring import rf_to_json",
+        "[[list(mu), rf_to_json(f)] for mu, f in b_cosets(x).items()]",
     )
-    src = str(Path(kschubert.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+    assert got == [[list(mu), rf_to_json(f)] for mu, f in b_cosets(x).items()]
+
+
+def test_e_kernel_takes_no_stack_frame_per_letter(a1):
+    # The e kernel walks the word in a loop too: under a recursion limit of
+    # 100, a fresh process still gets the e row, the T-row and the coset row
+    # from the identity of an A1 translation of length 120, the same as this
+    # one.
+    x = translation(a1, (-60,))
+    assert length(x) == 120
+    got = shallow_child(
+        "from kschubert.nilhecke import e_row, t_row, translation_cosets\n"
+        "from kschubert.ring import gae_to_json\n"
+        "from kschubert.weyl import format_element, identity",
+        "[{format_element(v): gae_to_json(c) for v, c in row.items()}"
+        " for row in (e_row(x), t_row(x), translation_cosets(x.trans, identity(x.datum)))]",
     )
-    assert done.returncode == 0, done.stderr
-    expected = [[list(mu), rf_to_json(f)] for mu, f in b_cosets(x).items()]
-    assert json.loads(done.stdout) == expected
+    rows = (e_row(x), t_row(x), translation_cosets(x.trans, identity(a1)))
+    assert got == [{format_element(v): gae_to_json(c) for v, c in row.items()} for row in rows]
+    assert all(got)
+
+
+def test_e_kernel_refuses_a_walk_over_the_limit(monkeypatch, a1):
+    # A walk one letter longer than WALK_LIMIT down to a known row is refused
+    # before any row is built; one of WALK_LIMIT letters is not.  From a cold
+    # kernel the e row of s1 t[500] (length 1001) walks to the identity; the
+    # coset row of t[-501] (length 1002) walks to the memoized row of s0
+    # from the same start, the last letter of its word.
+    assert nilhecke.WALK_LIMIT == 1000
+    nilhecke._kernel.cache_clear()
+    kernel = nilhecke._kernel(a1)
+    x = el(a1, "s1 t[500]")
+    assert length(x) == 1001
+    with pytest.raises(nilhecke.WalkLimitError, match="length 1001"):
+        e_row(x)
+    assert kernel.rows == {}
+    mu, start = (-501,), kernel.times_w0(kernel.one)
+    _, steps = kernel.group.walk((0, mu), kernel.one.__eq__)
+    assert len(steps) == 1002 and steps[0][0] == 0
+    nilhecke._y_row(kernel, steps[0][1], start, True)
+    warm = dict(kernel.rows)
+    assert len(warm) == 2
+    with pytest.raises(nilhecke.WalkLimitError, match="length 1002"):
+        translation_cosets(mu, identity(a1))
+    assert kernel.rows == warm and kernel.cosets == {}
+    # The same boundary under a small limit: a walk of 4 letters builds.
+    monkeypatch.setattr(nilhecke, "WALK_LIMIT", 4)
+    nilhecke._kernel.cache_clear()
+    with pytest.raises(nilhecke.WalkLimitError):
+        y_expansion(el(a1, "s1 t[2]"), True)
+    assert nilhecke._kernel(a1).rows == {}
+    assert y_expansion(el(a1, "t[-2]"), True) == e_row_subword(el(a1, "t[-2]"))
+    assert len(nilhecke._kernel(a1).rows) == 5
 
 
 @pytest.mark.parametrize("fixture_name,max_len", [("a1", 5), ("a2", 4)])
@@ -401,14 +457,14 @@ def test_rows_independent_of_reduced_word(request, fixture_name, max_len):
     datum = request.getfixturevalue(fixture_name)
     for x in affine_ball(datum, max_len):
         other = reduced_word_by_lengths(x, max)
-        assert b_row_subword(x, other) == loc_row(x, True)
+        assert b_row_subword(x, other) == loc_row(x)
         assert e_row_subword(x, other) == e_row(x)
 
 
 def test_matrix_inverse_identity_small(a1):
     ball = affine_ball(a1, 4)
     for x in ball:
-        row = loc_row(x, True)
+        row = loc_row(x)
         for z in ball:
             total = RationalFunction.zero(a1)
             for v, b in row.items():
@@ -509,8 +565,7 @@ def test_memoized_rows_are_read_only(a1):
         (b_cosets, x, (1,)),
         (lambda u: b_lift(u, True)[1], x, (1,)),
         (lambda w: b_lift(w, False)[1], g, (-1,)),
-        (lambda u: loc_row(u, True), x, one),
-        (lambda u: loc_row(u, False), x, one),
+        (loc_row, x, one),
         (k_class, g, g),
         (l_class, g, g),
         (t_row, x, one),
