@@ -9,6 +9,11 @@ identities matched for verify/conjecture), 1 any mismatch, 2 usage error,
 singular triangular solve or a class of the wrong shape).  Errors are
 emitted as a structured JSON object on stderr; internal errors carry
 "kind": "internal".
+
+Each handler returns (exit code, fields, human lines) and prints nothing;
+``main`` puts schema_version and command in front of the fields and prints
+the JSON under --json, the lines otherwise (``constant`` has no lines, so
+it prints its JSON in both modes).
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import json
 import sys
 
 from kschubert.constants import (
-    ConjectureReport,
     SingularSystemError,
     classical_quantum_data,
     conjecture_check,
@@ -67,13 +71,15 @@ class UsageError(ValueError):
 
 
 def _datum(args):
+    if args.type is not None and args.cartan is not None:
+        raise UsageError("give --type or --cartan, not both")
     if args.cartan:
         try:
             matrix = json.loads(args.cartan)
         except json.JSONDecodeError as exc:
             raise UsageError(f"--cartan is not valid JSON: {exc}")
         return build_root_system(matrix)
-    return build_root_system(args.type)
+    return build_root_system(args.type or "A1")
 
 
 def _guard(args, datum) -> int:
@@ -84,21 +90,21 @@ def _guard(args, datum) -> int:
     return _DEFAULT_GUARD.get(datum.label, 6)
 
 
-def _parse_guarded(text, datum, guard):
-    x = parse_element(text, datum)
-    if length(x) > guard:
-        raise UsageError(
-            f"element {format_element(x)!r} has length {length(x)} > guard "
-            f"{guard}; raise --max-length to proceed"
-        )
-    return x
-
-
-def _emit(payload: dict, args, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(human)
+def _inputs(args, *names) -> tuple:
+    """The datum and the elements ``args.x``, ``args.y`` or ``args.w`` that
+    ``names`` asks for, each refused above the length guard."""
+    datum = _datum(args)
+    guard = _guard(args, datum)
+    elements = []
+    for name in names:
+        x = parse_element(getattr(args, name), datum)
+        if length(x) > guard:
+            raise UsageError(
+                f"element {format_element(x)!r} has length {length(x)} > guard "
+                f"{guard}; raise --max-length to proceed"
+            )
+        elements.append(x)
+    return (datum, *elements)
 
 
 def _sorted_row(row) -> dict:
@@ -107,11 +113,9 @@ def _sorted_row(row) -> dict:
     return {format_element(x): row[x] for x in sorted(row, key=element_sort_key)}
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args):
     datum = _datum(args)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "roots",
+    fields = {
         "label": datum.label,
         "rank": datum.rank,
         "cartan_matrix": [list(r) for r in datum.cartan],
@@ -127,18 +131,14 @@ def _cmd_roots(args) -> int:
         + ", ".join(str(r) for r in datum.positive_roots),
         f"highest root {datum.highest_root}, highest coroot {datum.highest_coroot}",
     ]
-    _emit(payload, args, "\n".join(lines))
-    return 0
+    return 0, fields, lines
 
 
-def _cmd_element(args) -> int:
-    datum = _datum(args)
-    x = parse_element(args.element, datum)
+def _cmd_element(args):
+    x = parse_element(args.element, _datum(args))
     if length(x) > _ELEMENT_MAX_LENGTH:
         raise UsageError(f"element {format_element(x)!r} has length {length(x)} > {_ELEMENT_MAX_LENGTH}")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "element",
+    fields = {
         "element": format_element(x),
         "length": length(x),
         "reduced_word": list(reduced_word(x)),
@@ -146,22 +146,18 @@ def _cmd_element(args) -> int:
         "coset_min": format_element(coset_min(x)),
         "translation": list(x.trans),
     }
-    human = (
-        f"{format_element(x)}: length {length(x)}, reduced word "
-        f"{list(reduced_word(x))}, grassmannian={is_grassmannian(x)}, "
-        f"coset min {format_element(coset_min(x))}"
+    line = (
+        f"{fields['element']}: length {fields['length']}, reduced word "
+        f"{fields['reduced_word']}, grassmannian={fields['is_grassmannian']}, "
+        f"coset min {fields['coset_min']}"
     )
-    _emit(payload, args, human)
-    return 0
+    return 0, fields, [line]
 
 
-def _cmd_bcoeff(args) -> int:
-    datum = _datum(args)
-    x = _parse_guarded(args.x, datum, _guard(args, datum))
+def _cmd_bcoeff(args):
+    _, x = _inputs(args, "x")
     row = _sorted_row(loc_row(x))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bcoeff",
+    fields = {
         "element": format_element(x),
         "b_row": {v: rf_to_json(c) for v, c in row.items()},
         "coset_b": {
@@ -171,113 +167,73 @@ def _cmd_bcoeff(args) -> int:
     }
     lines = [f"b-coefficients of {format_element(x)}:"]
     lines += [f"  {v}: {format_rf(c, args.root_exponents)}" for v, c in row.items()]
-    _emit(payload, args, "\n".join(lines))
-    return 0
+    return 0, fields, lines
 
 
-def _cmd_ecoeff(args) -> int:
-    datum = _datum(args)
-    x = _parse_guarded(args.x, datum, _guard(args, datum))
+def _cmd_ecoeff(args):
+    datum, x = _inputs(args, "x")
     row, sums = e_row(x), {}
     for v, c in row.items():  # the coset sums e_{x,[z]}, grouped from the row
         z = coset_min(v)
         sums[z] = sums[z] + c if z in sums else c
     row, coset_e = _sorted_row(row), _sorted_row({z: c for z, c in sums.items() if c})
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "ecoeff",
+    fields = {
         "element": format_element(x),
         "e_row": {v: gae_to_json(c) for v, c in row.items()},
         "coset_e": {v: gae_to_json(c) for v, c in coset_e.items()},
     }
     lines = [f"e-coefficients of {format_element(x)}:"]
     lines += [f"  {v}: {format_gae(c, datum, args.root_exponents)}" for v, c in row.items()]
-    _emit(payload, args, "\n".join(lines))
-    return 0
+    return 0, fields, lines
 
 
-def _cmd_class(args) -> int:
-    kind = args.command
-    datum = _datum(args)
-    w = _parse_guarded(args.w, datum, _guard(args, datum))
+def _cmd_class(args):
+    _, w = _inputs(args, "w")
     if not is_grassmannian(w):
         raise UsageError(f"{format_element(w)} is not an affine Grassmannian element")
-    row = _sorted_row((k_class if kind == "kclass" else l_class)(w))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": kind,
+    row = _sorted_row((k_class if args.command == "kclass" else l_class)(w))
+    fields = {
         "element": format_element(w),
         "basis": "t",
         "coefficients": {v: rf_to_json(c) for v, c in row.items()},
     }
-    symbol = "k" if kind == "kclass" else "l"
-    lines = [f"{symbol}_{{{format_element(w)}}} in the T-basis:"]
+    lines = [f"{args.command[0]}_{{{format_element(w)}}} in the T-basis:"]
     lines += [f"  T_{{{v}}}: {format_rf(c, args.root_exponents)}" for v, c in row.items()]
-    _emit(payload, args, "\n".join(lines))
-    return 0
+    return 0, fields, lines
 
 
-def _product_payload(args, command: str):
-    datum = _datum(args)
-    guard = _guard(args, datum)
-    x = _parse_guarded(args.x, datum, guard)
-    y = _parse_guarded(args.y, datum, guard)
+def _cmd_product(args):
+    """``product`` and ``constant``; ``constant`` prints its JSON in both
+    modes."""
+    datum, x, y = _inputs(args, "x", "y")
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise UsageError("both --x and --y must be affine Grassmannian elements")
     table = pontryagin_constants(x, y)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
+    entries = table.sorted_entries()
+    fields = {
         "x": format_element(x),
         "y": format_element(y),
-        "entries": {
-            format_element(z): gae_to_json(c) for z, c in table.sorted_entries()
-        },
+        "entries": {format_element(z): gae_to_json(c) for z, c in entries},
         "warnings": list(table.warnings),
     }
-    return datum, table, payload
+    if args.command == "constant":
+        return 0, fields, None
+    lines = [f"O_{{{fields['x']}}} . O_{{{fields['y']}}} ="]
+    lines += [f"  ({format_gae(c, datum, args.root_exponents)}) O_{{{format_element(z)}}}" for z, c in entries]
+    lines += [f"  warning: {w}" for w in table.warnings]
+    return 0, fields, lines
 
 
-def _cmd_constant(args) -> int:
-    _, _, payload = _product_payload(args, "constant")
-    _emit(payload, args, json.dumps(payload, indent=2))
-    return 0
-
-
-def _cmd_product(args) -> int:
-    datum, table, payload = _product_payload(args, "product")
-    lines = [f"O_{{{payload['x']}}} . O_{{{payload['y']}}} ="]
-    for z, c in table.sorted_entries():
-        coeff = format_gae(c, datum, args.root_exponents)
-        lines.append(f"  ({coeff}) O_{{{format_element(z)}}}")
-    for w in table.warnings:
-        lines.append(f"  warning: {w}")
-    _emit(payload, args, "\n".join(lines))
-    return 0
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     report = verify_embedded_tables(args.suite)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "suite": args.suite,
-        "total": len(report.records),
-        "failed": len(report.failures),
-        "records": [
-            {"identity": r.identity, "ok": r.ok, "detail": r.detail}
-            for r in report.records
-        ],
-    }
-    lines = [
-        f"{'PASS' if r.ok else 'FAIL'} {r.identity}" + (f"  [{r.detail}]" if r.detail else "")
-        for r in report.records
-    ]
-    lines.append(
-        f"{len(report.records) - len(report.failures)}/{len(report.records)} identities verified"
-    )
-    _emit(payload, args, "\n".join(lines))
-    return 0 if report.ok else 1
+    failed = len(report.failures)
+    records, lines = [], []
+    for r in report.records:
+        records.append({"identity": r.identity, "ok": r.ok, "detail": r.detail})
+        lines.append(f"{'PASS' if r.ok else 'FAIL'} {r.identity}" + (f"  [{r.detail}]" if r.detail else ""))
+    lines.append(f"{len(records) - failed}/{len(records)} identities verified")
+    fields = {"suite": args.suite, "total": len(records), "failed": failed, "records": records}
+    return int(failed > 0), fields, lines
 
 
 def _conjecture_inputs(datum, bound: int, guard: int):
@@ -290,51 +246,39 @@ def _conjecture_inputs(datum, bound: int, guard: int):
     return sorted(reps, key=element_sort_key)
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args):
     if args.max_translation < 0:
         raise UsageError(f"--max-translation must be >= 0, got {args.max_translation}")
     datum = _datum(args)
-    guard = _guard(args, datum)
+    reps = _conjecture_inputs(datum, args.max_translation, _guard(args, datum))
+    # The reps are distinct and sorted, so each pair x <= y comes once.
+    pairs = [(x, y) for i, x in enumerate(reps) for y in reps[i:]]
+    finite = [(finite_part(x), finite_part(y)) for x, y in pairs]
     data = list(load_quantum_data()) if datum.label == "A1" else []
-    reps = _conjecture_inputs(datum, args.max_translation, guard)
-    finite_pairs = {
-        (finite_part(x), finite_part(y))
-        for x in reps
-        for y in reps
-    }
-    data.extend(classical_quantum_data(datum, sorted(finite_pairs, key=lambda p: (element_sort_key(p[0]), element_sort_key(p[1])))))
+    data.extend(classical_quantum_data(datum, dict.fromkeys(finite)))
     # Each pair reads only the data of its own finite parts (u, v): group
-    # them once, in their order, instead of every pair scanning all data.
+    # them once, instead of every pair scanning all data.
     by_pair: dict[tuple, list] = {}
     for d in data:
         by_pair.setdefault((d.u, d.v), []).append(d)
-    records = []
-    mismatches = matches = nodata = 0
-    for x in reps:
-        for y in reps:
-            if element_sort_key(y) < element_sort_key(x):
-                continue
-            own = by_pair.get((finite_part(x), finite_part(y)), [])
-            report: ConjectureReport = conjecture_check(x, y, own)
-            for e in report.entries:
-                records.append(
-                    {
-                        "x": format_element(x),
-                        "y": format_element(y),
-                        "z": format_element(e.z),
-                        "c": gae_to_json(e.c_value),
-                        "w": format_element(e.w),
-                        "eta": list(e.eta),
-                        "N": gae_to_json(e.n_value) if e.n_value is not None else None,
-                        "verdict": e.verdict,
-                    }
-                )
-            mismatches += report.mismatches
-            matches += report.matches
-            nodata += sum(1 for e in report.entries if e.verdict == "no-data")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "conjecture",
+    records, counts = [], {"match": 0, "mismatch": 0, "no-data": 0}
+    for (x, y), own in zip(pairs, finite):
+        for e in conjecture_check(x, y, by_pair.get(own, [])).entries:
+            counts[e.verdict] += 1
+            records.append(
+                {
+                    "x": format_element(x),
+                    "y": format_element(y),
+                    "z": format_element(e.z),
+                    "c": gae_to_json(e.c_value),
+                    "w": format_element(e.w),
+                    "eta": list(e.eta),
+                    "N": gae_to_json(e.n_value) if e.n_value is not None else None,
+                    "verdict": e.verdict,
+                }
+            )
+    matches, mismatches, nodata = counts.values()
+    fields = {
         "type": datum.label,
         "max_translation": args.max_translation,
         "matches": matches,
@@ -342,13 +286,12 @@ def _cmd_conjecture(args) -> int:
         "no_data": nodata,
         "records": records,
     }
-    human = [
+    lines = [
         f"{r['x']} * {r['y']} -> {r['z']} (w={r['w']}, eta={r['eta']}): {r['verdict']}"
         for r in records
     ]
-    human.append(f"matches={matches} mismatches={mismatches} no-data={nodata}")
-    _emit(payload, args, "\n".join(human))
-    return 0 if mismatches == 0 else 1
+    lines.append(f"matches={matches} mismatches={mismatches} no-data={nodata}")
+    return int(mismatches > 0), fields, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -363,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         if with_type:
-            p.add_argument("--type", default="A1", help="type label A1/A2/A3")
+            p.add_argument("--type", default=None, help="type label A1/A2/A3")
             p.add_argument(
                 "--cartan",
                 default=None,
@@ -404,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    p = command("constant", "structure-constant table as JSON", _cmd_constant, guarded=True)
+    p = command("constant", "structure-constant table as JSON", _cmd_product, guarded=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
@@ -428,7 +371,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.run(args)
+        code, fields, lines = args.run(args)
     except ValueError as exc:  # UsageError and every input error subclass it
         _report_error(exc)
         return 2
@@ -437,6 +380,11 @@ def main(argv=None) -> int:
         # caller's mistake.
         _report_error(exc, kind="internal")
         return 3
+    if args.json or lines is None:
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **fields}, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

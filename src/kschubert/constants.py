@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae, format_rf
@@ -88,10 +88,10 @@ def element_sort_key(x: AffineWeylElement):
 class StructureConstantTable:
     """c_{x,y}^z for one pair (x, y); entries are group-algebra elements."""
 
-    __slots__ = ("x", "y", "entries", "warnings")
+    __slots__ = ("entries", "warnings")
 
-    def __init__(self, x: AffineWeylElement, y: AffineWeylElement, entries: dict, warnings: list[str]):
-        self.x, self.y, self.entries, self.warnings = x, y, entries, warnings
+    def __init__(self, entries: dict, warnings: list[str]):
+        self.entries, self.warnings = entries, warnings
 
     def sorted_entries(self):
         return sorted(self.entries.items(), key=lambda t: element_sort_key(t[0]))
@@ -144,7 +144,7 @@ def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> Structur
     sums = combine(datum, b_lift(x, True), lambda mu: translation_cosets(mu, y))
     # The one exactness gate: each entry over D_x must divide out fully.
     entries = {z: c.to_polynomial() for z, c in sums.items()}
-    return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
+    return StructureConstantTable(entries, _support_warnings(x, y, entries))
 
 
 def _inverse_leading_b(z: AffineWeylElement) -> GroupAlgebraElement:
@@ -205,7 +205,7 @@ def pontryagin_constants_linear(x: AffineWeylElement, y: AffineWeylElement) -> S
                 f"expanding O_{format_element(x)} . O_{format_element(y)}"
             )
     entries = {z: c.to_polynomial() for z, c in solved.items() if c}
-    return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
+    return StructureConstantTable(entries, _support_warnings(x, y, entries))
 
 
 # Degree-zero oracle on the finite flag variety --------------------------------
@@ -289,18 +289,11 @@ class ConjectureEntry:
 
 
 class ConjectureReport:
-    __slots__ = ("x", "y", "entries", "warnings")
+    __slots__ = ("entries", "mismatches")
 
-    def __init__(self, x: AffineWeylElement, y: AffineWeylElement, entries: list[ConjectureEntry], warnings: list[str]):
-        self.x, self.y, self.entries, self.warnings = x, y, entries, warnings
-
-    @property
-    def mismatches(self) -> int:
-        return sum(1 for e in self.entries if e.verdict == "mismatch")
-
-    @property
-    def matches(self) -> int:
-        return sum(1 for e in self.entries if e.verdict == "match")
+    def __init__(self, entries: list[ConjectureEntry]):
+        self.entries = entries
+        self.mismatches = sum(e.verdict == "mismatch" for e in entries)
 
 
 def conjecture_check(
@@ -361,7 +354,7 @@ def conjecture_check(
         zero = GroupAlgebraElement.zero(datum.rank)
         verdict = "match" if not d.value else "mismatch"
         entries.append(ConjectureEntry(z, zero, d.w, eta, d.value, verdict))
-    return ConjectureReport(x, y, entries, list(table.warnings))
+    return ConjectureReport(entries)
 
 
 # Embedded reference tables -----------------------------------------------------
@@ -420,67 +413,34 @@ def _swap_value(g: GroupAlgebraElement, swaps) -> GroupAlgebraElement:
 class VerificationRecord:
     __slots__ = ("identity", "ok", "detail")
 
-    def __init__(self, identity: str, ok: bool, detail: str = ""):
+    def __init__(self, identity: str, ok: bool, detail: str):
         self.identity, self.ok, self.detail = identity, ok, detail
 
 
 class VerificationReport:
-    __slots__ = ("suite", "records")
+    __slots__ = ("records",)
 
-    def __init__(self, suite: str, records: list[VerificationRecord]):
-        self.suite, self.records = suite, records
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
+    def __init__(self, records: list[VerificationRecord]):
+        self.records = records
 
     @property
     def failures(self) -> list[VerificationRecord]:
         return [r for r in self.records if not r.ok]
 
 
-def _expected_table(datum, spec_entries) -> dict:
-    return {
-        parse_element(el, datum): eval_coefficient(datum, atoms)
-        for el, atoms in spec_entries.items()
-    }
-
-
-def _check_product(datum, name, x, y, expected, records) -> None:
-    computed = pontryagin_constants(x, y).entries
-    ok = computed == expected
-    detail = "" if ok else _diff_tables(expected, computed, lambda g: format_gae(g, datum, True))
-    records.append(VerificationRecord(name, ok, detail))
-
-
-def _diff_tables(expected, computed, fmt) -> str:
-    """Each entry where two tables differ, its values written by ``fmt``;
-    empty when they agree."""
+def _check(name, expected, computed, fmt, records) -> None:
+    """Record whether two tables agree, naming each entry where they differ
+    with its values written by ``fmt``."""
     lines = []
-    for z in sorted(set(expected) | set(computed), key=element_sort_key):
-        e = expected.get(z)
-        c = computed.get(z)
-        if e != c:
-            lines.append(
-                f"{format_element(z)}: expected "
-                f"{fmt(e) if e is not None else '(absent)'}, got "
-                f"{fmt(c) if c is not None else '(absent)'}"
-            )
-    return "; ".join(lines)
-
-
-def _check_class(datum, name, kind, w_str, expected_entries, records) -> None:
-    w = parse_element(w_str, datum)
-    expected = {
-        parse_element(el, datum): RationalFunction.from_gae(
-            datum, eval_coefficient(datum, atoms)
-        )
-        for el, atoms in expected_entries.items()
-    }
-    computed = (k_class if kind == "kclass" else l_class)(w)
-    ok = computed == expected
-    detail = "" if ok else _diff_tables(expected, computed, lambda f: format_rf(f, True))
-    records.append(VerificationRecord(name, ok, detail))
+    if computed != expected:
+        for z in sorted(set(expected) | set(computed), key=element_sort_key):
+            e, c = expected.get(z), computed.get(z)
+            if e != c:
+                lines.append(
+                    f"{format_element(z)}: expected {fmt(e) if e is not None else '(absent)'}, "
+                    f"got {fmt(c) if c is not None else '(absent)'}"
+                )
+    records.append(VerificationRecord(name, not lines, "; ".join(lines)))
 
 
 def verify_embedded_tables(suite: str = "all") -> VerificationReport:
@@ -493,27 +453,33 @@ def verify_embedded_tables(suite: str = "all") -> VerificationReport:
         _verify_suite(_load_fixture("sl2_tables.json"), records)
     if suite in ("sl3", "all"):
         _verify_suite(_load_fixture("sl3_tables.json"), records)
-    return VerificationReport(suite, records)
+    return VerificationReport(records)
 
 
 def _verify_suite(data: dict, records: list) -> None:
     datum = build_root_system(data["type"])
     swaps = data.get("dynkin_swap")
     for item in data["identities"]:
-        kind = item["kind"]
-        name = item["name"]
+        kind, name = item["kind"], item["name"]
+        if kind not in ("product", "kclass", "lclass"):
+            records.append(VerificationRecord(name, False, f"unknown kind {kind!r}"))
+            continue
+        expected = {
+            parse_element(el, datum): eval_coefficient(datum, atoms)
+            for el, atoms in item["entries"].items()
+        }
         if kind == "product":
             x, y = parse_element(item["x"], datum), parse_element(item["y"], datum)
-            expected = _expected_table(datum, item["entries"])
-            _check_product(datum, name, x, y, expected, records)
+            fmt = partial(format_gae, datum=datum, root_coords=True)
+            _check(name, expected, pontryagin_constants(x, y).entries, fmt, records)
             if swaps:
                 swapped = {_swap_element(z, swaps): _swap_value(c, swaps) for z, c in expected.items()}
                 x, y = _swap_element(x, swaps), _swap_element(y, swaps)
-                _check_product(datum, name + "-swapped", x, y, swapped, records)
-        elif kind in ("kclass", "lclass"):
-            _check_class(datum, name, kind, item["w"], item["entries"], records)
+                _check(name + "-swapped", swapped, pontryagin_constants(x, y).entries, fmt, records)
         else:
-            records.append(VerificationRecord(name, False, f"unknown kind {kind!r}"))
+            expected = {z: RationalFunction.from_gae(datum, g) for z, g in expected.items()}
+            computed = (k_class if kind == "kclass" else l_class)(parse_element(item["w"], datum))
+            _check(name, expected, computed, partial(format_rf, root_coords=True), records)
 
 
 def load_quantum_data() -> list[QuantumDatum]:

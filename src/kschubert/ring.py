@@ -398,10 +398,6 @@ class RationalFunction:
         self.den = tuple(keeps.get(0, ()))
 
     @classmethod
-    def zero(cls, datum: CartanDatum) -> "RationalFunction":
-        return cls(datum, GroupAlgebraElement.zero(datum.rank), (), reduce=False)
-
-    @classmethod
     def one(cls, datum: CartanDatum) -> "RationalFunction":
         return cls(datum, GroupAlgebraElement.one(datum.rank), (), reduce=False)
 

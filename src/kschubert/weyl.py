@@ -157,13 +157,12 @@ class WeylGroup:
         self.elements = tuple(tuple(zip(*cols)) for cols in columns)
         self.index = MappingProxyType({m: k for k, m in enumerate(self.elements)})
         self.word = tuple(words)
-        self.length = tuple(len(w) for w in words)
         self.inverse = tuple(self._fold(reversed(w)) for w in words)
         self.cmat = tuple(columns[j] for j in self.inverse)
         self.product = _Tabulated(len(packed), self._product_row)
         self.action = _Tabulated(len(packed), self._action)
         self.longest = len(packed) - 1
-        assert self.length.count(self.length[-1]) == 1
+        assert [len(w) for w in words].count(len(words[-1])) == 1
         self._lengths: dict[Code, int] = {}
 
     def _fold(self, letters) -> int:
@@ -475,44 +474,41 @@ def grassmannian_ball(datum: CartanDatum, max_length: int) -> tuple[AffineWeylEl
 
 def parse_element(text: str, datum: CartanDatum) -> AffineWeylElement:
     """Parse the element grammar; raises ParseError / ValidationError."""
-    stripped = text.strip()
-    if not stripped:
+    parts, at = [], 0  # each whitespace-separated part with its offset in text
+    for part in text.split():
+        at = text.index(part, at)
+        parts.append((at, part))
+        at += len(part)
+    if not parts:
         raise ParseError("empty element string", 0)
-    parts = stripped.split()
     if len(parts) > 2:
-        raise ParseError("too many whitespace-separated parts", len(parts[0]))
-    word_part: str | None = None
-    trans_part: str | None = None
-    if parts[0].startswith("t["):
+        raise ParseError("too many whitespace-separated parts", len(parts[0][1]))
+    if parts[0][1].startswith("t["):
         if len(parts) == 2:
-            raise ParseError("translation must come last", len(parts[0]))
-        trans_part = parts[0]
-    else:
-        word_part = parts[0]
-        if len(parts) == 2:
-            trans_part = parts[1]
+            raise ParseError("translation must come last", len(parts[0][1]))
+        parts.insert(0, (0, "id"))  # a lone translation has the identity word
     letters, coords = [], (0,) * datum.rank
-    if word_part is not None and word_part != "id":
-        for chunk in word_part.split("*"):
+    at, word = parts[0]
+    if word != "id":
+        for chunk in word.split("*"):
             if not chunk.startswith("s") or not chunk[1:].isdigit():
-                raise ParseError(
-                    f"expected simple reflection like 's1', got {chunk!r}",
-                    text.find(chunk),
-                )
+                raise ParseError(f"expected simple reflection like 's1', got {chunk!r}", at)
             idx = int(chunk[1:])
             if not 1 <= idx <= datum.rank:
                 raise ValidationError(
                     f"reflection index {idx} out of range 1..{datum.rank}"
                 )
             letters.append(idx)
-    if trans_part is not None:
-        if not (trans_part.startswith("t[") and trans_part.endswith("]")):
-            raise ParseError("translation must look like t[-1,0]", text.find(trans_part))
-        body = trans_part[2:-1]
+            at += len(chunk) + 1
+    if len(parts) == 2:
+        at, trans = parts[1]
+        if not (trans.startswith("t[") and trans.endswith("]")):
+            raise ParseError("translation must look like t[-1,0]", at)
+        body = trans[2:-1]
         try:
             coords = tuple(int(c.strip()) for c in body.split(","))
         except ValueError:
-            raise ParseError(f"bad translation coordinates {body!r}", text.find(body))
+            raise ParseError(f"bad translation coordinates {body!r}", at + 2)
         if len(coords) != datum.rank:
             raise ValidationError(
                 f"translation has {len(coords)} coordinates, rank is {datum.rank}"

@@ -302,7 +302,7 @@ def pontryagin_constants_rf(x, y):
             val = p * egae
             raw[z] = raw[z] + val if z in raw else val
     entries = {z: c.to_polynomial() for z, c in raw.items() if c}
-    return StructureConstantTable(x, y, entries, _support_warnings(x, y, entries))
+    return StructureConstantTable(entries, _support_warnings(x, y, entries))
 
 
 def classical_k_constants_rf(u, v):

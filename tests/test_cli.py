@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,17 @@ def test_roots_custom_cartan(capsys):
         code, out, err = run(capsys, "roots", "--cartan", bad, "--json")
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "InvalidCartanMatrixError"
+
+
+@pytest.mark.parametrize("label", ["A1", "A3"])
+def test_type_and_cartan_together_are_a_usage_error(capsys, label):
+    # --type A1 equals the default, and is still refused next to --cartan.
+    for command in (["roots"], ["bcoeff", "--x", "t[-1]"]):
+        code, out, err = run(capsys, *command, "--type", label, "--cartan", "[[2]]")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "UsageError", "message": "give --type or --cartan, not both"}
+    alone = [run(capsys, "roots", *flags, "--json") for flags in ([], ["--type", "A1"], ["--cartan", "[[2]]"])]
+    assert alone[0] == alone[1] == alone[2] and alone[0][0] == 0
 
 
 def test_element_on_a_weyl_group_of_5040_elements(capsys):
@@ -481,3 +493,14 @@ def test_json_output_pinned(capsys, name):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# argv, exit code, stdout and stderr, in full, of every subcommand in human
+# and --json output (and --root-exponents where it is taken) on small A1/A2
+# inputs, with verify, conjecture and the exit-2 errors.
+TRANSCRIPT = json.loads((Path(__file__).parent / "data" / "cli_transcript.json").read_text(encoding="utf-8"))
+
+
+def test_cli_transcript_replays_exactly(capsys):
+    differing = [r["argv"] for r in TRANSCRIPT if run(capsys, *r["argv"]) != (r["exit"], r["stdout"], r["stderr"])]
+    assert differing == [] and len(TRANSCRIPT) > 50

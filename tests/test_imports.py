@@ -75,18 +75,24 @@ def uncalled_functions(sources: list[str]) -> list[str]:
     """Non-dunder functions and methods defined in ``sources`` whose name is
     never read there, as a name or as an attribute, and is not an entry
     point.  A read inside the body of a function of that name does not
-    count, so a recursion that nothing else enters is flagged too.  Names
-    are matched without their class, so a method is never flagged while
-    anything of the same name is read: ``RationalFunction.act`` had no
-    library caller once the b kernel stopped using it, yet passed because
-    ``GroupAlgebraElement.act`` is read; it now lives in ``tests/oracles.py``
-    as ``rf_act``."""
+    count, so a recursion that nothing else enters is flagged too.  A
+    ``@classmethod`` counts as read only through ``ClassName.name``, or
+    ``cls.name`` inside its class, and is flagged as ``ClassName.name``:
+    ``RationalFunction.zero`` had only test readers yet passed while
+    ``GroupAlgebraElement.zero`` was read.  Other methods are matched
+    without their class, so one is never flagged while anything of the same
+    name is read: ``RationalFunction.act`` had no library caller once the b
+    kernel stopped using it, yet passed because ``GroupAlgebraElement.act``
+    is read; it now lives in ``tests/oracles.py`` as ``rf_act``."""
     defined, read = [], set()
 
-    def visit(node, enclosing: frozenset) -> None:
+    def visit(node, enclosing: frozenset, owner: str | None) -> None:
         body = ()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defined.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bound = owner and any(isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list)
+            defined.append(f"{owner}.{node.name}" if bound else node.name)
             body = node.body
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if node.id not in enclosing:
@@ -94,11 +100,13 @@ def uncalled_functions(sources: list[str]) -> list[str]:
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             if node.attr not in enclosing:
                 read.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    read.add(f"{owner if node.value.id == 'cls' else node.value.id}.{node.attr}")
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing | {node.name} if child in body else enclosing)
+            visit(child, enclosing | {node.name} if child in body else enclosing, owner)
 
     for source in sources:
-        visit(ast.parse(source), frozenset())
+        visit(ast.parse(source), frozenset(), None)
     return sorted(
         name
         for name in set(defined)
@@ -122,6 +130,24 @@ def test_checker_flags_uncalled_functions():
         "raise SystemExit(main())\n"
     )
     assert uncalled_functions([source]) == ["other", "recursive", "unused"]
+
+
+def test_checker_reads_a_classmethod_through_its_class():
+    source = (
+        "class A:\n"
+        "    @classmethod\n"
+        "    def zero(cls): return cls()\n"
+        "    @classmethod\n"
+        "    def one(cls): return cls.zero()\n"
+        "class B:\n"
+        "    @classmethod\n"
+        "    def zero(cls): return A.one()\n"
+        "    @classmethod\n"
+        "    def one(cls): return cls()\n"
+        "B.zero()\n"
+        "B().one()\n"
+    )
+    assert uncalled_functions([source]) == ["B.one"]
 
 
 def test_every_library_function_is_called_in_the_library():

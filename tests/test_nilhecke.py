@@ -135,7 +135,7 @@ def test_kelements_are_immutable_values(a1):
     # The word-product route's memos hand one instance to every caller: no
     # field can be reassigned or deleted, and the terms are read-only.
     s1, one = affine_simple(a1, 1), RationalFunction.one(a1)
-    a = KElement(a1, LOC, {s1: one, identity(a1): RationalFunction.zero(a1)})
+    a = KElement(a1, LOC, {s1: one, identity(a1): RationalFunction.from_gae(a1, G.zero(a1.rank))})
     for name, value in (("datum", a1), ("basis", TBASIS), ("terms", {}), ("other", 1)):
         with pytest.raises(AttributeError):
             setattr(a, name, value)
@@ -463,15 +463,16 @@ def test_rows_independent_of_reduced_word(request, fixture_name, max_len):
 
 def test_matrix_inverse_identity_small(a1):
     ball = affine_ball(a1, 4)
+    zero = RationalFunction.from_gae(a1, G.zero(a1.rank))
     for x in ball:
         row = loc_row(x)
         for z in ball:
-            total = RationalFunction.zero(a1)
+            total = zero
             for v, b in row.items():
                 e = e_row(v).get(z)
                 if e is not None:
                     total = total + b * e
-            expected = RationalFunction.one(a1) if x == z else RationalFunction.zero(a1)
+            expected = RationalFunction.one(a1) if x == z else zero
             assert total == expected
 
 

@@ -188,7 +188,7 @@ def test_rf_remark_product(a1):
 
 def test_rf_additive_identity(a1):
     x = rf_inverse_one_minus_exp(a1, a1.positive_roots[0])
-    assert x + RationalFunction.zero(a1) == x
+    assert x + RationalFunction.from_gae(a1, G.zero(a1.rank)) == x
 
 
 def test_rf_reduce_normalization(a1):

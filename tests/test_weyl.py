@@ -346,6 +346,18 @@ def test_parse_canonicalizes(a2):
     assert format_element(parse_element("s1*s1 t[0,0]", a2)) == "id"
 
 
+@pytest.mark.parametrize(
+    "text,position",
+    [("s1*s1*s", 6), ("s1*", 3), ("s1**s2", 3), ("t[]", 2), ("s2*s12x", 3), ("  s1*q t[1,1]", 5), ("s1 s1", 3)],
+)
+def test_parse_error_points_at_the_failing_chunk(a2, text, position):
+    # Empty and repeated chunks included: each is located by its offset,
+    # not by searching the text for it.
+    with pytest.raises(ParseError) as info:
+        parse_element(text, a2)
+    assert info.value.position == position
+
+
 def test_parse_errors(a1, a2):
     with pytest.raises(ParseError):
         parse_element("s1*", a1)
@@ -367,7 +379,7 @@ def test_weyl_tables_are_read_only(a1):
     x = parse_element("s1 t[-2]", a1)
     before = pontryagin_constants(x, x).entries
     tables = (
-        group.elements, group.word, group.length, group.product, group.product[s1],
+        group.elements, group.word, group.product, group.product[s1],
         group.inverse, group.cmat, group.action,
     )
     for table in tables:
@@ -385,18 +397,18 @@ def test_weyl_tables_are_read_only(a1):
 
 def test_longest_element(a2):
     group = weyl_group(a2)
-    assert group.length[group.longest] == 3
+    assert len(group.word[group.longest]) == 3
 
 
 def test_group_order_and_tables(a2):
     # Breadth-first order is (length, smallest reduced word) order.
     group = weyl_group(a2)
-    order = sorted(range(len(group.elements)), key=lambda k: (group.length[k], group.word[k]))
+    order = sorted(range(len(group.elements)), key=lambda k: (len(group.word[k]), group.word[k]))
     assert order == list(range(len(group.elements)))
     assert group.word[: a2.rank + 1] == ((), (1,), (2,))
     for k, word in enumerate(group.word):
         assert evaluate_word(a2, word).index == k
-        assert sum(flipped for _, flipped in group.action[k].roots.values()) == group.length[k]
+        assert sum(flipped for _, flipped in group.action[k].roots.values()) == len(word)
         assert group.product[k][group.inverse[k]] == 0
 
 
@@ -583,7 +595,7 @@ def test_weyl_group_builds_no_coded_tables(label):
     datum = build_root_system(SPECS[label])
     group = weyl.WeylGroup(datum)
     assert "left" not in vars(group) and "left_roots" not in vars(group) and not group._lengths
-    assert group.code_length((group.longest, (0,) * datum.rank)) == group.length[group.longest]
+    assert group.code_length((group.longest, (0,) * datum.rank)) == len(group.word[group.longest])
     assert "left" not in vars(group) and len(group._lengths) == 1
     assert group.code_descent((group.longest, (0,) * datum.rank)) == 1
     assert "left" not in vars(group) and len(group._lengths) == 1
