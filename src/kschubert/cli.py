@@ -8,7 +8,7 @@ identities matched for verify/conjecture), 1 any mismatch, 2 usage error,
 3 internal error (an engine invariant failed: a surviving denominator, a
 singular triangular solve or a class of the wrong shape).  Errors are
 emitted as a structured JSON object on stderr; internal errors carry
-"kind": "internal".
+"kind": "internal".  A stdout closed early (``| head``) keeps the exit code.
 
 Each handler returns (exit code, fields, human lines) and prints nothing;
 ``main`` puts schema_version and command in front of the fields and prints
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from kschubert.constants import (
@@ -73,7 +74,7 @@ class UsageError(ValueError):
 def _datum(args):
     if args.type is not None and args.cartan is not None:
         raise UsageError("give --type or --cartan, not both")
-    if args.cartan:
+    if args.cartan is not None:
         try:
             matrix = json.loads(args.cartan)
         except json.JSONDecodeError as exc:
@@ -381,9 +382,14 @@ def main(argv=None) -> int:
         _report_error(exc, kind="internal")
         return 3
     if args.json or lines is None:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **fields}, indent=2))
+        text = json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **fields}, indent=2)
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader is gone: the flush at exit goes to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
 
 

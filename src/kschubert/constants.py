@@ -47,10 +47,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from functools import lru_cache, partial
 from types import MappingProxyType
 
-from kschubert.ring import GroupAlgebraElement, RationalFunction, combine, format_gae, format_rf
+from kschubert.ring import GroupAlgebraElement, RationalFunction, _den_complement, combine, format_gae, format_rf
 from kschubert.rootsys import CartanDatum, Frozen, build_root_system, root_lattice_weight
 from kschubert.weyl import (
     AffineWeylElement,
@@ -151,11 +152,9 @@ def _inverse_leading_b(z: AffineWeylElement) -> GroupAlgebraElement:
     """Inverse of b_{z,z} (= the coset sum b_{z,[sigma_z]} for Grassmannian z,
     whose coset meets the lower interval only in z itself).  Along a reduced
     word, b_{z,z} is the product of the factors (-e^{-gamma_k})/(1-e^{-gamma_k})
-    at the reflection roots, and each factor inverts to (1 - e^{gamma_k})."""
-    out = GroupAlgebraElement.one(z.datum.rank)
-    for gamma in reflection_roots(z.datum, reduced_word(z)):
-        out = out * (GroupAlgebraElement.one(z.datum.rank) - GroupAlgebraElement.monomial(gamma))
-    return out
+    at the reflection roots, and each factor inverts to (1 - e^{gamma_k}),
+    once per occurrence of gamma_k (``ring._den_complement``)."""
+    return _den_complement(z.datum, Counter(reflection_roots(z.datum, reduced_word(z))), {})
 
 
 def _triangular_solve(residual: dict, order, pivot, divide, row) -> dict:
@@ -326,34 +325,21 @@ def conjecture_check(
             )
 
     entries = []
-    seen_keys = set()
     for z, c in table.sorted_entries():
         w_fin = finite_part(z)
         eta = tuple(a - b for a, b in zip(z.trans, nu))
-        if any(e < 0 for e in eta):
-            entries.append(ConjectureEntry(z, c, w_fin, eta, None, "no-data"))
-            continue
-        key = (w_fin, eta)
-        seen_keys.add(key)
-        datum_hit = index.get(key)
+        datum_hit = index.pop((w_fin, eta), None)
         if datum_hit is None:
             entries.append(ConjectureEntry(z, c, w_fin, eta, None, "no-data"))
         else:
             verdict = "match" if datum_hit.value == c else "mismatch"
             entries.append(ConjectureEntry(z, c, w_fin, eta, datum_hit.value, verdict))
-    # Data-side completeness: a datum for this pair whose z is absent from
-    # the table asserts c = 0.
-    for key, d in index.items():
-        if key in seen_keys:
-            continue
-        eta = key[1]
-        z = aff_multiply(
-            finite_part(d.w),
-            translation(datum, tuple(a + b for a, b in zip(nu, eta))),
-        )
-        zero = GroupAlgebraElement.zero(datum.rank)
+    # Data-side completeness: each datum that no table entry took asserts
+    # c = 0 at its z.
+    for (_, eta), d in index.items():
+        z = aff_multiply(finite_part(d.w), translation(datum, tuple(a + b for a, b in zip(nu, eta))))
         verdict = "match" if not d.value else "mismatch"
-        entries.append(ConjectureEntry(z, zero, d.w, eta, d.value, verdict))
+        entries.append(ConjectureEntry(z, GroupAlgebraElement(datum.rank), d.w, eta, d.value, verdict))
     return ConjectureReport(entries)
 
 

@@ -109,13 +109,12 @@ class _Kernel:
     and e shifts), the b-side data of each letter i (the action of s_i's
     finite part, beta_i, n_i and the T- and y-side stay factors), the memos
     of e and T rows (``rows``, (packed row, bound) keyed by (x code, start
-    code, y_side)), of translation coset rows (``cosets``, keyed by (mu, y
-    code)) and of b prefixes (``loc``, keyed by (x code, y_side, cosets),
-    from the base rows of the full y side and both projected sides), and
-    the element of each code (``elements``) and each coset maximum's
-    minimum (``minima``) that a public row returns."""
+    code, y_side)) and of b prefixes (``loc``, keyed by (x code, y_side,
+    cosets), from the base rows of the full y side and both projected
+    sides), and the element of each code (``elements``) and each coset
+    maximum's minimum (``minima``) that a public row returns."""
 
-    __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "cosets", "loc", "elements", "minima")
+    __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "loc", "elements", "minima")
 
     def __init__(self, datum: CartanDatum):
         group = weyl_group(datum)
@@ -133,7 +132,6 @@ class _Kernel:
         self.one = (0, (0,) * datum.rank)
         self.w0 = group.longest
         self.rows: dict[tuple[Code, Code, bool], tuple[dict[Code, dict[int, int]], int]] = {}
-        self.cosets: dict[tuple[Code, Code], MappingProxyType] = {}
         base = GroupAlgebraElement.one(datum.rank)
         bases = ((True, False, self.one), (True, True, self.one[1]), (False, True, self.one[1]))
         self.loc: dict[tuple[Code, bool, bool], tuple[dict, dict]] = {(self.one, y, c): ({}, {k: base}) for y, c, k in bases}
@@ -311,6 +309,7 @@ def b_cosets(x: AffineWeylElement) -> MappingProxyType:
     return MappingProxyType({mu: RationalFunction(x.datum, num, den) for mu, num in nums.items()})
 
 
+@lru_cache(maxsize=None)
 def translation_cosets(mu: Coroot, y: AffineWeylElement) -> MappingProxyType:
     """The coset row E_{mu,y} of t_mu y_y, for Grassmannian y, keyed by the
     Grassmannian element z of each coset, read-only: the row the product
@@ -323,23 +322,19 @@ def translation_cosets(mu: Coroot, y: AffineWeylElement) -> MappingProxyType:
     for finite w, t_mu y_y y_{w0} = sum_nu b_{y,[nu]} t_{mu+nu} y_{w0}: the
     row is sum_nu b_{y,[nu]} E_{mu+nu,id}, the y-side sum of the product
     formula done once.  A translation's finite part is the identity, so the
-    row needs no move back from the frame of t_mu.  Memoized by (mu, y
-    code); each z is built once per code."""
+    row needs no move back from the frame of t_mu.  Each z is built once
+    per code."""
+    if not is_grassmannian(y):
+        raise ValueError(f"{y!r} is not an affine Grassmannian element")
     kernel = _kernel(y.datum)
-    key = (mu, (y.index, y.trans))
-    row = kernel.cosets.get(key)
-    if row is None:
-        if not is_grassmannian(y):
-            raise ValueError(f"{y!r} is not an affine Grassmannian element")
-        minima, out, rank = kernel.minima, {}, y.datum.rank
-        row, bound = _y_row(kernel, (0, mu), kernel.times_w0(key[1]), True)
-        for v, terms in row.items():
-            z = minima.get(v)
-            if z is None:
-                z = minima[v] = kernel.element(kernel.times_w0(v))
-            out[z] = GroupAlgebraElement.from_packed(rank, terms, bound)
-        row = kernel.cosets[key] = MappingProxyType(out)
-    return row
+    minima, out, rank = kernel.minima, {}, y.datum.rank
+    row, bound = _y_row(kernel, (0, mu), kernel.times_w0((y.index, y.trans)), True)
+    for v, terms in row.items():
+        z = minima.get(v)
+        if z is None:
+            z = minima[v] = kernel.element(kernel.times_w0(v))
+        out[z] = GroupAlgebraElement.from_packed(rank, terms, bound)
+    return MappingProxyType(out)
 
 
 # The Schubert-class images ----------------------------------------------------

@@ -149,10 +149,6 @@ class GroupAlgebraElement:
         return g
 
     @classmethod
-    def zero(cls, rank: int) -> "GroupAlgebraElement":
-        return cls(rank)
-
-    @classmethod
     def one(cls, rank: int) -> "GroupAlgebraElement":
         return cls.from_packed(rank, {0: 1}, 0)
 
@@ -164,8 +160,6 @@ class GroupAlgebraElement:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self._coerce(other)
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         return self.rank == other.rank and self.terms == other.terms
@@ -199,8 +193,6 @@ class GroupAlgebraElement:
         return GroupAlgebraElement.from_packed(self.rank, out, mul_add(out, self, other))
 
     def _coerce(self, other) -> "GroupAlgebraElement":
-        if isinstance(other, int):
-            return GroupAlgebraElement.from_packed(self.rank, {0: other} if other else {}, 0)
         if isinstance(other, GroupAlgebraElement):
             if other.rank != self.rank:
                 raise ValueError("rank mismatch")
@@ -409,11 +401,6 @@ class RationalFunction:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, GroupAlgebraElement)):
-            other = RationalFunction.from_gae(
-                self.datum,
-                other if isinstance(other, GroupAlgebraElement) else self.num._coerce(other),
-            )
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return (
@@ -445,13 +432,10 @@ class RationalFunction:
             if other.datum != self.datum:
                 raise ValueError("mixed ambient root systems")
             return other
-        if isinstance(other, (int, GroupAlgebraElement)):
-            g = other if isinstance(other, GroupAlgebraElement) else None
-            if g is None:
-                g = GroupAlgebraElement(self.datum.rank, {(0,) * self.datum.rank: other})
-            if g.rank != self.datum.rank:
+        if isinstance(other, GroupAlgebraElement):
+            if other.rank != self.datum.rank:
                 raise ValueError("rank mismatch")
-            return RationalFunction.from_gae(self.datum, g)
+            return RationalFunction.from_gae(self.datum, other)
         raise TypeError(f"cannot coerce {type(other).__name__}")
 
     def to_polynomial(self) -> GroupAlgebraElement:

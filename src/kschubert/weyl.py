@@ -482,10 +482,10 @@ def parse_element(text: str, datum: CartanDatum) -> AffineWeylElement:
     if not parts:
         raise ParseError("empty element string", 0)
     if len(parts) > 2:
-        raise ParseError("too many whitespace-separated parts", len(parts[0][1]))
+        raise ParseError("too many whitespace-separated parts", parts[2][0])
     if parts[0][1].startswith("t["):
         if len(parts) == 2:
-            raise ParseError("translation must come last", len(parts[0][1]))
+            raise ParseError("translation must come last", parts[1][0])
         parts.insert(0, (0, "id"))  # a lone translation has the identity word
     letters, coords = [], (0,) * datum.rank
     at, word = parts[0]

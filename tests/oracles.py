@@ -8,7 +8,8 @@ the library against, the per-entry sum of rational multiples of rows that
 ``ring.combine`` is compared against, and small conveniences for writing
 the tests (Cartan matrices of finite types, word evaluation, the pairing, scaling, 1/(1 - e^lam), T-sums
 back in the localization basis, expanded denominators, the translation
-law, skewed localization rows); Bruhat order by the lifting
+law, skewed localization rows, the reset of every library memo that
+a count starts from); Bruhat order by the lifting
 property, which lower intervals are compared against; the tuple-keyed
 group algebra that the packed one in ``kschubert.ring`` is compared
 against; the matrix route for affine Weyl elements that the index
@@ -22,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
+from kschubert import constants, nilhecke
 from kschubert.constants import (
     StructureConstantTable,
     SingularSystemError,
@@ -334,6 +336,17 @@ def classical_k_constants_rf(u, v):
     return {w: c.to_polynomial().flip() for w, c in solved.items() if c}
 
 
+def cold() -> None:
+    """Empty every memo of ``kschubert.nilhecke`` and ``kschubert.constants``:
+    each module-level function of its own with ``cache_clear``, found the
+    way ``perfbench/tracing.py`` finds memos, so a count starts from cold
+    rows whichever memo holds them."""
+    for module in (nilhecke, constants):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__:
+                obj.cache_clear()
+
+
 def skewed_diagonal(rows):
     """Localization rows w -> L[w] made wrong on the diagonal of every
     non-identity w, L[w][w] + 1, which e_{w,w} does not divide: a fault
@@ -341,7 +354,7 @@ def skewed_diagonal(rows):
 
     def skewed(w):
         row = rows(w)
-        return row if w == identity(w.datum) else {**row, w: row[w] + 1}
+        return row if w == identity(w.datum) else {**row, w: row[w] + GroupAlgebraElement.one(w.datum.rank)}
 
     return skewed
 

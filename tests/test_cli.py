@@ -2,12 +2,16 @@ import copy
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from oracles import coset_sums, e_row_subword, skewed_diagonal
+from oracles import cold, coset_sums, e_row_subword, skewed_diagonal
+import kschubert
 from kschubert import cli, constants, nilhecke
 from kschubert.cli import main
 from kschubert.constants import SingularSystemError, element_sort_key, pontryagin_constants
@@ -51,6 +55,34 @@ def test_type_and_cartan_together_are_a_usage_error(capsys, label):
         assert json.loads(err)["error"] == {"type": "UsageError", "message": "give --type or --cartan, not both"}
     alone = [run(capsys, "roots", *flags, "--json") for flags in ([], ["--type", "A1"], ["--cartan", "[[2]]"])]
     assert alone[0] == alone[1] == alone[2] and alone[0][0] == 0
+
+
+def test_empty_cartan_is_not_an_absent_one(capsys):
+    # --cartan "" is a matrix given empty, refused as JSON, not the default.
+    code, out, err = run(capsys, "roots", "--cartan", "")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "UsageError", "message": "--cartan is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+    }
+    code, out, err = run(capsys, "roots", "--type", "A1", "--cartan", "")
+    assert code == 2 and json.loads(err)["error"]["message"] == "give --type or --cartan, not both"
+
+
+@pytest.mark.parametrize("argv", [["conjecture", "--type", "A2", "--json"], ["verify", "--suite", "sl2"]])
+def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv):
+    # The read end of the child's stdout pipe is closed before the child
+    # writes, as when `| head -1` has exited: no traceback on stderr, and
+    # the handler's own exit code.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "kschubert.cli", *argv], stdout=write, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(kschubert.__file__).parents[1])},
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_element_on_a_weyl_group_of_5040_elements(capsys):
@@ -196,8 +228,7 @@ def test_ecoeff_runs_the_e_kernel_once(capsys):
     # are grouped from the printed row, not built from a second start.
     datum = build_root_system("A2")
     x = parse_element("s1*s2 t[-2,-2]", datum)
-    nilhecke.e_row.cache_clear()
-    nilhecke._kernel.cache_clear()
+    cold()
     code, _, _ = run(capsys, "ecoeff", "--type", "A2", "--x", format_element(x), "--json")
     assert code == 0
     rows = nilhecke._kernel(datum).rows

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import (
     classical_k_constants_rf,
+    cold,
     pontryagin_constants_rf,
     skewed_diagonal,
     translation_convolution_rf,
@@ -208,8 +209,7 @@ def test_scan_work_guard(monkeypatch, a2):
     ball = grassmannian_ball(a2, 6)
     pairs = [(x, y) for i, x in enumerate(ball) for y in ball[i:]]
     tables = [pontryagin_constants(x, y).entries for x, y in pairs]
-    nilhecke.b_lift.cache_clear()
-    nilhecke._kernel.cache_clear()
+    cold()
     joint, groupings, products = [], [], []
     coset_pass = ring._coset_pass
     # A joint pass is the one call given a sixth, ``joint``, argument.
@@ -357,8 +357,7 @@ def test_oracles_take_no_rational_arithmetic(monkeypatch, a2):
     pairs = [(x, y) for i, x in enumerate(ball) for y in ball[i:]]
     classical = [classical_k_constants(u, v) for u in elements for v in elements]
     convolutions = [constants._translation_convolution(x, y) for x, y in pairs]
-    for memo in (constants._finite_localization_row, nilhecke.t_row, nilhecke.e_row, nilhecke.loc_row, nilhecke._kernel):
-        memo.cache_clear()
+    cold()
     calls = []
     for name in ("__add__", "__sub__", "__mul__"):
         op = getattr(RationalFunction, name)

@@ -348,7 +348,8 @@ def test_parse_canonicalizes(a2):
 
 @pytest.mark.parametrize(
     "text,position",
-    [("s1*s1*s", 6), ("s1*", 3), ("s1**s2", 3), ("t[]", 2), ("s2*s12x", 3), ("  s1*q t[1,1]", 5), ("s1 s1", 3)],
+    [("s1*s1*s", 6), ("s1*", 3), ("s1**s2", 3), ("t[]", 2), ("s2*s12x", 3), ("  s1*q t[1,1]", 5), ("s1 s1", 3),
+     ("   s1 t[1,1] t[1,1]", 13), ("t[1,1] s1", 7)],
 )
 def test_parse_error_points_at_the_failing_chunk(a2, text, position):
     # Empty and repeated chunks included: each is located by its offset,
