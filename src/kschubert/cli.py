@@ -7,8 +7,9 @@ fixed inputs produce byte-identical output.  Exit codes: 0 success (and all
 identities matched for verify/conjecture), 1 any mismatch, 2 usage error,
 3 internal error (an engine invariant failed: a surviving denominator, a
 singular triangular solve or a class of the wrong shape).  Errors are
-emitted as a structured JSON object on stderr; internal errors carry
-"kind": "internal".  A stdout closed early (``| head``) keeps the exit code.
+emitted as a structured JSON object on stderr, argparse's own errors
+included; internal errors carry "kind": "internal".  A stdout or stderr
+closed early (``| head``) keeps the exit code.
 
 Each handler returns (exit code, fields, human lines) and prints nothing;
 ``main`` puts schema_version and command in front of the fields and prints
@@ -69,6 +70,14 @@ _ELEMENT_MAX_LENGTH = 100_000
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors (an unknown command or flag, a missing
+    or malformed argument) as ``UsageError``, reported like every other."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _datum(args):
@@ -296,7 +305,7 @@ def _cmd_conjecture(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kschubert",
         description="Exact Schubert structure constants for the Pontryagin "
         "product on the K-homology of affine Grassmannians.",
@@ -360,19 +369,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str, stream) -> None:
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:  # the reader is gone: the flush at exit goes to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+
+
 def _report_error(exc: Exception, **extra) -> None:
     error = {"type": type(exc).__name__, "message": str(exc), **extra}
-    print(json.dumps({"schema_version": SCHEMA_VERSION, "error": error}), file=sys.stderr)
+    _emit(json.dumps({"schema_version": SCHEMA_VERSION, "error": error}), sys.stderr)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         code, fields, lines = args.run(args)
+    except SystemExit:  # --help, printed; argparse's errors raise UsageError
+        return 0
     except ValueError as exc:  # UsageError and every input error subclass it
         _report_error(exc)
         return 2
@@ -385,11 +400,7 @@ def main(argv=None) -> int:
         text = json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **fields}, indent=2)
     else:
         text = "\n".join(lines)
-    try:
-        print(text, flush=True)
-    except BrokenPipeError:  # the reader is gone: the flush at exit goes to devnull
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    _emit(text, sys.stdout)
     return code
 
 

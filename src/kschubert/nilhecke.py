@@ -26,8 +26,10 @@ The change-of-basis data are the b and e coefficient matrices
 mutually inverse.  Each side has one memoized scatter kernel on codes
 (``weyl.Code``, the tuple (finite index, translation)), a loop over the
 steps of ``WeylGroup.walk``, which peels the smallest left descent i off
-x = s_i u down to a memoized prefix; a step makes one pass over the row of
-u.  Only the public rows turn codes into elements.
+x = s_i u down to a row it holds; a step makes one pass over the row of
+u.  A kernel memoizes only the row a call returns, and its base rows, not
+the prefixes the loop passes, so a later walk stops at the nearest row
+some call handed out.  Only the public rows turn codes into elements.
 
 b side: the kernel ``_loc_row`` builds y_x in the localization basis, the
 b-row of x, which ``loc_row`` divides and ``bcoeff`` prints.  Projected,
@@ -109,9 +111,10 @@ class _Kernel:
     and e shifts), the b-side data of each letter i (the action of s_i's
     finite part, beta_i, n_i and the T- and y-side stay factors), the memos
     of e and T rows (``rows``, (packed row, bound) keyed by (x code, start
-    code, y_side)) and of b prefixes (``loc``, keyed by (x code, y_side,
-    cosets), from the base rows of the full y side and both projected
-    sides), and the element of each code (``elements``) and each coset
+    code, y_side): the identity row of each start and each row a call
+    returned) and of b rows (``loc``, keyed by (x code, y_side, cosets): the
+    base rows of the full y side and both projected sides and each row a
+    call returned), and the element of each code (``elements``) and each coset
     maximum's minimum (``minima``) that a public row returns."""
 
     __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "loc", "elements", "minima")
@@ -162,8 +165,8 @@ def _loc_row(kernel: _Kernel, x: Code, y_side: bool, cosets: bool) -> tuple[dict
     multiplicity) and key -> N_u, entry u being N_u / D.
     kappa(s_i t_lam w) = kappa(s_i t_lam) for finite w, so a projected row
     keys s_i t_lam by the translation in its coset.  Walks down to the first
-    memoized prefix (``WeylGroup.walk``), then builds upward in a loop,
-    memoizing every prefix."""
+    row it holds (``WeylGroup.walk``), then builds upward in a loop, and
+    memoizes the row it returns, not the prefixes."""
     group, memo, rank = kernel.group, kernel.loc, kernel.datum.rank
     x, steps = group.walk(x, lambda u: (u, y_side, cosets) in memo)
     den, nums = memo[x, y_side, cosets]
@@ -186,7 +189,7 @@ def _loc_row(kernel: _Kernel, x: Code, y_side: bool, cosets: bool) -> tuple[dict
             su = matvec(group.cmat[su[0]], su[1]) if cosets else su
             bound = mul_add(out.setdefault(su, {}), num.act(action), moved, bound)
         den, nums = lcm, {u: GroupAlgebraElement.from_packed(rank, acc, bound) for u, acc in out.items() if acc}
-        memo[x, y_side, cosets] = (den, nums)
+    memo[x, y_side, cosets] = (den, nums)
     return den, nums
 
 
@@ -208,9 +211,10 @@ def loc_row(x: AffineWeylElement) -> MappingProxyType:
 def _y_row(kernel: _Kernel, x: Code, start: Code, y_side: bool) -> tuple[dict, int]:
     """The y-basis (``y_side``) or T-basis coefficients of x . y_start, or
     x . T_start, in the frame of x (module notes): code -> {packed key:
-    coefficient}, and the row's bound.  Walks down to a memoized prefix or
-    to the identity, whose row is {start: 1}, refuses a walk of more than
-    ``WALK_LIMIT`` letters, then builds upward, memoizing every prefix."""
+    coefficient}, and the row's bound.  Walks down to a row it holds or to
+    the identity, whose row is {start: 1}, refuses a walk of more than
+    ``WALK_LIMIT`` letters, then builds upward, and memoizes the identity row
+    and the row it returns, not the prefixes."""
     rows, group, one = kernel.rows, kernel.group, kernel.one
     u, steps = group.walk(x, lambda u: u == one or (u, start, y_side) in rows, WALK_LIMIT + 1)
     if len(steps) > WALK_LIMIT:
@@ -242,7 +246,7 @@ def _y_row(kernel: _Kernel, x: Code, start: Code, y_side: bool) -> tuple[dict, i
                 for k, a in terms.items() if y_side else ((k + step, a) for k, a in terms.items()):
                     acc[k] = get(k, 0) + a
         row = {v: terms for v, acc in out.items() if (terms := {k: a for k, a in acc.items() if a})}
-        rows[x, start, y_side] = (row, bound)
+    rows[x, start, y_side] = (row, bound)
     return row, bound
 
 

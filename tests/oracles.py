@@ -2,21 +2,21 @@
 them: the two-basis element type ``KElement`` of the word-product route,
 second computations of Weyl-group data, of the b and e rows, of row
 coset sums, of the closed product formula and its convolution, of the
-T-rows and the k and l classes by the routes the class layer replaced, and
-of the classical constants by the rational solve, which the tests compare
-the library against, the per-entry sum of rational multiples of rows that
-``ring.combine`` is compared against, and small conveniences for writing
-the tests (Cartan matrices of finite types, word evaluation, the pairing, scaling, 1/(1 - e^lam), T-sums
-back in the localization basis, expanded denominators, the translation
-law, skewed localization rows, the reset of every library memo that
-a count starts from); Bruhat order by the lifting
+T-rows and the k and l classes by the routes the class layer replaced,
+and of the classical constants by the rational solve, which the tests
+compare the library against, the per-entry sum of rational multiples of
+rows that ``ring.combine`` is compared against, and small conveniences
+for writing the tests (Cartan matrices of finite types, word evaluation,
+the pairing, scaling, 1/(1 - e^lam), T-sums back in the localization
+basis, expanded denominators, the translation law, skewed localization
+rows, the reset of every library memo that a count starts from, the
+count of the rows the e kernel builds); Bruhat order by the lifting
 property, which lower intervals are compared against; the tuple-keyed
 group algebra that the packed one in ``kschubert.ring`` is compared
-against; the matrix route for affine Weyl elements that the index
-route of ``kschubert.weyl`` is compared against, with the full-product
-search for the Weyl group's tables; and the elimination over Fractions
-that the fraction-free Cartan check of ``kschubert.rootsys`` is compared
-against."""
+against; the matrix route for affine Weyl elements that the index route
+of ``kschubert.weyl`` is compared against, with the full-product search
+for the Weyl group's tables; and the elimination over Fractions that the
+fraction-free Cartan check of ``kschubert.rootsys`` is compared against."""
 
 import operator
 from fractions import Fraction
@@ -345,6 +345,22 @@ def cold() -> None:
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__:
                 obj.cache_clear()
+
+
+def counting_e_rows(monkeypatch, datum):
+    """Counts the rows the e kernel of ``datum`` builds from here on, and
+    returns a function giving (rows held, rows built).  ``nilhecke._y_row``
+    checks the coordinate bound of each row it builds from the row below it
+    once, with ``ring._in_range``, which nothing else in ``nilhecke`` calls;
+    the identity row of each start is built once and never dropped."""
+    steps, check = [], nilhecke._in_range
+    monkeypatch.setattr(nilhecke, "_in_range", lambda bound: steps.append(1) or check(bound))
+
+    def held_and_built():
+        kernel = nilhecke._kernel(datum)
+        return len(kernel.rows), len(steps) + sum(u == kernel.one for u, _, _ in kernel.rows)
+
+    return held_and_built
 
 
 def skewed_diagonal(rows):

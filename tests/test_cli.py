@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import cold, coset_sums, e_row_subword, skewed_diagonal
+from oracles import cold, coset_sums, counting_e_rows, e_row_subword, skewed_diagonal
 import kschubert
 from kschubert import cli, constants, nilhecke
 from kschubert.cli import main
@@ -83,6 +83,22 @@ def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("argv", [["roots", "--type", "Z9"], ["frobnicate"]])
+def test_closed_stderr_keeps_the_exit_code(argv):
+    # The read end of the child's stderr pipe is closed before the child
+    # reports its usage error: no traceback, and exit 2, not 1.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "kschubert.cli", *argv], stdout=subprocess.PIPE, stderr=write, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(kschubert.__file__).parents[1])},
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stdout) == (2, b"")
 
 
 def test_element_on_a_weyl_group_of_5040_elements(capsys):
@@ -222,18 +238,20 @@ def test_ecoeff_coset_sums_match_the_subword_rows(capsys, spec, max_len):
         assert got == [(format_element(z), gae_to_json(expected[z])) for z in order], x
 
 
-def test_ecoeff_runs_the_e_kernel_once(capsys):
-    # From a cold kernel, ecoeff leaves one e row per prefix of x's reduced
-    # word in the kernel's memo, all started at the identity: the coset sums
-    # are grouped from the printed row, not built from a second start.
+def test_ecoeff_runs_the_e_kernel_once(capsys, monkeypatch):
+    # From a cold kernel, ecoeff builds one e row per prefix of x's reduced
+    # word and keeps two, the identity row and the row of x, both started at
+    # the identity: the coset sums are grouped from the printed row, not
+    # built from a second start.
     datum = build_root_system("A2")
     x = parse_element("s1*s2 t[-2,-2]", datum)
     cold()
+    e_rows = counting_e_rows(monkeypatch, datum)
     code, _, _ = run(capsys, "ecoeff", "--type", "A2", "--x", format_element(x), "--json")
     assert code == 0
     rows = nilhecke._kernel(datum).rows
     assert {(start, y_side) for _, start, y_side in rows} == {((0, (0, 0)), True)}
-    assert len(rows) == length(x) + 1 == 7
+    assert e_rows() == (2, length(x) + 1) == (2, 7)
 
 
 def test_kclass_lclass(capsys):
@@ -413,12 +431,33 @@ def test_recursion_depth_exit_2(capsys):
     ],
 )
 def test_flags_accepted_only_where_read(capsys, argv):
-    assert main(argv) == 2
+    # A flag that the command does not read is refused by name, as JSON.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    flag = next(a for a in argv if a in ("--max-length", "--root-exponents"))
+    assert error["type"] == "UsageError" and error["message"].startswith(f"unrecognized arguments: {flag}")
 
 
 def test_unknown_subcommand(capsys):
-    assert main(["frobnicate"]) == 2
-    assert main(["--threads", "2", "roots"]) == 2
+    # argparse's own errors are reported as JSON on stderr, with exit 2;
+    # --help still prints its usage text and exits 0.
+    for argv, message in [
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["--threads", "2", "roots"], "argument command: invalid choice: '2'"),
+        ([], "the following arguments are required: command"),
+        (["ecoeff", "--type", "A1"], "the following arguments are required: --x"),
+        (["verify", "--suite", "sl4"], "argument --suite: invalid choice: 'sl4'"),
+        (["bcoeff", "--x", "t[-1]", "--max-length", "two"], "argument --max-length: invalid int value: 'two'"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["schema_version"] == 1 and error["error"]["type"] == "UsageError"
+        assert error["error"]["message"].startswith(message), argv
+    for argv in (["--help"], ["roots", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: kschubert") and err == ""
 
 
 @pytest.mark.parametrize("error", [NonPolynomialError, SingularSystemError, ShapeViolationError])

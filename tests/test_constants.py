@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     classical_k_constants_rf,
     cold,
+    counting_e_rows,
     pontryagin_constants_rf,
     skewed_diagonal,
     translation_convolution_rf,
@@ -202,14 +203,16 @@ def test_scan_work_guard(monkeypatch, a2):
     # term products, and the pair stage's division is exactly one coset
     # grouping per (pair, root of D_x), 330 (566 one-factor passes before,
     # and 1,228 exact divisions for the per-entry reduction before that).
-    # The e kernel takes 454 steps, one row per letter peeled or base row,
-    # holding 2,204 entries: the counts of the element-keyed kernel, so
-    # keying rows by codes moved keys, not work.  Counts, so they hold
-    # however noisy the clock.
+    # The e kernel builds 590 rows, one per letter peeled or base row, and
+    # holds 136 of them with 877 entries: the rows its calls returned and
+    # each start's identity row (454 rows held and built, with 2,204
+    # entries, while it kept every prefix).  Counts, so they hold however
+    # noisy the clock.
     ball = grassmannian_ball(a2, 6)
     pairs = [(x, y) for i, x in enumerate(ball) for y in ball[i:]]
     tables = [pontryagin_constants(x, y).entries for x, y in pairs]
     cold()
+    e_rows = counting_e_rows(monkeypatch, a2)
     joint, groupings, products = [], [], []
     coset_pass = ring._coset_pass
     # A joint pass is the one call given a sixth, ``joint``, argument.
@@ -220,8 +223,8 @@ def test_scan_work_guard(monkeypatch, a2):
     roots = sum(len(nilhecke.b_lift(x, True)[0]) for x, _ in pairs)
     assert (len(pairs), lifts, len(joint), sum(products)) == (136, 16, 62, 51_691)
     assert len(groupings) == roots == 330
-    rows = nilhecke._kernel(a2).rows
-    assert (len(rows), sum(len(row) for row, _ in rows.values())) == (454, 2_204)
+    assert e_rows() == (136, 590)
+    assert sum(len(row) for row, _ in nilhecke._kernel(a2).rows.values()) == 877
 
 
 def test_translation_product_check(a1, a2):

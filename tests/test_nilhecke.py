@@ -16,6 +16,7 @@ from oracles import (
     bruhat_leq,
     cold,
     coset_sums,
+    counting_e_rows,
     demazure_product,
     e_row_subword,
     k_mul,
@@ -38,7 +39,7 @@ from oracles import (
 )
 import kschubert
 from kschubert import nilhecke
-from kschubert.constants import _finite_localization_row
+from kschubert.constants import _finite_localization_row, pontryagin_constants
 from kschubert.ring import GroupAlgebraElement, RationalFunction, gae_to_json, lift, rf_to_json
 from kschubert.rootsys import build_root_system, level_zero_root
 from kschubert.nilhecke import (
@@ -327,17 +328,49 @@ def test_coset_rows_take_no_weyl_action_and_no_length(monkeypatch, a2):
     # The e kernel keeps rows in the frame of x and reads descents off one
     # root, so from a cold kernel the coset rows of the scan (A2 Grassmannian
     # ball of length <= 6, pairs x <= y, every mu of x's b coset sums) apply
-    # no Weyl action and compute no length.  Counts, not times.
+    # no Weyl action and compute no length; the kernel builds 590 rows and
+    # holds the 136 its calls returned or started from (454 of each while it
+    # kept every prefix).  Counts, not times.
     ball = grassmannian_ball(a2, 6)
     reads = [(mu, y) for i, x in enumerate(ball) for mu in b_lift(x, True)[1] for y in ball[i:]]
     warm = [nilhecke.translation_cosets(mu, y) for mu, y in reads]
     cold()
+    e_rows = counting_e_rows(monkeypatch, a2)
     lengths, acts, act = {}, [], G.act
     monkeypatch.setattr(weyl_group(a2), "_lengths", lengths)  # a cold length memo
     monkeypatch.setattr(G, "act", lambda g, action: acts.append(1) or act(g, action))
     assert [nilhecke.translation_cosets(mu, y) for mu, y in reads] == warm
     assert (len(acts), len(lengths)) == (0, 0)
-    assert len(nilhecke._kernel(a2).rows) == 454
+    assert e_rows() == (136, 590)
+
+
+@pytest.mark.parametrize(
+    "spec,max_len",
+    [("A1", 8), ("A2", 5), ("A3", 3), (B2, 4), (C2, 4), (G2, 4)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_kernels_keep_only_the_rows_they_hand_out(monkeypatch, spec, max_len):
+    # From cold, every product x <= y and every k and l class of the
+    # Grassmannian ball, and the full b row of its last element, whose
+    # prefixes nothing else reads on that side: each row either kernel
+    # memoizes is a base row (the identity row of an e start, the three b
+    # base rows) or a row that some call into the kernel returned, and every
+    # returned row is memoized.
+    datum = build_root_system(spec)
+    ball = grassmannian_ball(datum, max_len)
+    cold()
+    kernel = nilhecke._kernel(datum)
+    bases, returned = set(kernel.loc), set()
+    for name in ("_y_row", "_loc_row"):
+        run = getattr(nilhecke, name)
+        monkeypatch.setattr(nilhecke, name, lambda k, *key, run=run: returned.add(key) or run(k, *key))
+    for i, x in enumerate(ball):
+        for y in ball[i:]:
+            pontryagin_constants(x, y)
+        k_class(x), l_class(x)
+    loc_row(ball[-1])
+    bases |= {key for key in kernel.rows if key[0] == kernel.one}
+    assert set(kernel.rows) | set(kernel.loc) == returned | bases
 
 
 def test_b_rows_from_cold_take_no_rational_arithmetic(monkeypatch, a2):
@@ -442,14 +475,16 @@ def test_e_kernel_refuses_a_walk_over_the_limit(monkeypatch, a1):
     with pytest.raises(nilhecke.WalkLimitError, match="length 1002"):
         translation_cosets(mu, identity(a1))
     assert kernel.rows == warm and translation_cosets.cache_info().currsize == 0
-    # The same boundary under a small limit: a walk of 4 letters builds.
+    # The same boundary under a small limit: a walk of 4 letters builds its
+    # 5 rows and keeps 2, the identity row and the one it returns.
     monkeypatch.setattr(nilhecke, "WALK_LIMIT", 4)
     cold()
+    e_rows = counting_e_rows(monkeypatch, a1)
     with pytest.raises(nilhecke.WalkLimitError):
         y_expansion(el(a1, "s1 t[2]"), True)
-    assert nilhecke._kernel(a1).rows == {}
+    assert e_rows() == (0, 0)
     assert y_expansion(el(a1, "t[-2]"), True) == e_row_subword(el(a1, "t[-2]"))
-    assert len(nilhecke._kernel(a1).rows) == 5
+    assert e_rows() == (2, 5)
 
 
 @pytest.mark.parametrize("fixture_name,max_len", [("a1", 5), ("a2", 4)])
