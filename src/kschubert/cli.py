@@ -89,7 +89,7 @@ def _datum(args):
         except json.JSONDecodeError as exc:
             raise UsageError(f"--cartan is not valid JSON: {exc}")
         return build_root_system(matrix)
-    return build_root_system(args.type or "A1")
+    return build_root_system("A1" if args.type is None else args.type)
 
 
 def _guard(args, datum) -> int:

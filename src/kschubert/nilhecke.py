@@ -29,7 +29,10 @@ steps of ``WeylGroup.walk``, which peels the smallest left descent i off
 x = s_i u down to a row it holds; a step makes one pass over the row of
 u.  A kernel memoizes only the row a call returns, and its base rows, not
 the prefixes the loop passes, so a later walk stops at the nearest row
-some call handed out.  Only the public rows turn codes into elements.
+some call handed out.  The e kernel keeps one copy of each entry it
+stores: many rows repeat the same polynomials, so before a built row is
+memoized each entry equal to one it already holds is replaced by that
+one.  Only the public rows turn codes into elements.
 
 b side: the kernel ``_loc_row`` builds y_x in the localization basis, the
 b-row of x, which ``loc_row`` divides and ``bcoeff`` prints.  Projected,
@@ -114,10 +117,13 @@ class _Kernel:
     code, y_side): the identity row of each start and each row a call
     returned) and of b rows (``loc``, keyed by (x code, y_side, cosets): the
     base rows of the full y side and both projected sides and each row a
-    call returned), and the element of each code (``elements``) and each coset
-    maximum's minimum (``minima``) that a public row returns."""
+    call returned), the one copy of each distinct entry the e and T rows
+    hold (``entries``, keyed by the hash of its terms, and ``unit``, the
+    entry 1 of every identity row), and the element of each code
+    (``elements``) and each coset maximum's minimum (``minima``) that a
+    public row returns."""
 
-    __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "loc", "elements", "minima")
+    __slots__ = ("datum", "group", "letters", "one", "w0", "rows", "unit", "entries", "loc", "elements", "minima")
 
     def __init__(self, datum: CartanDatum):
         group = weyl_group(datum)
@@ -135,6 +141,8 @@ class _Kernel:
         self.one = (0, (0,) * datum.rank)
         self.w0 = group.longest
         self.rows: dict[tuple[Code, Code, bool], tuple[dict[Code, dict[int, int]], int]] = {}
+        self.unit = {0: 1}
+        self.entries: dict[int, dict[int, int]] = {hash(frozenset(self.unit.items())): self.unit}
         base = GroupAlgebraElement.one(datum.rank)
         bases = ((True, False, self.one), (True, True, self.one[1]), (False, True, self.one[1]))
         self.loc: dict[tuple[Code, bool, bool], tuple[dict, dict]] = {(self.one, y, c): ({}, {k: base}) for y, c, k in bases}
@@ -214,13 +222,16 @@ def _y_row(kernel: _Kernel, x: Code, start: Code, y_side: bool) -> tuple[dict, i
     coefficient}, and the row's bound.  Walks down to a row it holds or to
     the identity, whose row is {start: 1}, refuses a walk of more than
     ``WALK_LIMIT`` letters, then builds upward, and memoizes the identity row
-    and the row it returns, not the prefixes."""
+    and the row it returns, not the prefixes.  A row it builds is memoized
+    with each entry equal to one in ``kernel.entries`` replaced by that
+    entry, and its other entries added there; an entry whose hash is held
+    by an unequal one stays its own copy."""
     rows, group, one = kernel.rows, kernel.group, kernel.one
     u, steps = group.walk(x, lambda u: u == one or (u, start, y_side) in rows, WALK_LIMIT + 1)
     if len(steps) > WALK_LIMIT:
         length = group.code_length(x)
         raise WalkLimitError(f"the e kernel walks at most {WALK_LIMIT} letters, and x of length {length} needs more")
-    row, bound = rows.setdefault((u, start, y_side), ({start: {0: 1}}, 0))
+    row, bound = rows.setdefault((u, start, y_side), ({start: kernel.unit}, 0))
     left_code, descends = group.left_code, group.descends
     for i, x in steps:
         # x = s_i u has finite part s_i w_u: s_i(c) in the frame of u is c in
@@ -246,7 +257,12 @@ def _y_row(kernel: _Kernel, x: Code, start: Code, y_side: bool) -> tuple[dict, i
                 for k, a in terms.items() if y_side else ((k + step, a) for k, a in terms.items()):
                     acc[k] = get(k, 0) + a
         row = {v: terms for v, acc in out.items() if (terms := {k: a for k, a in acc.items() if a})}
-    rows[x, start, y_side] = (row, bound)
+    if steps:
+        held = kernel.entries
+        for v, terms in row.items():
+            if (same := held.setdefault(hash(frozenset(terms.items())), terms)) == terms:
+                row[v] = same
+        rows[x, start, y_side] = (row, bound)
     return row, bound
 
 

@@ -8,16 +8,20 @@ compare the library against, the per-entry sum of rational multiples of
 rows that ``ring.combine`` is compared against, and small conveniences
 for writing the tests (Cartan matrices of finite types, word evaluation,
 the pairing, scaling, 1/(1 - e^lam), T-sums back in the localization
-basis, expanded denominators, the translation law, skewed localization
-rows, the reset of every library memo that a count starts from, the
-count of the rows the e kernel builds); Bruhat order by the lifting
-property, which lower intervals are compared against; the tuple-keyed
-group algebra that the packed one in ``kschubert.ring`` is compared
-against; the matrix route for affine Weyl elements that the index route
-of ``kschubert.weyl`` is compared against, with the full-product search
-for the Weyl group's tables; and the elimination over Fractions that the
-fraction-free Cartan check of ``kschubert.rootsys`` is compared against."""
+basis, expanded denominators, the translation law, the expansion of a
+structure constant in u_i = e^{-alpha_i} - 1 with its lowest part and
+its sign and degree shape, skewed localization rows, the reset of every
+library memo that a count starts from, the count of the rows the e
+kernel builds); Bruhat order by the lifting property, which lower
+intervals are compared against; the tuple-keyed group algebra that the
+packed one in ``kschubert.ring`` is compared against; the matrix route
+for affine Weyl elements that the index route of ``kschubert.weyl`` is
+compared against, with the full-product search for the Weyl group's
+tables; and the elimination over Fractions that the fraction-free Cartan
+check of ``kschubert.rootsys`` is compared against."""
 
+import itertools
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +47,15 @@ from kschubert.ring import (
     mul_add,
     unpack,
 )
-from kschubert.rootsys import Frozen, Matrix, Weight, identity_matrix, level_zero_root, matvec
+from kschubert.rootsys import (
+    Frozen,
+    Matrix,
+    Weight,
+    identity_matrix,
+    level_zero_root,
+    matvec,
+    weight_in_root_coords,
+)
 from kschubert.weyl import (
     AffineWeylElement,
     aff_multiply,
@@ -218,6 +230,42 @@ def translation_product_check(x, nu):
     table = pontryagin_constants(x, t)
     expected = {aff_multiply(x, t): GroupAlgebraElement.one(datum.rank)}
     return table.entries == expected, table
+
+
+def u_expansion(datum, value):
+    """``value`` in u_i = e^{-alpha_i} - 1, as u-exponents -> nonzero
+    coefficient: a weight -sum_i n_i alpha_i is prod_i (1 + u_i)^{n_i},
+    spread by binomials.  None when a weight has a positive or fractional
+    root coordinate, so that ``value`` lies outside
+    Z[e^{-alpha_1}, ..., e^{-alpha_r}]."""
+    out = {}
+    for weight, c in value.sorted_terms():
+        n = [-k for k in weight_in_root_coords(datum, weight)]
+        if not all(isinstance(k, int) and k >= 0 for k in n):
+            return None
+        for m in itertools.product(*(range(k + 1) for k in n)):
+            out[m] = out.get(m, 0) + c * math.prod(map(math.comb, n, m))
+    return {m: c for m, c in out.items() if c}
+
+
+def lowest_part(datum, value, delta):
+    """(-1)^delta times the terms of u-degree max(0, delta) of ``value``'s
+    ``u_expansion``: for a structure constant c_{x,y}^z with
+    delta = l(z) - l(x) - l(y), the part that the degree bound of
+    ``alternating_positive`` makes lowest, and that K-homology shares with
+    homology.  Empty outside Z[e^{-alpha_1}, ..., e^{-alpha_r}]."""
+    terms = u_expansion(datum, value) or {}
+    return {m: (-1) ** delta * c for m, c in terms.items() if sum(m) == max(0, delta)}
+
+
+def alternating_positive(datum, value, delta):
+    """Whether a structure constant c_{x,y}^z, delta = l(z) - l(x) - l(y),
+    has the expected shape: c lies in Z[e^{-alpha_1}, ..., e^{-alpha_r}],
+    (-1)^delta c has nonnegative coefficients in the u_i of ``u_expansion``
+    (K-theoretic sign alternation), and no term of u-degree below
+    max(0, delta)."""
+    terms = u_expansion(datum, value)
+    return terms is not None and all((-1) ** delta * c > 0 and sum(m) >= max(0, delta) for m, c in terms.items())
 
 
 @lru_cache(maxsize=None)

@@ -68,6 +68,16 @@ def test_empty_cartan_is_not_an_absent_one(capsys):
     assert code == 2 and json.loads(err)["error"]["message"] == "give --type or --cartan, not both"
 
 
+def test_empty_type_is_not_an_absent_one(capsys):
+    # --type "" is a label given empty, refused as unsupported, not the default.
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, "roots", "--type", "", *flags)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "UnsupportedTypeError", "message": "unsupported type label ''; built-ins: ['A1', 'A2', 'A3']"
+        }
+
+
 @pytest.mark.parametrize("argv", [["conjecture", "--type", "A2", "--json"], ["verify", "--suite", "sl2"]])
 def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv):
     # The read end of the child's stdout pipe is closed before the child

@@ -3,9 +3,12 @@ import itertools
 import pytest
 
 from oracles import (
+    FINITE_TYPES,
+    alternating_positive,
     classical_k_constants_rf,
     cold,
     counting_e_rows,
+    lowest_part,
     pontryagin_constants_rf,
     skewed_diagonal,
     translation_convolution_rf,
@@ -206,8 +209,10 @@ def test_scan_work_guard(monkeypatch, a2):
     # The e kernel builds 590 rows, one per letter peeled or base row, and
     # holds 136 of them with 877 entries: the rows its calls returned and
     # each start's identity row (454 rows held and built, with 2,204
-    # entries, while it kept every prefix).  Counts, so they hold however
-    # noisy the clock.
+    # entries, while it kept every prefix).  The 877 entries are 415
+    # distinct dicts with 2,732 terms: an entry equal to one the kernel
+    # holds is that entry (4,661 terms while each was its own copy).
+    # Counts, so they hold however noisy the clock.
     ball = grassmannian_ball(a2, 6)
     pairs = [(x, y) for i, x in enumerate(ball) for y in ball[i:]]
     tables = [pontryagin_constants(x, y).entries for x, y in pairs]
@@ -224,7 +229,35 @@ def test_scan_work_guard(monkeypatch, a2):
     assert (len(pairs), lifts, len(joint), sum(products)) == (136, 16, 62, 51_691)
     assert len(groupings) == roots == 330
     assert e_rows() == (136, 590)
-    assert sum(len(row) for row, _ in nilhecke._kernel(a2).rows.values()) == 877
+    held = [terms for row, _ in nilhecke._kernel(a2).rows.values() for terms in row.values()]
+    distinct = {id(terms): terms for terms in held}.values()
+    assert (len(held), len(distinct), sum(map(len, distinct))) == (877, 415, 2_732)
+
+
+@pytest.mark.parametrize(
+    "label,max_len,entries,attained",
+    [("A1", 8, 55, 55), ("A2", 7, 557, 557), ("A3", 5, 856, 822)]
+    + [("B2", 6, 275, 274), ("C2", 6, 275, 274), ("G2", 6, 274, 273)],
+    ids=["A1", "A2", "A3", "B2", "C2", "G2"],
+)
+def test_constants_alternate_in_sign_above_the_degree_bound(label, max_len, entries, attained):
+    # Every entry c_{x,y}^z of every pair x <= y of the Grassmannian ball,
+    # with delta = l(z) - l(x) - l(y): c lies in Z[e^{-alpha_i}], and with
+    # e^{-alpha_i} = 1 + u_i, (-1)^delta c has nonnegative u-coefficients
+    # and no term of u-degree below max(0, delta) (Anderson-Griffeth-Miller
+    # sign alternation, and the grading of the homology constants).  The
+    # bound is attained, a nonzero term of degree exactly max(0, delta), on
+    # all but a few entries.
+    datum = build_root_system(FINITE_TYPES[label][0])
+    ball = grassmannian_ball(datum, max_len)
+    seen = [
+        (c, length(z) - length(x) - length(y))
+        for i, x in enumerate(ball)
+        for y in ball[i:]
+        for z, c in pontryagin_constants(x, y).entries.items()
+    ]
+    assert [d for c, d in seen if not alternating_positive(datum, c, d)] == []
+    assert (len(seen), sum(bool(lowest_part(datum, c, d)) for c, d in seen)) == (entries, attained)
 
 
 def test_translation_product_check(a1, a2):

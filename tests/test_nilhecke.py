@@ -355,7 +355,8 @@ def test_kernels_keep_only_the_rows_they_hand_out(monkeypatch, spec, max_len):
     # prefixes nothing else reads on that side: each row either kernel
     # memoizes is a base row (the identity row of an e start, the three b
     # base rows) or a row that some call into the kernel returned, and every
-    # returned row is memoized.
+    # returned row is memoized.  No two entries of the e rows held are equal
+    # dicts that are distinct objects.
     datum = build_root_system(spec)
     ball = grassmannian_ball(datum, max_len)
     cold()
@@ -371,6 +372,8 @@ def test_kernels_keep_only_the_rows_they_hand_out(monkeypatch, spec, max_len):
     loc_row(ball[-1])
     bases |= {key for key in kernel.rows if key[0] == kernel.one}
     assert set(kernel.rows) | set(kernel.loc) == returned | bases
+    held = [terms for row, _ in kernel.rows.values() for terms in row.values()]
+    assert len({id(terms) for terms in held}) == len({frozenset(terms.items()) for terms in held})
 
 
 def test_b_rows_from_cold_take_no_rational_arithmetic(monkeypatch, a2):
