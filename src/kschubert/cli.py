@@ -219,26 +219,25 @@ def _cmd_product(args):
     if not (is_grassmannian(x) and is_grassmannian(y)):
         raise UsageError("both --x and --y must be affine Grassmannian elements")
     table = pontryagin_constants(x, y)
-    entries = table.sorted_entries()
+    entries = _sorted_row(table.entries)
     fields = {
         "x": format_element(x),
         "y": format_element(y),
-        "entries": {format_element(z): gae_to_json(c) for z, c in entries},
+        "entries": {z: gae_to_json(c) for z, c in entries.items()},
         "warnings": list(table.warnings),
     }
     if args.command == "constant":
         return 0, fields, None
     lines = [f"O_{{{fields['x']}}} . O_{{{fields['y']}}} ="]
-    lines += [f"  ({format_gae(c, datum, args.root_exponents)}) O_{{{format_element(z)}}}" for z, c in entries]
+    lines += [f"  ({format_gae(c, datum, args.root_exponents)}) O_{{{z}}}" for z, c in entries.items()]
     lines += [f"  warning: {w}" for w in table.warnings]
     return 0, fields, lines
 
 
 def _cmd_verify(args):
-    report = verify_embedded_tables(args.suite)
-    failed = len(report.failures)
-    records, lines = [], []
-    for r in report.records:
+    failed, records, lines = 0, [], []
+    for r in verify_embedded_tables(args.suite):
+        failed += not r.ok
         records.append({"identity": r.identity, "ok": r.ok, "detail": r.detail})
         lines.append(f"{'PASS' if r.ok else 'FAIL'} {r.identity}" + (f"  [{r.detail}]" if r.detail else ""))
     lines.append(f"{len(records) - failed}/{len(records)} identities verified")
@@ -263,17 +262,12 @@ def _cmd_conjecture(args):
     reps = _conjecture_inputs(datum, args.max_translation, _guard(args, datum))
     # The reps are distinct and sorted, so each pair x <= y comes once.
     pairs = [(x, y) for i, x in enumerate(reps) for y in reps[i:]]
-    finite = [(finite_part(x), finite_part(y)) for x, y in pairs]
+    finite = dict.fromkeys((finite_part(x), finite_part(y)) for x, y in pairs)
     data = list(load_quantum_data()) if datum.label == "A1" else []
-    data.extend(classical_quantum_data(datum, dict.fromkeys(finite)))
-    # Each pair reads only the data of its own finite parts (u, v): group
-    # them once, instead of every pair scanning all data.
-    by_pair: dict[tuple, list] = {}
-    for d in data:
-        by_pair.setdefault((d.u, d.v), []).append(d)
+    data.extend(classical_quantum_data(datum, finite))
     records, counts = [], {"match": 0, "mismatch": 0, "no-data": 0}
-    for (x, y), own in zip(pairs, finite):
-        for e in conjecture_check(x, y, by_pair.get(own, [])).entries:
+    for x, y in pairs:
+        for e in conjecture_check(x, y, data).entries:
             counts[e.verdict] += 1
             records.append(
                 {

@@ -40,7 +40,8 @@ and against the embedded SL2/SL3 reference tables.  The one triangular
 solver, ``_triangular_solve``, takes the division as a callback: the
 independent route multiplies by the inverse of b_{z,z}, and the classical
 finite-type oracle solves on polynomials, dividing each pivot value exactly
-by e_{w,w}, so a value that does not divide raises NonPolynomialError.
+by e_{w,w}, so a value that does not divide raises NonPolynomialError.  The
+solver raises SingularSystemError itself when a residual is left over.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class StructureConstantTable:
 
     def __init__(self, entries: dict, warnings: list[str]):
         self.entries, self.warnings = entries, warnings
-
-    def sorted_entries(self):
-        return sorted(self.entries.items(), key=lambda t: element_sort_key(t[0]))
 
 
 def _translation_convolution(x: AffineWeylElement, y: AffineWeylElement) -> dict:
@@ -157,12 +155,13 @@ def _inverse_leading_b(z: AffineWeylElement) -> GroupAlgebraElement:
     return _den_complement(z.datum, Counter(reflection_roots(z.datum, reduced_word(z))), {})
 
 
-def _triangular_solve(residual: dict, order, pivot, divide, row) -> dict:
+def _triangular_solve(residual: dict, order, pivot, divide, row, system) -> dict:
     """Peel a triangular system one unknown at a time, in ``order``: the
     coefficient of z is ``divide(z, value)`` of the residual value at
     ``pivot(z)``, and that coefficient times ``row(z)`` is subtracted from
-    ``residual`` in place.  Returns the coefficients found; the caller
-    checks that nothing is left in ``residual``."""
+    ``residual`` in place.  Returns the coefficients found, and raises
+    SingularSystemError, naming the leftover, its key and ``system()``, if
+    anything is left in ``residual``."""
     solved = {}
     for z in order:
         value = residual.get(pivot(z))
@@ -172,6 +171,9 @@ def _triangular_solve(residual: dict, order, pivot, divide, row) -> dict:
         for key, entry in row(z).items():
             dec = coeff * entry
             residual[key] = residual[key] - dec if key in residual else -dec
+    for key, leftover in residual.items():
+        if leftover:
+            raise SingularSystemError(f"nonzero residual {leftover!r} at {key!r} while {system()}")
     return solved
 
 
@@ -189,20 +191,14 @@ def pontryagin_constants_linear(x: AffineWeylElement, y: AffineWeylElement) -> S
         top = coset_min(translation(datum, sigma))
         candidates.update(v for v in lower_interval(top) if is_grassmannian(v))
 
-    residual = dict(target)
     solved = _triangular_solve(
-        residual,
+        target,
         sorted(candidates, key=element_sort_key, reverse=True),
         coset_translation,
         lambda z, value: value * _inverse_leading_b(z),
         b_cosets,
+        lambda: f"expanding O_{format_element(x)} . O_{format_element(y)}",
     )
-    for key, leftover in residual.items():
-        if leftover:
-            raise SingularSystemError(
-                f"nonzero residual {leftover!r} at translation {key} while "
-                f"expanding O_{format_element(x)} . O_{format_element(y)}"
-            )
     entries = {z: c.to_polynomial() for z, c in solved.items() if c}
     return StructureConstantTable(entries, _support_warnings(x, y, entries))
 
@@ -254,12 +250,8 @@ def classical_k_constants(u: AffineWeylElement, v: AffineWeylElement) -> dict:
         lambda w: w,
         divide,
         _finite_localization_row,
+        lambda: f"solving the classical constants of {format_element(u)} and {format_element(v)}",
     )
-    for xx, leftover in residual.items():
-        if leftover:
-            raise SingularSystemError(
-                f"nonzero localization residual at {format_element(xx)}"
-            )
     return {w: c.flip() for w, c in solved.items()}
 
 
@@ -325,7 +317,7 @@ def conjecture_check(
             )
 
     entries = []
-    for z, c in table.sorted_entries():
+    for z, c in sorted(table.entries.items(), key=lambda t: element_sort_key(t[0])):
         w_fin = finite_part(z)
         eta = tuple(a - b for a, b in zip(z.trans, nu))
         datum_hit = index.pop((w_fin, eta), None)
@@ -403,17 +395,6 @@ class VerificationRecord:
         self.identity, self.ok, self.detail = identity, ok, detail
 
 
-class VerificationReport:
-    __slots__ = ("records",)
-
-    def __init__(self, records: list[VerificationRecord]):
-        self.records = records
-
-    @property
-    def failures(self) -> list[VerificationRecord]:
-        return [r for r in self.records if not r.ok]
-
-
 def _check(name, expected, computed, fmt, records) -> None:
     """Record whether two tables agree, naming each entry where they differ
     with its values written by ``fmt``."""
@@ -429,9 +410,9 @@ def _check(name, expected, computed, fmt, records) -> None:
     records.append(VerificationRecord(name, not lines, "; ".join(lines)))
 
 
-def verify_embedded_tables(suite: str = "all") -> VerificationReport:
-    """Recompute every identity of the embedded SL2/SL3 datasets and report
-    pass/fail per identity."""
+def verify_embedded_tables(suite: str = "all") -> list[VerificationRecord]:
+    """Recompute every identity of the embedded SL2/SL3 datasets: one record
+    of pass/fail per identity."""
     if suite not in ("sl2", "sl3", "all"):
         raise ValueError("suite must be sl2, sl3 or all")
     records: list[VerificationRecord] = []
@@ -439,7 +420,7 @@ def verify_embedded_tables(suite: str = "all") -> VerificationReport:
         _verify_suite(_load_fixture("sl2_tables.json"), records)
     if suite in ("sl3", "all"):
         _verify_suite(_load_fixture("sl3_tables.json"), records)
-    return VerificationReport(records)
+    return records
 
 
 def _verify_suite(data: dict, records: list) -> None:

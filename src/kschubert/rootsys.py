@@ -177,19 +177,11 @@ def _check_cartan(cartan: Matrix) -> tuple[int, Matrix]:
     return previous, tuple(tuple(row[rank:]) for row in aug)
 
 
-def _reflect_root(cartan: Matrix, i: int, root: tuple[int, ...]) -> tuple[int, ...]:
-    # root in simple-root coordinates; s_i(beta) = beta - <a_i^vee, beta> a_i
-    p = sum(cartan[i][j] * root[j] for j in range(len(root)))
-    out = list(root)
-    out[i] -= p
-    return tuple(out)
-
-
-def _reflect_coroot(cartan: Matrix, i: int, coroot: tuple[int, ...]) -> tuple[int, ...]:
-    # s_i(mu^vee) = mu^vee - <mu^vee, a_i> a_i^vee
-    p = sum(coroot[j] * cartan[j][i] for j in range(len(coroot)))
-    out = list(coroot)
-    out[i] -= p
+def _reflect(pairing: Matrix, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    # s_i(v) = v - <row i of pairing, v> e_i: a root pairs through the Cartan
+    # matrix, <a_i^vee, beta>, and a coroot through its transpose, <mu^vee, a_i>.
+    out = list(v)
+    out[i] -= sum(a * b for a, b in zip(pairing[i], v))
     return tuple(out)
 
 
@@ -197,6 +189,7 @@ def _reflect_coroot(cartan: Matrix, i: int, coroot: tuple[int, ...]) -> tuple[in
 def _build_from_matrix(cartan: Matrix, label: str) -> CartanDatum:
     det, adjugate = _check_cartan(cartan)
     rank = len(cartan)
+    transpose = tuple(zip(*cartan))
 
     # Breadth-first closure of {simple roots} under all simple reflections,
     # tracking (root, coroot) pairs so that coroots of non-simple roots come
@@ -209,7 +202,7 @@ def _build_from_matrix(cartan: Matrix, label: str) -> CartanDatum:
     while frontier:
         root, coroot = frontier.pop()
         for i in range(rank):
-            image = (_reflect_root(cartan, i, root), _reflect_coroot(cartan, i, coroot))
+            image = (_reflect(cartan, i, root), _reflect(transpose, i, coroot))
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)

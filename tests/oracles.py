@@ -30,7 +30,6 @@ from types import MappingProxyType
 from kschubert import constants, nilhecke
 from kschubert.constants import (
     StructureConstantTable,
-    SingularSystemError,
     _finite_localization_row,
     _support_warnings,
     _triangular_solve,
@@ -377,10 +376,13 @@ def classical_k_constants_rf(u, v):
         return value * inverse
 
     solved = _triangular_solve(
-        residual, sorted(elements, key=element_sort_key), lambda w: w, divide, _finite_localization_row
+        residual,
+        sorted(elements, key=element_sort_key),
+        lambda w: w,
+        divide,
+        _finite_localization_row,
+        lambda: "solving the classical constants over rational functions",
     )
-    if any(residual.values()):
-        raise SingularSystemError("nonzero localization residual")
     return {w: c.to_polynomial().flip() for w, c in solved.items() if c}
 
 

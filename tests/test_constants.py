@@ -20,6 +20,8 @@ from kschubert.rootsys import build_root_system, root_lattice_weight, weight_in_
 from kschubert.constants import (
     MalformedDatumError,
     QuantumDatum,
+    SingularSystemError,
+    _triangular_solve,
     classical_k_constants,
     classical_quantum_data,
     conjecture_check,
@@ -136,7 +138,9 @@ def test_product_routes_whole_ball(label, max_len):
     reps = grassmannian_ball(build_root_system(label), max_len)
     for i, x in enumerate(reps):
         for y in reps[i:]:
-            entries = pontryagin_constants(x, y).entries
+            table = pontryagin_constants(x, y)
+            entries = table.entries
+            assert table.warnings == []
             assert entries == pontryagin_constants_rf(x, y).entries
             assert entries == pontryagin_constants_linear(x, y).entries
             assert entries == pontryagin_constants(y, x).entries
@@ -158,7 +162,9 @@ def test_product_routes_non_simply_laced(cartan):
     reps = grassmannian_ball(datum, 4)
     for i, x in enumerate(reps):
         for y in reps[i:]:
-            entries = pontryagin_constants(x, y).entries
+            table = pontryagin_constants(x, y)
+            entries = table.entries
+            assert table.warnings == []
             assert entries == pontryagin_constants_rf(x, y).entries
             assert entries == pontryagin_constants_linear(x, y).entries
             assert entries == pontryagin_constants(y, x).entries
@@ -383,6 +389,33 @@ def test_classical_solve_is_its_exactness_gate(monkeypatch, a1):
         classical_k_constants(s1, s1)
 
 
+def test_triangular_solve_returns_a_consistent_systems_coefficients(a1):
+    one, e = G.one(1), G.monomial((2,))
+    rows = {"p": {"p": one, "q": e}, "q": {"q": one}}
+    residual = {"p": one * 2, "q": e * 2 + one * 3}
+
+    def unread():
+        raise AssertionError("the message of a solvable system is formatted")
+
+    solved = _triangular_solve(residual, "pq", lambda z: z, lambda z, value: value, rows.__getitem__, unread)
+    assert solved == {"p": one * 2, "q": one * 3}
+
+
+def test_triangular_solve_raises_on_a_leftover_residual(a1):
+    # The row of p holds 2 at its own pivot, so subtracting value * row
+    # leaves -value behind at p: the solver itself must refuse it.
+    one = G.one(1)
+    with pytest.raises(SingularSystemError, match="at 'p' while solving the test system"):
+        _triangular_solve(
+            {"p": one},
+            "p",
+            lambda z: z,
+            lambda z, value: value,
+            lambda z: {"p": one * 2},
+            lambda: "solving the test system",
+        )
+
+
 def test_oracles_take_no_rational_arithmetic(monkeypatch, a2):
     # Rebuilt from cold memos, the classical constants of every ordered pair
     # of A2's W and the convolutions of the scan's 136 pairs (A2 Grassmannian
@@ -530,27 +563,26 @@ def test_quantum_data_are_immutable(a1):
 
 
 def test_verify_sl2_suite():
-    report = verify_embedded_tables("sl2")
-    assert not report.failures, [r.identity for r in report.failures]
+    records = verify_embedded_tables("sl2")
+    assert all(r.ok for r in records), [r.identity for r in records if not r.ok]
 
 
 def test_verify_sl3_suite():
-    report = verify_embedded_tables("sl3")
-    assert not report.failures, [(r.identity, r.detail) for r in report.failures]
+    records = verify_embedded_tables("sl3")
+    assert all(r.ok for r in records), [(r.identity, r.detail) for r in records if not r.ok]
 
 
 def test_verify_all_has_both(a1):
-    report = verify_embedded_tables("all")
-    names = {r.identity for r in report.records}
+    names = {r.identity for r in verify_embedded_tables("all")}
     assert "square-g1" in names and "table-9" in names and "table-9-swapped" in names
     with pytest.raises(ValueError):
         verify_embedded_tables("sl4")
 
 
 def test_verify_checks_every_sl3_product_under_the_diagram_automorphism():
-    report = verify_embedded_tables("sl3")
-    names = {r.identity for r in report.records}
-    swapped = [r.identity for r in report.records if r.identity.endswith("-swapped")]
+    records = verify_embedded_tables("sl3")
+    names = {r.identity for r in records}
+    swapped = [r.identity for r in records if r.identity.endswith("-swapped")]
     assert len(swapped) == 15 and all(name[: -len("-swapped")] in names for name in swapped)
 
 
@@ -593,6 +625,16 @@ def test_diagram_automorphism_on_whole_balls(spec, swaps, max_len):
 def test_support_shape_warning_absent_on_paper_tables(a2):
     x = el(a2, "s1*s2*s1 t[-1,-1]")
     assert pontryagin_constants(x, x).warnings == []
+
+
+def test_support_warning_threshold(a2):
+    # Fabricated support: against nu = (-2, -1) the first z has offset
+    # (0, -1), a coordinate of exactly -1, and the second offset 0.
+    x, y = translation(a2, (-1, -1)), translation(a2, (-1, 0))
+    below, level = translation(a2, (-2, -2)), translation(a2, (-2, -1))
+    assert constants._support_warnings(x, y, {below: None, level: None}) == [
+        f"support element {format_element(below)} has translation offset (0, -1) with a negative coordinate"
+    ]
 
 
 def test_rank_three_smoke(a3):

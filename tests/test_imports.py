@@ -155,6 +155,18 @@ def test_every_library_function_is_called_in_the_library():
     assert uncalled_functions(sources) == []
 
 
+def test_every_entry_point_is_read_by_the_benchmark():
+    # An entry point the benchmark no longer reads is exempt for no reason:
+    # the names this lists may leave the library, or ENTRY_POINTS.
+    read = {
+        node.attr
+        for path in sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    assert sorted(ENTRY_POINTS - read) == []
+
+
 def unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:
     """``name.parameter`` for each defaulted parameter of a function or
     constructor defined in ``defining`` that no call in ``calling`` passes,
