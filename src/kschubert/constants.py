@@ -129,6 +129,12 @@ def _support_warnings(x, y, entries) -> list[str]:
 
 
 def pontryagin_constants(x: AffineWeylElement, y: AffineWeylElement) -> StructureConstantTable:
+    """Structure constants of O_x . O_y by ``_constants_in_order``, whose cost
+    grows with its first factor, given the shorter one (ties keep the order)."""
+    return _constants_in_order(*sorted((x, y), key=lambda w: len(reduced_word(w))))
+
+
+def _constants_in_order(x: AffineWeylElement, y: AffineWeylElement) -> StructureConstantTable:
     """Structure constants of O_x . O_y as sum_mu b_{x,[mu]} E_{mu,y}[z]
     (module docstring), over one common denominator (``ring.combine``): the
     b coset sums of x, lifted once to numerators over their lcm denominator

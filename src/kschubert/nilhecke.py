@@ -196,7 +196,8 @@ def _loc_row(kernel: _Kernel, x: Code, y_side: bool, cosets: bool) -> tuple[dict
             su = group.left_code(i, (0, u) if cosets else u)
             su = matvec(group.cmat[su[0]], su[1]) if cosets else su
             bound = mul_add(out.setdefault(su, {}), num.act(action), moved, bound)
-        den, nums = lcm, {u: GroupAlgebraElement.from_packed(rank, acc, bound) for u, acc in out.items() if acc}
+        nonzero = ((u, {k: c for k, c in acc.items() if c}) for u, acc in out.items())
+        den, nums = lcm, {u: GroupAlgebraElement.from_packed(rank, t, bound) for u, t in nonzero if t}
     memo[x, y_side, cosets] = (den, nums)
     return den, nums
 

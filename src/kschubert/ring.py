@@ -8,7 +8,10 @@ stored as one integer key k = sum_j w_j B^j, B = 2^32, with signed digits
 the weight of a product term is k1 + k2 and e^lambda -> e^{-lambda} is
 k -> -k; ``sorted_terms()`` is the view by weight tuples that printing and
 JSON read.  A coordinate outside the range raises ValueError, never wraps
-into the next digit.
+into the next digit.  ``mul_add`` is the one loop that multiplies terms:
+the product, ``combine`` and the b kernel of ``nilhecke`` call it.  Every
+accumulator keeps cancelled terms while it sums and drops its zeros once,
+when its result is wrapped.
 
 A :class:`RationalFunction` is a group-algebra numerator together with a
 multiset of positive roots, each entry standing for one denominator factor
@@ -168,12 +171,9 @@ class GroupAlgebraElement:
         other = self._coerce(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return GroupAlgebraElement.from_packed(self.rank, out, max(self.bound, other.bound))
+            out[k] = out.get(k, 0) + c
+        bound = max(self.bound, other.bound)
+        return GroupAlgebraElement.from_packed(self.rank, {k: c for k, c in out.items() if c}, bound)
 
     def __neg__(self) -> "GroupAlgebraElement":
         return GroupAlgebraElement.from_packed(
@@ -190,7 +190,8 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         out: dict[int, int] = {}
-        return GroupAlgebraElement.from_packed(self.rank, out, mul_add(out, self, other))
+        bound = mul_add(out, self, other)
+        return GroupAlgebraElement.from_packed(self.rank, {k: c for k, c in out.items() if c}, bound)
 
     def _coerce(self, other) -> "GroupAlgebraElement":
         if isinstance(other, GroupAlgebraElement):
@@ -235,34 +236,27 @@ class GroupAlgebraElement:
         return f"GroupAlgebraElement({format_gae(self)})"
 
 
-def mul_add(acc: dict, a: GroupAlgebraElement, b: GroupAlgebraElement, bound: int = 0) -> int:
-    """acc += a*b in place: ``acc`` is a plain dict packed key -> nonzero
-    coefficient, and stays free of zero coefficients.  Returns the larger of
-    ``bound`` and the product's coordinate bound, the bound to wrap ``acc``
-    with (``GroupAlgebraElement.from_packed``) once it is complete."""
+def mul_add(acc: dict, a: GroupAlgebraElement, b: GroupAlgebraElement, bound: int = 0, base: int = 0) -> int:
+    """acc += a*b in place, keys shifted by ``base`` (a ``combine`` slot):
+    the one loop that multiplies terms.  ``acc`` maps packed keys to
+    coefficients and keeps those that cancel; its reader drops the zeros
+    once.  Returns the larger of ``bound`` and the product's coordinate
+    bound, the bound to wrap ``acc`` with (``GroupAlgebraElement.from_packed``)."""
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
     product_bound = a.bound + b.bound
-    if product_bound > COORD_LIMIT:
-        product_bound = exact_product_bound(a, b)
+    if product_bound > bound:
+        if product_bound > COORD_LIMIT:
+            product_bound = _in_range(_exact_bound(a.terms, a.rank) + _exact_bound(b.terms, b.rank))
+        bound = max(bound, product_bound)
     get = acc.get
     inner = tuple(b.terms.items())
     for k1, c1 in a.terms.items():
+        k1 += base
         for k2, c2 in inner:
             k = k1 + k2
-            s = get(k, 0) + c1 * c2
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-    return max(bound, product_bound)
-
-
-def exact_product_bound(a: GroupAlgebraElement, b: GroupAlgebraElement) -> int:
-    """The coordinate bound of a*b from the factors' actual coordinates, for
-    when their ``bound``s add up past COORD_LIMIT; raises ValueError if the
-    product still does not fit."""
-    return _in_range(_exact_bound(a.terms, a.rank) + _exact_bound(b.terms, b.rank))
+            acc[k] = get(k, 0) + c1 * c2
+    return bound
 
 
 def _coset_pass(terms: Mapping, beta: Weight, rank: int, bound: int, mult: int, joint: bool = False):
@@ -422,10 +416,7 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
-        den = dict(self.den)
-        for root, mult in other.den:
-            den[root] = den.get(root, 0) + mult
-        return RationalFunction(self.datum, self.num * other.num, den)
+        return RationalFunction(self.datum, self.num * other.num, self.den + other.den)
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -474,30 +465,13 @@ def combine(datum: CartanDatum, lifted: tuple[tuple, Mapping], rows) -> dict:
     den, nums = lifted
     rank = datum.rank
     slot_bits = DIGIT_BITS * rank
-    acc: dict[int, int] = {}
-    get = acc.get
+    terms: dict[int, int] = {}
     slots: dict = {}
     bound = 0
     for k, p in nums.items():
-        outer = tuple(p.terms.items())
         for key, g in rows(k).items():
-            slot = slots.get(key)
-            if slot is None:
-                slot = slots[key] = len(slots)
-            product_bound = p.bound + g.bound
-            if product_bound > bound:
-                if product_bound > COORD_LIMIT:
-                    product_bound = exact_product_bound(p, g)
-                bound = max(bound, product_bound)
-            base = slot << slot_bits
-            inner = tuple(g.terms.items())
-            for k1, c1 in outer:
-                k1 += base
-                for k2, c2 in inner:
-                    kk = k1 + k2
-                    acc[kk] = get(kk, 0) + c1 * c2
-    terms = {kk: c for kk, c in acc.items() if c}
-    terms, keeps = _divide_slots(terms, rank, bound, den)
+            bound = mul_add(terms, p, g, bound, slots.setdefault(key, len(slots)) << slot_bits)
+    terms, keeps = _divide_slots({kk: c for kk, c in terms.items() if c}, rank, bound, den)
     split = _split(terms, rank, len(slots))
     return {
         key: RationalFunction(

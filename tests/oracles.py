@@ -428,10 +428,11 @@ def skewed_diagonal(rows):
 def combine_per_entry(datum, coeffs, rows):
     """sum over k of coeffs[k] * rows(k) as key -> nonzero RationalFunction,
     one entry at a time: the coefficients lifted to their lcm denominator D,
-    one ``mul_add`` per (k, key) into that key's own dict, and each entry
-    divided by the factors of D one at a time, root by root in sorted order,
-    with the tuple-keyed ``tuple_divide_one_minus_exp``; an entry keeps a
-    root's remaining factors at its first failed division.  The reference
+    one ``mul_add`` per (k, key) into that key's own dict, whose zeros are
+    dropped once it is complete, and each entry divided by the factors of D
+    one at a time, root by root in sorted order, with the tuple-keyed
+    ``tuple_divide_one_minus_exp``; an entry keeps a root's remaining
+    factors at its first failed division.  The reference
     for ``ring.combine``, which accumulates all entries in one flat dict and
     divides them together with one coset grouping per root, and for the
     ``RationalFunction`` reduction, which shares that grouping."""
@@ -441,8 +442,8 @@ def combine_per_entry(datum, coeffs, rows):
         for key, g in rows(k).items():
             mul_add(raw.setdefault(key, {}), p, g)
     out = {}
-    for key, terms in raw.items():
-        if terms:
+    for key, acc in raw.items():
+        if terms := {k: c for k, c in acc.items() if c}:
             num, kept = reduce_one_factor_at_a_time(datum.rank, terms, den)
             out[key] = RationalFunction(datum, num, kept, reduce=False)
     return out

@@ -27,6 +27,7 @@ from kschubert.nilhecke import (
     translation_cosets,
 )
 from kschubert.constants import (
+    _constants_in_order,
     classical_k_constants,
     classical_quantum_data,
     conjecture_check,
@@ -252,9 +253,10 @@ def test_criterion_10_property_suites(a1, a2):
             x, y = rng.choice(reps), rng.choice(reps)
             table = pontryagin_constants(x, y)
             # polynomiality holds by construction (entries are group-algebra
-            # elements); augmentation and commutativity are asserted:
+            # elements); augmentation and commutativity, of the ordered
+            # route both ways, are asserted:
             assert sum(c.augmentation() for c in table.entries.values()) == 1
-            assert pontryagin_constants(y, x).entries == table.entries
+            assert _constants_in_order(x, y).entries == _constants_in_order(y, x).entries == table.entries
 
     # Weyl-action ring homomorphism and group action on random values
     ball = affine_ball(a2, 3)

@@ -111,10 +111,25 @@ def test_routes_agree(a1, a2):
 
 
 def test_commutativity(a2):
+    # The ordered route both ways: ``pontryagin_constants`` puts the shorter
+    # factor first, so it would compare a route with itself.
     reps = grassmannian_ball(a2, 2)
     for x in reps:
         for y in reps:
-            assert pontryagin_constants(x, y).entries == pontryagin_constants(y, x).entries
+            assert constants._constants_in_order(x, y).entries == constants._constants_in_order(y, x).entries
+
+
+def test_product_lifts_only_the_shorter_factor(monkeypatch, a1):
+    # The route's work grows with its first factor, whose b row it lifts:
+    # from cold, t[-60] * t[-1] lifts t[-1] alone, one b_lift miss, as the
+    # swapped order does, instead of the 60-letter row of t[-60].
+    x, y = el(a1, "t[-60]"), el(a1, "t[-1]")
+    cold()
+    lifted, lift = [], constants.b_lift
+    monkeypatch.setattr(constants, "b_lift", lambda w, side: lifted.append(w) or lift(w, side))
+    table = pontryagin_constants(x, y)
+    assert lifted == [y] and nilhecke.b_lift.cache_info().misses == 1
+    assert table.entries == pontryagin_constants(y, x).entries
 
 
 def test_augmentation_sums_to_one(a1, a2):
@@ -133,8 +148,8 @@ def test_augmentation_sums_to_one(a1, a2):
 def test_product_routes_whole_ball(label, max_len):
     # The engine's coset-row route against the paper's formula it replaced
     # (reduced RationalFunctions) and against the triangular solve, on every
-    # pair of the ball; the route is asymmetric, so swapping the factors is
-    # a check too.
+    # pair of the ball; the ordered route is asymmetric, so swapping its
+    # factors is a check too.
     reps = grassmannian_ball(build_root_system(label), max_len)
     for i, x in enumerate(reps):
         for y in reps[i:]:
@@ -143,7 +158,7 @@ def test_product_routes_whole_ball(label, max_len):
             assert table.warnings == []
             assert entries == pontryagin_constants_rf(x, y).entries
             assert entries == pontryagin_constants_linear(x, y).entries
-            assert entries == pontryagin_constants(y, x).entries
+            assert entries == constants._constants_in_order(y, x).entries
 
 
 NON_SIMPLY_LACED = pytest.mark.parametrize(
@@ -167,7 +182,7 @@ def test_product_routes_non_simply_laced(cartan):
             assert table.warnings == []
             assert entries == pontryagin_constants_rf(x, y).entries
             assert entries == pontryagin_constants_linear(x, y).entries
-            assert entries == pontryagin_constants(y, x).entries
+            assert entries == constants._constants_in_order(y, x).entries
             assert sum(c.augmentation() for c in entries.values()) == 1
 
 
@@ -193,14 +208,22 @@ def test_square_work_count(monkeypatch, a2):
     # Term products of the flat kernel for one A2 t[-2,-2] square once its
     # memoized rows and lift are warm: 10,635 on the coset-row route (11,268
     # while the lift was redone per pair); the convolution and e stage it
-    # replaced made 893,724.  A count, so it holds however noisy the clock.
+    # replaced made 893,724.  ``ring.mul_add``, the one loop that multiplies
+    # terms, sees each of them, in one call per (lifted numerator, row
+    # entry).  A count, so it holds however noisy the clock.
     x = el(a2, "t[-2,-2]")
     first = pontryagin_constants(x, x).entries
-    seen = []
+    seen, calls, mul_add = [], [], ring.mul_add
     counting_combine(monkeypatch, seen)
+
+    def counting(acc, a, b, *rest):
+        calls.append(len(a.terms) * len(b.terms))
+        return mul_add(acc, a, b, *rest)
+
+    monkeypatch.setattr(ring, "mul_add", counting)
     assert pontryagin_constants(x, x).entries == first
     assert 0 < sum(seen) < 50_000
-    assert sum(seen) == 10_635
+    assert sum(seen) == sum(calls) == 10_635 and len(calls) == 161
 
 
 def test_scan_work_guard(monkeypatch, a2):

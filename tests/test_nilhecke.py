@@ -324,6 +324,18 @@ def test_running_denominator_carries_D_x(spec, max_len, equal, total):
     assert (same, len(ball)) == (equal, total)
 
 
+def test_loc_rows_store_no_zero_coefficient(a2):
+    # The b kernel sums with ``ring.mul_add``, which keeps cancelled terms,
+    # and drops them once per step: no numerator of any row it builds on the
+    # A2 ball of length <= 5, plain or projected, y or T side, holds a zero,
+    # and none is empty.
+    kernel = nilhecke._kernel(a2)
+    for x in affine_ball(a2, 5):
+        for y_side, cosets in ((True, False), (True, True), (False, True)):
+            _, nums = nilhecke._loc_row(kernel, (x.index, x.trans), y_side, cosets)
+            assert all(g and 0 not in g.terms.values() for g in nums.values()), x
+
+
 def test_coset_rows_take_no_weyl_action_and_no_length(monkeypatch, a2):
     # The e kernel keeps rows in the frame of x and reads descents off one
     # root, so from a cold kernel the coset rows of the scan (A2 Grassmannian

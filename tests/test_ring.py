@@ -516,6 +516,22 @@ def test_rf_reduction_with_multiplicity_matches_one_factor_oracle(spec, max_len)
     assert {0, 1, 2, 3} <= kept
 
 
+def test_ring_values_store_no_zero_coefficient(a1):
+    """``mul_add`` keeps cancelled terms while it sums; the product, the sum
+    and ``combine`` drop them once when they wrap: (1 - e^alpha)(1 + e^alpha)
+    = 1 - e^{2 alpha}, a sum that cancels a term, and a ``combine`` whose
+    rows cancel in one slot, which then has no entry."""
+    alpha = a1.positive_roots[0]
+    one, e = G.one(1), G.monomial(alpha)
+    product = (one - e) * (one + e)
+    assert product == one - G.monomial((2 * alpha[0],)) and 0 not in product.terms.values()
+    total = (one + e) + (-e)
+    assert total.terms == {0: 1}
+    rows = {0: {"z": one + e, "w": e}, 1: {"z": -e}, 2: {"z": -one}}
+    got = combine(a1, ((), {0: one, 1: one, 2: one}), rows.__getitem__)
+    assert list(got) == ["w"] and got["w"].num.terms == e.terms
+
+
 def test_combine_refuses_coordinates_past_the_packing_range(a1):
     """A product term whose coordinate would pass COORD_LIMIT raises instead
     of carrying into the slot bits of the next entry."""
